@@ -193,7 +193,8 @@ class BSFactory:
     Builds the support, the polar factors and the restricted kernel assembler
     once.  ``radial`` is set when the perturbation is constant on spheres, in
     which case :meth:`reduced_blocks` exposes the exact per-block reduction
-    (level matrices ``T_n`` with multiplicity ``dims[n]``).
+    (level matrices ``T_n`` with multiplicity ``dims[n]``).  :meth:`blocks`
+    picks the reduction or the full support matrix.
     """
 
     def __init__(
@@ -303,6 +304,22 @@ class BSFactory:
             t_n = sign * (jph * a)[:, None] * g * a[None, :]
             out.append((d, t_n))
         return out
+
+    def blocks(
+        self, lam: complex, sign: int = 1, *, derivative: bool = False,
+        eps0: float | None = None,
+    ) -> list[tuple[int, np.ndarray]]:
+        """The sandwich (or its derivative) as ``(multiplicity, block)`` pairs.
+
+        The exact radial reduction when every sphere up to the support radius
+        carries weight; otherwise the full support matrix as a single block.
+        A weightless sphere (the root, when the potential cancels the degree
+        defect) would add spurious zero eigenvalues to the level matrices.
+        """
+        if self.radial and np.all(self._a_radial > 0):
+            return self.reduced_blocks(lam, sign, derivative=derivative, eps0=eps0)
+        full = self.derivative if derivative else self.matrix
+        return [(1, full(lam, sign, eps0=eps0))]
 
 
 def bs_operator(

@@ -18,7 +18,7 @@ perturbations); traces and singular values then accumulate blockwise.
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,48 +182,31 @@ def _sign_for(threshold: str) -> int:
 
 
 def _family(factory: BSFactory, sign: int, eps0: float | None):
-    """Evaluators for F = I + T and F' = T', blockwise when radial."""
-    if factory.radial and np.all(factory._a_radial > 0):
+    """Evaluators for F = I + T and F' = T' as block lists."""
 
-        def fval(lam):
-            return [
-                (d, np.eye(b.shape[0]) + b)
-                for d, b in factory.reduced_blocks(lam, sign, eps0=eps0)
-            ]
+    def fval(lam):
+        return [
+            (d, np.eye(b.shape[0]) + b) for d, b in factory.blocks(lam, sign, eps0=eps0)
+        ]
 
-        def fpval(lam):
-            return factory.reduced_blocks(lam, sign, derivative=True, eps0=eps0)
-
-    else:
-
-        def fval(lam):
-            t = factory.matrix(lam, sign, eps0=eps0)
-            return np.eye(t.shape[0]) + t
-
-        def fpval(lam):
-            return factory.derivative(lam, sign, eps0=eps0)
+    def fpval(lam):
+        return factory.blocks(lam, sign, derivative=True, eps0=eps0)
 
     return fval, fpval
 
 
 def _eigs_and_minsv(factory: BSFactory, lam, sign, eps0=None):
     """Eigenvalues of T, min singular value of I + T, and a norm bound for T."""
-    if factory.radial and np.all(factory._a_radial > 0):
-        blocks = factory.reduced_blocks(lam, sign, eps0=eps0)
-        eigs = []
-        minsv = math.inf
-        tnorm = 0.0
-        for d, b in blocks:
-            eigs.append(np.repeat(np.linalg.eigvals(b), d))
-            minsv = min(minsv, float(
-                np.linalg.svd(np.eye(b.shape[0]) + b, compute_uv=False).min()
-            ))
-            tnorm = max(tnorm, float(np.linalg.norm(b, 2)))
-        return np.concatenate(eigs), minsv, tnorm
-    t = factory.matrix(lam, sign, eps0=eps0)
-    eigs = np.linalg.eigvals(t)
-    minsv = float(np.linalg.svd(np.eye(t.shape[0]) + t, compute_uv=False).min())
-    return eigs, minsv, float(np.linalg.norm(t, 2))
+    eigs = []
+    minsv = math.inf
+    tnorm = 0.0
+    for d, b in factory.blocks(lam, sign, eps0=eps0):
+        eigs.append(np.repeat(np.linalg.eigvals(b), d))
+        minsv = min(minsv, float(
+            np.linalg.svd(np.eye(b.shape[0]) + b, compute_uv=False).min()
+        ))
+        tnorm = max(tnorm, float(np.linalg.norm(b, 2)))
+    return np.concatenate(eigs), minsv, tnorm
 
 
 def resonance_indicator(
@@ -251,7 +234,6 @@ class ScanReport:
     grid_rows: np.ndarray  # columns: re, im, dist_to_minus_one, min_sv
     min_singular_value: float
     flagged: int = 0
-    failure: str | None = None
 
     @property
     def all_indices_zero(self) -> bool:
@@ -279,15 +261,15 @@ def absence_scan(
     nodes: int = 256,
     ladder_factor: float = 2.0,
     csv_path=None,
-    jobs: int | None = None,
     factory: BSFactory | None = None,
 ) -> ScanReport:
     """Certify the absence of edge resonances on an annulus.
 
-    Runs the argument-principle counter on a geometric ladder of circles
-    inside ``[r_min, r_max]`` and tabulates the eigenvalue distance to ``-1``
-    and the smallest singular value of ``I + T`` on a ``grid x grid`` polar
-    grid.  Rows stream to ``csv_path`` as they are produced, so a failure
+    Runs the argument-principle counter on the geometric ladder of circles
+    ``r_min * ladder_factor**m`` inside ``[r_min, r_max]``, closed by a circle
+    at ``r_max`` when the ladder falls short of it, and tabulates the
+    eigenvalue distance to ``-1`` and the smallest singular value of
+    ``I + T`` on a ``grid x grid`` polar grid.  Rows stream to ``csv_path`` as they are produced, so a failure
     leaves partial results behind.
     """
     r_min, r_max = annulus
@@ -300,44 +282,34 @@ def absence_scan(
     sign = _sign_for(threshold)
     fval, fpval = _family(factory, sign, eps0)
 
-    ladder: list[tuple[float, IndexReport]] = []
-    radius = r_min
-    while radius <= r_max * (1.0 + 1e-12):
-        rep = contour_index(fval, fpval, ContourSpec(0.0, radius, nodes))
-        ladder.append((radius, rep))
-        radius *= ladder_factor
+    circles = [r_min]
+    while circles[-1] * ladder_factor <= r_max * (1.0 + 1e-12):
+        circles.append(circles[-1] * ladder_factor)
+    if circles[-1] < r_max * (1.0 - 1e-12):
+        circles.append(r_max)
+    ladder = [
+        (radius, contour_index(fval, fpval, ContourSpec(0.0, radius, nodes)))
+        for radius in circles
+    ]
 
     radii = np.linspace(r_min, r_max, grid)
     angles = 2.0 * np.pi * np.arange(grid) / grid
     points = [r * np.exp(1j * a) for r in radii for a in angles]
 
-    def one(lam):
-        eigs, minsv, tnorm = _eigs_and_minsv(factory, lam, sign, eps0)
-        dist = float(np.min(np.abs(eigs + 1.0)))
-        flag = dist < RESONANCE_RTOL * (1.0 + tnorm)
-        return (lam.real, lam.imag, dist, minsv), flag
-
     rows: list[tuple] = []
     flagged = 0
-    sink = open(csv_path, "w", newline="") if csv_path else None
-    writer = None
-    if sink is not None:
-        writer = csv.writer(sink)
-        writer.writerow(CSV_HEADER)
-    try:
-        if jobs and jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(one, points))
-        else:
-            results = map(one, points)
-        for row, flag in results:
+    with open(csv_path, "w", newline="") if csv_path else nullcontext() as sink:
+        writer = csv.writer(sink) if sink else None
+        if writer:
+            writer.writerow(CSV_HEADER)
+        for lam in points:
+            eigs, minsv, tnorm = _eigs_and_minsv(factory, lam, sign, eps0)
+            dist = float(np.min(np.abs(eigs + 1.0)))
+            row = (lam.real, lam.imag, dist, minsv)
             rows.append(row)
-            flagged += int(flag)
-            if writer is not None:
+            flagged += int(dist < RESONANCE_RTOL * (1.0 + tnorm))
+            if writer:
                 writer.writerow([f"{x:.17g}" for x in row])
-    finally:
-        if sink is not None:
-            sink.close()
 
     grid_rows = np.array(rows)
     return ScanReport(

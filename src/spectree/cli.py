@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -24,7 +23,7 @@ from . import charval, quadrature
 from .birman_schwinger import BSFactory, hol_split
 from .charval import ContourSpec, absence_scan, spectrum
 from .decomposition import build_spherical_basis, verify_jacobi_form
-from .errors import SpectreeError
+from .errors import InvalidParameter, SpectreeError
 from .operators import (
     PotentialSpec,
     adjacency,
@@ -64,18 +63,24 @@ def _load_potential(arg: str | None) -> PotentialSpec | None:
         return None
     text = arg
     if not arg.lstrip().startswith("{"):
-        with open(arg) as fh:
-            text = fh.read()
+        try:
+            with open(arg, errors="replace") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise InvalidParameter(f"--potential: cannot read {arg!r}: {exc.strerror}") from None
     return PotentialSpec.from_json(text)
 
 
+def _complex_arg(flag: str, text: str) -> complex:
+    try:
+        return complex(text)
+    except ValueError:
+        raise InvalidParameter(f"{flag}: not a complex literal: {text!r}") from None
+
+
 def _default_jobs(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("SPECTREE_JOBS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
+    # the grid scan is serial; kept for the machine record of benchmarks/worker.py
+    return 1
 
 
 def build_parser() -> _Parser:
@@ -108,7 +113,6 @@ def build_parser() -> _Parser:
     s.add_argument("--sv-floor", type=float, default=1e-4,
                    help="certification floor for min singular value")
     s.add_argument("--out", default=None, help="CSV output path")
-    s.add_argument("--jobs", type=int, default=None)
 
     e = sub.add_parser("spectrum", help="eigenvalues of the perturbed truncation")
     common(e)
@@ -220,17 +224,17 @@ def _cmd_validate(args) -> int:
 
 def _cmd_kernel(args) -> int:
     depth = args.depth if args.depth is not None else 8
-    t = build_tree(args.k, depth)
-    b = build_spherical_basis(t)
     spec = _load_potential(args.potential)
     delta = args.delta
     if delta is None:
         delta = spec.delta if spec is not None else max(1.0, 6.0 * math.log(args.k))
     if args.lam is not None:
-        sp_ = from_lambda(args.k, complex(args.lam), args.threshold)
+        sp_ = from_lambda(args.k, _complex_arg("--lam", args.lam), args.threshold)
     else:
-        z = complex(args.z) if args.z is not None else t_minus(args.k) - 0.5
+        z = _complex_arg("--z", args.z) if args.z is not None else t_minus(args.k) - 0.5
         sp_ = from_z(args.k, z)
+    t = build_tree(args.k, depth)
+    b = build_spherical_basis(t)
     e_m, _ = weights(t, delta)
     kern = weighted_resolvent_kernel(t, b, e_m, e_m, sp_)
     oracle = e_m[:, None] * direct_resolvent_block(t, sp_.z) * e_m[None, :]
@@ -258,7 +262,7 @@ def _cmd_scan(args) -> int:
     b = build_spherical_basis(t)
     report = absence_scan(
         t, b, spec, (args.rmin, args.rmax), args.grid, args.threshold,
-        nodes=args.nodes, csv_path=args.out, jobs=_default_jobs(args.jobs),
+        nodes=args.nodes, csv_path=args.out,
     )
     summary = {
         "threshold": report.threshold,
@@ -314,14 +318,14 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_index(args) -> int:
     spec = _load_potential(args.potential)
+    center = _complex_arg("--center", args.center)
     depth = args.depth if args.depth is not None else _auto_depth(args.k, spec)
     t = build_tree(args.k, depth)
     b = build_spherical_basis(t)
     factory = BSFactory(t, b, spec)
-    sign = 1 if args.threshold == "minus" else -1
-    fval, fpval = charval._family(factory, sign, factory.eps0)
+    fval, fpval = charval._family(factory, charval._sign_for(args.threshold), factory.eps0)
     report = charval.contour_index(
-        fval, fpval, ContourSpec(complex(args.center), args.radius, args.nodes)
+        fval, fpval, ContourSpec(center, args.radius, args.nodes)
     )
     print(json.dumps(report.to_json()))
     return 0 if report.certified else CERTIFICATION_FAILURE

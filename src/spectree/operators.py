@@ -216,22 +216,37 @@ class PotentialSpec:
     @classmethod
     def from_json(cls, obj: dict | str) -> "PotentialSpec":
         if isinstance(obj, str):
-            obj = json.loads(obj)
+            try:
+                obj = json.loads(obj)
+            except json.JSONDecodeError as exc:
+                raise InvalidParameter(f"potential JSON is malformed: {exc}") from None
+        if not isinstance(obj, dict):
+            raise InvalidParameter("potential JSON must be an object")
         kind = obj.get("kind")
-        delta = float(obj["delta"])
+        delta = _field(obj, "delta", float)
         c = obj.get("C")
         if kind == "radial-exp":
-            amp = _complex_field(obj["amplitude"])
+            amp = _field(obj, "amplitude", _complex_field)
             spec = cls(kind="radial-exp", delta=delta, amplitude=amp, c_const=c)
         elif kind == "table":
-            vals = tuple(
+            vals = _field(obj, "values", lambda entries: tuple(
                 (int(e["v"]), complex(float(e["re"]), float(e.get("im", 0.0))))
-                for e in obj["values"]
-            )
+                for e in entries
+            ))
             spec = cls(kind="table", delta=delta, values=vals, c_const=c)
         else:
             raise InvalidParameter(f"unknown potential kind {kind!r}")
         return spec
+
+
+def _field(obj: dict, name: str, convert):
+    """``convert(obj[name])``, failing with the field's name."""
+    if name not in obj:
+        raise InvalidParameter(f"potential JSON lacks {name!r}")
+    try:
+        return convert(obj[name])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidParameter(f"potential field {name!r} is invalid: {exc!r}") from None
 
 
 def _complex_field(x) -> complex:

@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .decomposition import SphericalBasis, build_spherical_basis
+from .decomposition import SphericalBasis
 from .errors import (
     AssumptionViolated,
     BranchFailure,
@@ -43,7 +43,7 @@ from .errors import (
     OutOfDisk,
     TruncationWarning,
 )
-from .operators import delta_floor, free_operator, free_operator_sparse, m_tilde
+from .operators import delta_floor, free_operator_sparse, m_tilde
 from .tree import TreeGraph, build_tree
 
 #: Scalar multiplying each closed-form bracket, relative to the quadrature
@@ -447,17 +447,12 @@ def direct_resolvent_block(
     rhs = np.zeros((big.vertex_count, cols.size), dtype=complex)
     rhs[cols, np.arange(cols.size)] = 1.0
 
-    if big.vertex_count <= 1500:
-        h = free_operator(big).astype(complex)
-        h[np.diag_indices_from(h)] += diag
-        sol = np.linalg.solve(h, rhs)
-    else:
-        h = (free_operator_sparse(big).astype(complex) + sp.diags(diag)).tocsc()
-        lu = spla.splu(h)
-        sol = np.empty((big.vertex_count, cols.size), dtype=complex)
-        step = 256
-        for start in range(0, cols.size, step):
-            sol[:, start:start + step] = lu.solve(rhs[:, start:start + step])
+    h = (free_operator_sparse(big).astype(complex) + sp.diags(diag)).tocsc()
+    lu = spla.splu(h)
+    sol = np.empty((big.vertex_count, cols.size), dtype=complex)
+    step = 256
+    for start in range(0, cols.size, step):
+        sol[:, start:start + step] = lu.solve(rhs[:, start:start + step])
     return sol[rows, :]
 
 
@@ -499,8 +494,3 @@ def depth_for_tail(
     raise InvalidParameter(
         f"no depth up to {max_depth} meets tail tolerance {tol:.3g}"
     )
-
-
-def default_basis(t: TreeGraph) -> SphericalBasis:
-    """Convenience constructor kept next to the kernel assembler."""
-    return build_spherical_basis(t)

@@ -304,6 +304,30 @@ def test_radial_reduction_matches_full(tree_basis, radial_spec_k2):
     assert np.abs(eig_full - eig_red).max() < 1e-12
 
 
+@pytest.mark.parametrize("derivative", [False, True])
+def test_blocks_dispatch(tree_basis, radial_spec_k2, derivative):
+    t, b = tree_basis(2, 6)
+    lam = 0.07 - 0.05j
+
+    radial = BSFactory(t, b, radial_spec_k2)
+    got = radial.blocks(lam, -1, derivative=derivative)
+    want = radial.reduced_blocks(lam, -1, derivative=derivative)
+    assert [d for d, _ in got] == [d for d, _ in want]
+    assert all(np.array_equal(g, w) for (_, g), (_, w) in zip(got, want))
+
+    # amplitude 1 cancels the root degree defect: no reduction, one full block
+    cancelled = BSFactory(t, b, PotentialSpec.radial_exp(1.0, 6 * LOG2))
+    assert cancelled.radial and 0 not in cancelled.support
+    full = cancelled.derivative if derivative else cancelled.matrix
+    (mult, blk), = cancelled.blocks(lam, -1, derivative=derivative)
+    assert mult == 1 and np.array_equal(blk, full(lam, -1))
+
+    table = BSFactory(t, b, PotentialSpec.table([(0, 0.3 - 0.2j), (2, 0.1j)], 6 * LOG2))
+    full = table.derivative if derivative else table.matrix
+    (mult, blk), = table.blocks(lam, -1, derivative=derivative)
+    assert mult == 1 and np.array_equal(blk, full(lam, -1))
+
+
 def test_derivative_matches_finite_differences(tree_basis, radial_spec_k2):
     t, b = tree_basis(2, 6)
     factory = BSFactory(t, b, radial_spec_k2)

@@ -270,8 +270,16 @@ def test_absence_scan_deterministic(tmp_path, tree_basis, radial_spec_k2):
     t, b = tree_basis(2, 6)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     absence_scan(t, b, radial_spec_k2, (0.05, 0.15), 5, nodes=32, csv_path=p1)
-    absence_scan(t, b, radial_spec_k2, (0.05, 0.15), 5, nodes=32, csv_path=p2, jobs=2)
+    absence_scan(t, b, radial_spec_k2, (0.05, 0.15), 5, nodes=32, csv_path=p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_absence_scan_ladder_closes_at_r_max(tree_basis, radial_spec_k2):
+    # 0.02 * 2**m stops at 0.08; the shell out to 0.1 must still be counted
+    t, b = tree_basis(2, 6)
+    rep = absence_scan(t, b, radial_spec_k2, (0.02, 0.1), 4, nodes=32)
+    assert [r for r, _ in rep.ladder] == [0.02, 0.04, 0.08, 0.1]
+    assert rep.all_indices_zero
 
 
 def test_absence_scan_annulus_guard(tree_basis, radial_spec_k2):

@@ -68,8 +68,7 @@ def test_scan_deterministic_output(tmp_path, capsys, pot_file):
     main(["scan", "--k", "2", "--potential", pot_file, "--rmin", "0.05",
           "--rmax", "0.15", "--grid", "5", "--nodes", "32", "--out", str(a)])
     main(["scan", "--k", "2", "--potential", pot_file, "--rmin", "0.05",
-          "--rmax", "0.15", "--grid", "5", "--nodes", "32", "--out", str(b),
-          "--jobs", "2"])
+          "--rmax", "0.15", "--grid", "5", "--nodes", "32", "--out", str(b)])
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
 
@@ -115,9 +114,13 @@ def test_inline_potential_accepted(capsys):
 
 
 def test_usage_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["scan", "--k", "2"])  # missing required flags
-    assert exc.value.code == 1
+    for argv in (
+        ["scan", "--k", "2"],  # missing required flags
+        ["scan", "--k", "2", "--rmin", "0.05", "--rmax", "0.15", "--jobs", "2"],  # removed flag
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
 
 
 def test_unknown_command_exit_code(capsys):
@@ -133,3 +136,44 @@ def test_domain_error_maps_to_usage_exit(capsys, pot_file):
     err = capsys.readouterr().err
     assert code == 1
     assert "error:" in err
+
+
+INDEX = ["index", "--k", "2", "--radius", "0.1", "--nodes", "32"]
+
+
+def _file(tmp_path, text):
+    p = tmp_path / "pot.json"
+    p.write_text(text)
+    return str(p)
+
+
+BAD_INPUTS = [
+    pytest.param("--potential", lambda tmp: INDEX + ["--potential", str(tmp / "none.json")],
+                 id="missing file"),
+    pytest.param("--potential", lambda tmp: INDEX + ["--potential", str(tmp)],
+                 id="unreadable file"),
+    pytest.param("malformed", lambda tmp: INDEX + [
+        "--potential", _file(tmp, '{"kind": "radial-exp",')], id="malformed json"),
+    pytest.param("'delta'", lambda tmp: INDEX + ["--potential", json.dumps(
+        {"kind": "radial-exp", "amplitude": {"re": 0.3, "im": 0.0}})], id="no delta"),
+    pytest.param("'amplitude'", lambda tmp: INDEX + ["--potential", _file(tmp, json.dumps(
+        {"kind": "radial-exp", "delta": 6 * LOG2}))], id="no amplitude"),
+    pytest.param("'values'", lambda tmp: INDEX + ["--potential", json.dumps(
+        {"kind": "table", "delta": 6 * LOG2})], id="no values"),
+    pytest.param("--z", lambda tmp: ["kernel", "--k", "2", "--depth", "3", "--z", "abc"],
+                 id="bad z"),
+    pytest.param("--lam", lambda tmp: ["kernel", "--k", "2", "--depth", "3", "--lam", "0.1jj"],
+                 id="bad lam"),
+    pytest.param("--center", lambda tmp: INDEX + ["--center", "1+"], id="bad center"),
+]
+
+
+@pytest.mark.parametrize("field, argv", BAD_INPUTS)
+def test_bad_input_is_one_error_line(tmp_path, capsys, field, argv):
+    code = main(argv(tmp_path))
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert code == 1
+    assert captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert field in lines[0]
