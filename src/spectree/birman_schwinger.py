@@ -220,17 +220,40 @@ class BSFactory:
             rows=self.support, cols=self.support,
         )
         self.radial = spec is None or spec.kind == "radial-exp"
-        if self.radial:
-            self._prepare_radial(j_full, sqrt_full)
+        self._reduced = self.radial and self._prepare_radial(j_full, sqrt_full)
+        #: matrix entries per parameter over all blocks :meth:`blocks` returns
+        self.block_entries = (
+            sum(nlev * nlev for _, nlev, _, _ in self._levels) if self._reduced
+            else self.support.size ** 2
+        )
 
-    def _prepare_radial(self, j_full, sqrt_full):
+    def _prepare_radial(self, j_full, sqrt_full) -> bool:
+        """Per-block weights of the level matrices; whether every sphere up
+        to the support radius carries weight."""
         t = self.tree
-        self._a_radial = np.zeros(self.r_support + 1)
-        self._j_radial = np.ones(self.r_support + 1, dtype=complex)
+        a_radial = np.zeros(self.r_support + 1)
+        j_radial = np.ones(self.r_support + 1, dtype=complex)
         for r in range(self.r_support + 1):
             s = t.sphere(r)
-            self._a_radial[r] = sqrt_full[s.start]
-            self._j_radial[r] = j_full[s.start]
+            a_radial[r] = sqrt_full[s.start]
+            j_radial[r] = j_full[s.start]
+        # level pairs (j, l) of the largest block; block n is its top-left corner
+        lv = np.arange(self.r_support + 1)
+        self._plus_idx = np.add.outer(lv, lv) + 2
+        self._minus_idx = np.abs(np.subtract.outer(lv, lv))
+        # per block n: multiplicity, level count, row and column weights.  The
+        # weights are 3-D so that scalar and stacked calls run the same numpy
+        # multiply loop and agree bit for bit.
+        self._levels = []
+        for n in range(self.r_support + 1):
+            d = int(self.basis.dims[n])
+            if d == 0:
+                continue
+            nlev = self.r_support - n + 1
+            a = a_radial[n:n + nlev]
+            jph = j_radial[n:n + nlev]
+            self._levels.append((d, nlev, (jph * a)[None, :, None], a[None, None, :]))
+        return bool(np.all(a_radial > 0))
 
     # -- spectral-point plumbing ------------------------------------------
 
@@ -278,35 +301,34 @@ class BSFactory:
         return self.kernel.exponent_tables(sp_)
 
     def reduced_blocks(
-        self, lam: complex, sign: int = 1, *, derivative: bool = False,
+        self, lam, sign: int = 1, *, derivative: bool = False,
         eps0: float | None = None,
     ) -> list[tuple[int, np.ndarray]]:
         """Per-block level matrices ``(multiplicity, T_n)`` for radial data.
 
-        The union of their spectra (with multiplicities) equals the spectrum
-        of the full support matrix, up to exact zeros for spheres where the
-        perturbation vanishes.
+        ``lam`` is a scalar or a 1-D array; for an array of ``N`` parameters
+        each ``T_n`` is stacked to shape ``(N, nlev, nlev)``.  The union of
+        their spectra (with multiplicities) equals the spectrum of the full
+        support matrix, up to exact zeros for spheres where the perturbation
+        vanishes.
         """
         if not self.radial:
             raise InvalidParameter("reduced blocks require a radial perturbation")
-        sp_ = self.point(lam, eps0=eps0)
-        plus_t, minus_t = self._radial_tables(sp_, derivative)
+        tables = [
+            self._radial_tables(self.point(one, eps0=eps0), derivative)
+            for one in np.atleast_1d(lam)
+        ]
+        plus_t = np.array([p for p, _ in tables])
+        minus_t = np.array([m for _, m in tables])
+        g = plus_t[:, self._plus_idx] + minus_t[:, self._minus_idx]
         out = []
-        for n in range(self.r_support + 1):
-            d = int(self.basis.dims[n])
-            if d == 0:
-                continue
-            nlev = self.r_support - n + 1
-            lv = np.arange(nlev)
-            g = plus_t[np.add.outer(lv, lv) + 2] + minus_t[np.abs(np.subtract.outer(lv, lv))]
-            a = self._a_radial[n:n + nlev]
-            jph = self._j_radial[n:n + nlev]
-            t_n = sign * (jph * a)[:, None] * g * a[None, :]
-            out.append((d, t_n))
+        for d, nlev, rows, cols in self._levels:
+            t_n = sign * rows * g[:, :nlev, :nlev] * cols
+            out.append((d, t_n if np.ndim(lam) else t_n[0]))
         return out
 
     def blocks(
-        self, lam: complex, sign: int = 1, *, derivative: bool = False,
+        self, lam, sign: int = 1, *, derivative: bool = False,
         eps0: float | None = None,
     ) -> list[tuple[int, np.ndarray]]:
         """The sandwich (or its derivative) as ``(multiplicity, block)`` pairs.
@@ -315,11 +337,13 @@ class BSFactory:
         carries weight; otherwise the full support matrix as a single block.
         A weightless sphere (the root, when the potential cancels the degree
         defect) would add spurious zero eigenvalues to the level matrices.
+        ``lam`` is a scalar or a 1-D array, as for :meth:`reduced_blocks`.
         """
-        if self.radial and np.all(self._a_radial > 0):
+        if self._reduced:
             return self.reduced_blocks(lam, sign, derivative=derivative, eps0=eps0)
         full = self.derivative if derivative else self.matrix
-        return [(1, full(lam, sign, eps0=eps0))]
+        stack = np.array([full(one, sign, eps0=eps0) for one in np.atleast_1d(lam)])
+        return [(1, stack if np.ndim(lam) else stack[0])]
 
 
 def bs_operator(

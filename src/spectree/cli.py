@@ -8,7 +8,8 @@ scan       absence-of-resonances certification over an annulus, CSV output
 spectrum   eigenvalues of the perturbed truncation, CSV output
 index      one argument-principle count, JSON output
 
-Exit codes: 0 success, 1 usage error, 2 certification failure.
+Exit codes: 0 success, 1 usage error, 2 certification failure (including a
+contour count that hits a singular node or never settles on an integer).
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from . import charval, quadrature
 from .birman_schwinger import BSFactory, hol_split
 from .charval import ContourSpec, absence_scan, spectrum
 from .decomposition import build_spherical_basis, verify_jacobi_form
-from .errors import InvalidParameter, SpectreeError
+from .errors import InvalidParameter, NonConvergent, SingularOnContour, SpectreeError
 from .operators import (
     PotentialSpec,
     adjacency,
@@ -344,6 +345,8 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except SpectreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, (SingularOnContour, NonConvergent)):
+            return CERTIFICATION_FAILURE
         return USAGE_ERROR
 
 

@@ -328,6 +328,32 @@ def test_blocks_dispatch(tree_basis, radial_spec_k2, derivative):
     assert mult == 1 and np.array_equal(blk, full(lam, -1))
 
 
+@pytest.mark.parametrize("derivative", [False, True])
+@pytest.mark.parametrize("k, depth, spec", [
+    pytest.param(2, 6, PotentialSpec.radial_exp(0.3 * (1 + 0.5j), 6 * LOG2), id="radial"),
+    pytest.param(1, 14, PotentialSpec.radial_exp(0.25 * (1 - 0.3j), 2.0), id="radial k1"),
+    pytest.param(2, 6, PotentialSpec.radial_exp(1.0, 6 * LOG2), id="amplitude-1"),
+    pytest.param(2, 6, PotentialSpec.table([(0, 0.3 - 0.2j), (2, 0.1j)], 6 * LOG2),
+                 id="table"),
+])
+def test_blocks_over_lambda_array(tree_basis, k, depth, spec, derivative):
+    # stacked evaluation equals stacking the scalar calls, bit for bit
+    t, b = tree_basis(k, depth)
+    factory = BSFactory(t, b, spec)
+    rng = np.random.default_rng(3)
+    lams = 0.15 * np.sqrt(rng.random(9)) * np.exp(2j * np.pi * rng.random(9))
+    for sign in (1, -1):
+        scalar = [factory.blocks(lam, sign, derivative=derivative) for lam in lams]
+        for part in (slice(None), slice(0, 1), slice(2, 4)):
+            got = factory.blocks(lams[part], sign, derivative=derivative)
+            want = scalar[part]
+            assert [d for d, _ in got] == [d for d, _ in want[0]]
+            assert sum(blk[0].size for _, blk in got) == factory.block_entries
+            for slot, (_, blk) in enumerate(got):
+                assert blk.shape[0] == len(want)
+                assert np.array_equal(blk, np.array([w[slot][1] for w in want]))
+
+
 def test_derivative_matches_finite_differences(tree_basis, radial_spec_k2):
     t, b = tree_basis(2, 6)
     factory = BSFactory(t, b, radial_spec_k2)

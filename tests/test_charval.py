@@ -291,25 +291,152 @@ def test_absence_scan_annulus_guard(tree_basis, radial_spec_k2):
 
 
 def test_absence_scan_partial_flush(tmp_path, monkeypatch, tree_basis, radial_spec_k2):
+    # chunks of 8 points split the 36-point grid into 8+8+8+8+4
     t, b = tree_basis(2, 6)
     import spectree.charval as cv
 
-    original = cv._eigs_and_minsv
-    calls = {"n": 0}
+    entries = BSFactory(t, b, radial_spec_k2).block_entries
+    monkeypatch.setattr(cv, "STACK_ENTRIES", 8 * entries)
+    full_path = tmp_path / "full.csv"
+    absence_scan(t, b, radial_spec_k2, (0.05, 0.15), 6, nodes=32, csv_path=full_path)
+    full = full_path.read_text().strip().split("\n")
+    assert len(full) == 37
 
-    def flaky(*args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] > 10:
-            raise RuntimeError("synthetic failure")
-        return original(*args, **kwargs)
+    original = cv._grid_chunk
+    for failing in (1, 3, 5):
+        calls = {"n": 0}
 
-    monkeypatch.setattr(cv, "_eigs_and_minsv", flaky)
-    csv_path = tmp_path / "partial.csv"
-    with pytest.raises(RuntimeError):
-        absence_scan(t, b, radial_spec_k2, (0.05, 0.15), 6, nodes=32, csv_path=csv_path)
-    lines = csv_path.read_text().strip().split("\n")
-    assert lines[0] == ",".join(CSV_HEADER)
-    assert len(lines) == 11  # header + the ten rows that completed
+        def flaky(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == failing:
+                raise RuntimeError("synthetic failure")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cv, "_grid_chunk", flaky)
+        csv_path = tmp_path / f"partial{failing}.csv"
+        with pytest.raises(RuntimeError):
+            absence_scan(t, b, radial_spec_k2, (0.05, 0.15), 6, nodes=32, csv_path=csv_path)
+        lines = csv_path.read_text().strip().split("\n")
+        # header + exactly the rows of the chunks that completed
+        assert lines == full[:1 + 8 * (failing - 1)]
+
+
+def _reference_pass(f, fprime, contour):
+    """One trapezoidal pass evaluated node by node, without stacking."""
+    pts = contour.points()
+    unit = (pts - contour.center) / contour.radius
+    total = 0.0 + 0.0j
+    min_sv = math.inf
+    for lam, u in zip(pts, unit):
+        tr = 0.0 + 0.0j
+        sv = math.inf
+        for (mult, blk), (_, blkp) in zip(f(lam), fprime(lam)):
+            tr += mult * np.trace(np.linalg.solve(blk, blkp))
+            sv = min(sv, float(np.linalg.svd(blk, compute_uv=False).min()))
+        min_sv = min(min_sv, sv)
+        total += u * tr
+    raw = contour.radius * total / contour.nodes
+    rounded = int(round(raw.real))
+    return IndexReport(complex(raw), rounded, float(abs(raw - rounded)), float(min_sv))
+
+
+SCAN_SPECS = [
+    pytest.param(6, PotentialSpec.radial_exp(0.3 * (1 + 0.5j), 6 * LOG2), id="radial"),
+    pytest.param(4, PotentialSpec.radial_exp(1.0, 6 * LOG2), id="amplitude-1"),
+    pytest.param(6, PotentialSpec.table([(0, 0.3 - 0.2j), (2, 0.1j)], 6 * LOG2), id="table"),
+]
+
+
+@pytest.mark.parametrize("small_chunks", [False, True], ids=["default chunks", "chunks of 5"])
+@pytest.mark.parametrize("depth, spec", SCAN_SPECS)
+def test_absence_scan_matches_per_point_reference(
+    monkeypatch, tree_basis, depth, spec, small_chunks
+):
+    import spectree.charval as cv
+
+    t, b = tree_basis(2, depth)
+    factory = BSFactory(t, b, spec)
+    if small_chunks:
+        monkeypatch.setattr(cv, "STACK_ENTRIES", 5 * factory.block_entries)
+    rep = absence_scan(t, b, spec, (0.05, 0.15), 6, "plus", nodes=32, factory=factory)
+
+    fval, fpval = _family(factory, -1, factory.eps0)
+    for radius, index in rep.ladder:
+        assert index == _reference_pass(fval, fpval, ContourSpec(0.0, radius, 32))
+
+    rows, flagged = [], 0
+    for lam in rep.grid_rows[:, 0] + 1j * rep.grid_rows[:, 1]:
+        _, dist = resonance_indicator(t, b, spec, lam, "plus", factory=factory)
+        blocks = factory.blocks(lam, -1)
+        minsv = min(
+            float(np.linalg.svd(np.eye(blk.shape[0]) + blk, compute_uv=False).min())
+            for _, blk in blocks
+        )
+        tnorm = max(float(np.linalg.norm(blk, 2)) for _, blk in blocks)
+        rows.append((lam.real, lam.imag, dist, minsv))
+        flagged += int(dist < cv.RESONANCE_RTOL * (1.0 + tnorm))
+    assert np.array_equal(rep.grid_rows, np.array(rows))
+    assert rep.flagged == flagged
+
+
+def test_contour_index_chunks_match_per_node_reference(monkeypatch):
+    import spectree.charval as cv
+
+    rng = np.random.default_rng(31)
+    f, fp = planted_family(rng, 8, ((0.03 + 0.01j, 2),), ((0.2, 1),))
+    contour = ContourSpec(0.0, 0.1, nodes=64)
+
+    def as_list(g):
+        return lambda lam: [(1, g(lam))]
+
+    want = _reference_pass(as_list(f), as_list(fp), contour)
+    assert want.rounded == 2
+    for entries in (64, 7 * 64, cv.STACK_ENTRIES):  # chunks of 1, 7 and all nodes
+        monkeypatch.setattr(cv, "STACK_ENTRIES", entries)
+        assert contour_index(f, fp, contour) == want
+
+
+def test_singular_node_is_named_across_chunks(monkeypatch):
+    import spectree.charval as cv
+
+    monkeypatch.setattr(cv, "STACK_ENTRIES", 5)  # 1x1 family: chunks of 5 nodes
+    contour = ContourSpec(0.0, 0.1, nodes=16)
+    pts = contour.points()
+
+    def f(lam):
+        return np.array([[1e-12 if lam in (pts[7], pts[8]) else 1.0]])
+
+    with pytest.raises(SingularOnContour) as exc:
+        cv._quadrature_pass(f, lambda lam: np.zeros((1, 1)), contour, 16, 0.0, 1e-10)
+    assert f"node {pts[7]:.6g} " in str(exc.value)
+
+
+def test_frobenius_screen_keeps_exact_flags():
+    from spectree.charval import RESONANCE_RTOL, _flags
+
+    rng = np.random.default_rng(8)
+    n_pts = 60
+    # slot 1: random blocks; slot 2: rank one (Frobenius norm = spectral norm)
+    # or a scaled identity (Frobenius norm = sqrt(n) * spectral norm)
+    rand = rng.standard_normal((n_pts, 5, 5)) + 1j * rng.standard_normal((n_pts, 5, 5))
+    u = rng.standard_normal((n_pts, 3)) + 1j * rng.standard_normal((n_pts, 3))
+    rank_one = 3.0 * u[:, :, None] * u[:, None, :].conj()
+    eye = 4.0 * np.eye(3) * rng.random((n_pts, 1, 1))
+    second = np.where((np.arange(n_pts) % 2 == 0)[:, None, None], rank_one, eye)
+    blocks = [(2, 0.3 * rand), (1, second)]
+
+    tnorm = np.array([
+        max(float(np.linalg.norm(blk[i], 2)) for _, blk in blocks) for i in range(n_pts)
+    ])
+    threshold = RESONANCE_RTOL * (1.0 + tnorm)
+    offsets = np.array([1 - 1e-12, 1 + 1e-12, 1 - 1e-3, 1 + 1e-3, 1e-6, 1e3])
+    dist = threshold * np.resize(offsets, n_pts)
+    flags = _flags(blocks, dist)
+    assert np.array_equal(flags, dist < threshold)
+    assert 0 < flags.sum() < n_pts
+    # the screen alone would flag points the exact norm rejects
+    fro = np.max([np.linalg.norm(blk, axis=(-2, -1)) for _, blk in blocks], axis=0)
+    assert np.any(~flags & (dist < RESONANCE_RTOL * (1.0 + fro)))
 
 
 def test_family_paths_agree(tree_basis):

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from spectree import charval
 from spectree.cli import main
+from spectree.errors import NonConvergent, SingularOnContour
 
 LOG2 = math.log(2.0)
 RADIAL = json.dumps({
@@ -138,7 +140,26 @@ def test_domain_error_maps_to_usage_exit(capsys, pot_file):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("error", [SingularOnContour, NonConvergent])
+@pytest.mark.parametrize("argv", [
+    ["scan", "--k", "2", "--rmin", "0.05", "--rmax", "0.15", "--grid", "4", "--nodes", "32"],
+    ["index", "--k", "2", "--radius", "0.1", "--nodes", "32"],
+], ids=["scan", "index"])
+def test_contour_failure_is_certification_exit(monkeypatch, capsys, pot_file, error, argv):
+    def failing(*args, **kwargs):
+        raise error("synthetic contour failure")
+
+    monkeypatch.setattr(charval, "contour_index", failing)
+    code = main(argv + ["--potential", pot_file])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == ["error: synthetic contour failure"]
+
+
 INDEX = ["index", "--k", "2", "--radius", "0.1", "--nodes", "32"]
+SCAN = ["scan", "--k", "2", "--depth", "4", "--potential", RADIAL,
+        "--rmin", "0.05", "--rmax", "0.15", "--nodes", "32"]
 
 
 def _file(tmp_path, text):
@@ -165,6 +186,8 @@ BAD_INPUTS = [
     pytest.param("--lam", lambda tmp: ["kernel", "--k", "2", "--depth", "3", "--lam", "0.1jj"],
                  id="bad lam"),
     pytest.param("--center", lambda tmp: INDEX + ["--center", "1+"], id="bad center"),
+    pytest.param("grid", lambda tmp: SCAN + ["--grid", "0"], id="zero grid"),
+    pytest.param("grid", lambda tmp: SCAN + ["--grid", "-3"], id="negative grid"),
 ]
 
 
