@@ -1,10 +1,11 @@
 """Spectral analysis of perturbed Laplacians on regular rooted k-ary trees.
 
 The pipeline: build a truncated tree, decompose its function space into
-invariant blocks, evaluate the free resolvent in closed form through that
-decomposition, sandwich it by a decaying perturbation, and count the
-parameters where the sandwiched family hits ``-1`` with an operator-valued
-argument principle.
+invariant blocks, evaluate the free resolvent in closed form (summed over
+the blocks, each kernel entry is a function of the depths ``|x|``, ``|y|``
+and ``|x∧y|``, so it is gathered from one small meet-depth table), sandwich
+it by a decaying perturbation, and count the parameters where the
+sandwiched family hits ``-1`` with an operator-valued argument principle.
 """
 from .birman_schwinger import (
     BSFactory,

@@ -216,7 +216,7 @@ class BSFactory:
         self.sqrt_abs = sqrt_full[self.support]
         self.eps0 = disk_radius(t.k, spec.delta) if spec is not None else DEFAULT_DISK_RADIUS
         self.kernel = ResolventKernel(
-            t, b, a_weight=sqrt_full, b_weight=sqrt_full,
+            t, a_weight=sqrt_full, b_weight=sqrt_full,
             rows=self.support, cols=self.support,
         )
         self.radial = spec is None or spec.kind == "radial-exp"
@@ -260,19 +260,27 @@ class BSFactory:
     def point(self, lam: complex, *, eps0: float | None = None) -> SpectralPoint:
         return from_lambda(self.tree.k, lam, "minus", eps0=eps0 or self.eps0)
 
+    def _tables(self, lam, derivative: bool, eps0: float | None):
+        """Exponent (or derivative) tables at each ``lam``, stacked to ``(N, E)``."""
+        tables = self.kernel.derivative_tables if derivative else self.kernel.exponent_tables
+        pairs = [tables(self.point(one, eps0=eps0)) for one in np.atleast_1d(lam)]
+        return np.array([p for p, _ in pairs]), np.array([m for _, m in pairs])
+
     # -- full support matrices ---------------------------------------------
 
+    def _sandwich(self, plus: np.ndarray, minus: np.ndarray, sign: int) -> np.ndarray:
+        """``sign * J * kernel`` on the support for ``(N, E)`` tables."""
+        return sign * self.j_phase[:, None] * self.kernel.assemble(plus, minus)
+
     def matrix_at(self, sp_: SpectralPoint, sign: int) -> np.ndarray:
-        k_mat = self.kernel.evaluate(sp_)
-        return sign * self.j_phase[:, None] * k_mat
+        plus, minus = self.kernel.exponent_tables(sp_)
+        return self._sandwich(plus[None], minus[None], sign)[0]
 
     def matrix(self, lam: complex, sign: int = 1, *, eps0: float | None = None) -> np.ndarray:
         return self.matrix_at(self.point(lam, eps0=eps0), sign)
 
     def derivative(self, lam: complex, sign: int = 1, *, eps0: float | None = None) -> np.ndarray:
-        sp_ = self.point(lam, eps0=eps0)
-        dk = self.kernel.evaluate_derivative(sp_)
-        return sign * self.j_phase[:, None] * dk
+        return self._sandwich(*self._tables(lam, True, eps0), sign)[0]
 
     def operator(self, lam: complex, sign: int = 1, *, eps0: float | None = None) -> BSOperator:
         sp_ = self.point(lam, eps0=eps0)
@@ -295,11 +303,6 @@ class BSFactory:
 
     # -- exact radial reduction ---------------------------------------------
 
-    def _radial_tables(self, sp_: SpectralPoint, derivative: bool):
-        if derivative:
-            return self.kernel.derivative_tables(sp_)
-        return self.kernel.exponent_tables(sp_)
-
     def reduced_blocks(
         self, lam, sign: int = 1, *, derivative: bool = False,
         eps0: float | None = None,
@@ -314,12 +317,7 @@ class BSFactory:
         """
         if not self.radial:
             raise InvalidParameter("reduced blocks require a radial perturbation")
-        tables = [
-            self._radial_tables(self.point(one, eps0=eps0), derivative)
-            for one in np.atleast_1d(lam)
-        ]
-        plus_t = np.array([p for p, _ in tables])
-        minus_t = np.array([m for _, m in tables])
+        plus_t, minus_t = self._tables(lam, derivative, eps0)
         g = plus_t[:, self._plus_idx] + minus_t[:, self._minus_idx]
         out = []
         for d, nlev, rows, cols in self._levels:
@@ -341,8 +339,7 @@ class BSFactory:
         """
         if self._reduced:
             return self.reduced_blocks(lam, sign, derivative=derivative, eps0=eps0)
-        full = self.derivative if derivative else self.matrix
-        stack = np.array([full(one, sign, eps0=eps0) for one in np.atleast_1d(lam)])
+        stack = self._sandwich(*self._tables(lam, derivative, eps0), sign)
         return [(1, stack if np.ndim(lam) else stack[0])]
 
 

@@ -72,6 +72,17 @@ def _load_potential(arg: str | None) -> PotentialSpec | None:
     return PotentialSpec.from_json(text)
 
 
+def _check_out(path: str | None) -> None:
+    """Fail with one ``--out`` error before any work if ``path`` cannot be written."""
+    if path is None:
+        return
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise InvalidParameter(f"--out: cannot write {path!r}: {exc.strerror}") from None
+
+
 def _complex_arg(flag: str, text: str) -> complex:
     try:
         return complex(text)
@@ -235,9 +246,8 @@ def _cmd_kernel(args) -> int:
         z = _complex_arg("--z", args.z) if args.z is not None else t_minus(args.k) - 0.5
         sp_ = from_z(args.k, z)
     t = build_tree(args.k, depth)
-    b = build_spherical_basis(t)
     e_m, _ = weights(t, delta)
-    kern = weighted_resolvent_kernel(t, b, e_m, e_m, sp_)
+    kern = weighted_resolvent_kernel(t, None, e_m, e_m, sp_)
     oracle = e_m[:, None] * direct_resolvent_block(t, sp_.z) * e_m[None, :]
     max_err = float(np.abs(kern.entries - oracle).max())
     rel = float(np.linalg.norm(kern.entries - oracle) / np.linalg.norm(oracle))
@@ -260,6 +270,7 @@ def _cmd_scan(args) -> int:
     if depth is None:
         depth = _auto_depth(args.k, spec)
     t = build_tree(args.k, depth)
+    _check_out(args.out)
     b = build_spherical_basis(t)
     report = absence_scan(
         t, b, spec, (args.rmin, args.rmax), args.grid, args.threshold,
@@ -302,6 +313,7 @@ def _cmd_spectrum(args) -> int:
     depth = args.depth if args.depth is not None else 10
     t = build_tree(args.k, depth)
     spec = _load_potential(args.potential)
+    _check_out(args.out)
     result = spectrum(t, spec)
     lines = ["re,im,inside_band"]
     for e, inside in zip(result.eigenvalues, result.inside_band):

@@ -150,6 +150,9 @@ class PotentialSpec:
             raise InvalidParameter(f"unknown potential kind {self.kind!r}")
         if self.delta <= 0:
             raise InvalidParameter("decay rate delta must be positive")
+        negative = [v for v, _ in self.values if v < 0]
+        if negative:
+            raise InvalidParameter(f"potential field 'values' has negative vertices {negative}")
 
     @classmethod
     def radial_exp(cls, amplitude: complex, delta: float) -> "PotentialSpec":
@@ -167,7 +170,7 @@ class PotentialSpec:
             m[:] = self.amplitude * np.exp(-self.delta * t.depths())
         else:
             for v, x in self.values:
-                if 0 <= v < t.vertex_count:
+                if v < t.vertex_count:
                     m[v] = x
         return m
 

@@ -12,8 +12,14 @@ block resolvent entries are
 
     g(j, l) = (1 / sqrt(k)) * (i xi^{|j-l|} - i xi^{j+l+2}) / (2 sin phi),
 
-and the full kernel is the orthogonal sum of these blocks pushed back to
-vertex space through the spherical basis.
+and the full kernel is the sum of these blocks over their birth levels
+``n``.  That sum depends only on ``a = |x|``, ``b = |y|`` and the meet depth
+``c = |x∧y|`` (Figà-Talamanca & Nebbia 1991):
+
+    G(a, b, c) = sum_{n=0}^{min(c+1, a, b)} P_n(c) k^{-(a+b-2n)/2} g(a-n, b-n)
+
+with the newborn projector ``P_0 = 1``, ``P_n = 1 - 1/k`` for ``1 <= n <= c``
+and ``P_{c+1} = -1/k``.
 
 Near a band edge the spectral parameter is re-parametrized by ``lam`` with
 ``u = lam**2`` and ``phi = 2 arcsin(lam/2)``; the upper half-plane in
@@ -34,7 +40,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .decomposition import SphericalBasis
 from .errors import (
     AssumptionViolated,
     BranchFailure,
@@ -232,23 +237,22 @@ class KernelMatrix:
 class ResolventKernel:
     """Reusable assembler for ``A (free - z)^{-1} B*`` kernels.
 
-    All spectral-parameter independent data (the weighted, row/column
-    restricted lift stacks) is prepared once; each evaluation is then a small
-    set of matrix products.  ``rows``/``cols`` restrict the output to a vertex
-    subset (used for compactly supported sandwiches).
+    The depth triple of every (row, col) pair and the linear map from the
+    coefficient tables to ``G`` (module docstring) are prepared once; each
+    evaluation is a short accumulation over the triples that occur plus one
+    gather.  ``rows``/``cols`` restrict the output to a vertex subset (used
+    for compactly supported sandwiches).
     """
 
     def __init__(
         self,
         t: TreeGraph,
-        b: SphericalBasis,
         a_weight: np.ndarray | None = None,
         b_weight: np.ndarray | None = None,
         rows: np.ndarray | None = None,
         cols: np.ndarray | None = None,
     ):
         self.tree = t
-        self.basis = b
         self.a_weight = a_weight
         self.b_weight = b_weight
         self.rows = np.arange(t.vertex_count) if rows is None else np.asarray(rows)
@@ -256,59 +260,41 @@ class ResolventKernel:
         self._prepare()
 
     def _prepare(self) -> None:
-        t, b = self.tree, self.basis
-        depths = t.depths()
-        max_row_depth = int(depths[self.rows].max(initial=0))
-        max_col_depth = int(depths[self.cols].max(initial=0))
-        a = self.a_weight
-        bw = self.b_weight
-
-        # per block n: stack the row-restricted A-weighted lifts (levels l)
-        # and the col-restricted conj(B)-weighted lifts (levels j)
-        self._blocks = []
-        for n in range(t.depth + 1):
-            d = int(b.dims[n])
-            if d == 0:
-                continue
-            la = min(max_row_depth, t.depth) - n
-            lb = min(max_col_depth, t.depth) - n
-            if la < 0 or lb < 0:
-                continue
-            ua = self._stack(n, la + 1, self.rows, a)
-            vb = self._stack(n, lb + 1, self.cols, bw, conjugate=True)
-            if ua is None or vb is None:
-                continue
-            nl_a, nl_b = la + 1, lb + 1
-            plus = np.add.outer(np.arange(nl_b), np.arange(nl_a)) + 2  # (j, l) -> j+l+2
-            minus = np.abs(np.subtract.outer(np.arange(nl_b), np.arange(nl_a)))
-            self._blocks.append((n, d, ua, vb, plus, minus))
+        t, k = self.tree, self.tree.k
+        da, db = t.depths()[self.rows], t.depths()[self.cols]
+        # gap = min(|x|, |y|) - |x∧y|, counting down once per level r >= 1 where
+        # the ancestors agree; the depth-r ancestor of index i on sphere a is
+        # (i - off[a]) // k**(a - r)
+        pa, pb = self.rows - t.sphere_offsets[da], self.cols - t.sphere_offsets[db]
+        small = np.min_scalar_type(t.depth)
+        gap = np.minimum.outer(da.astype(small), db.astype(small))
+        for r in range(1, min(da.max(initial=0), db.max(initial=0)) + 1):
+            up_a = np.where(da >= r, pa // k ** np.maximum(da - r, 0), -1)
+            up_b = np.where(db >= r, pb // k ** np.maximum(db - r, 0), -2)
+            gap -= up_a[:, None] == up_b
+        # code each pair by (|x|, |y|, gap), then relabel the codes that occur
+        n_gap, n_b = int(gap.max(initial=0)) + 1, int(db.max(initial=0)) + 1
+        size = (int(da.max(initial=0)) + 1) * n_b * n_gap
+        kind = np.min_scalar_type(size)
+        code = (da * n_b * n_gap).astype(kind)[:, None] + (db * n_gap).astype(kind) + gap
+        present = np.zeros(size, dtype=bool)
+        present[code] = True
+        keys = np.flatnonzero(present)
+        label = np.zeros(size, dtype=kind)
+        label[keys] = np.arange(keys.size)
+        self._code = label[code]
+        a, rest = np.divmod(keys, n_b * n_gap)
+        b, g = np.divmod(rest, n_gap)
+        c = np.minimum(a, b) - g
+        top = c + (g > 0)
+        # term n of G adds coef * (plus[a+b-2n+2] + minus[|a-b|]); terms past
+        # top = min(c+1, a, b) get coefficient 0
+        n = np.arange(top.max(initial=-1) + 1)[:, None]
+        proj = np.where(n == 0, 1.0, np.where(n <= c, 1.0 - 1.0 / k, -1.0 / k))
+        self._coef = np.where(n <= top, proj * float(k) ** (n - (a + b) / 2.0), 0.0)
+        self._plus_idx = np.where(n <= top, a + b - 2 * n + 2, 0)
+        self._minus_idx = np.abs(a - b)
         self._max_exponent = 2 * t.depth + 2
-
-    def _stack(self, n, nlev, idx, weight, conjugate=False):
-        # basis vectors are real, so conjugation touches only the weight
-        t, b = self.tree, self.basis
-        d = int(b.dims[n])
-        dtype = complex if (weight is not None and np.iscomplexobj(weight)) else float
-        out = np.zeros((idx.size, nlev * d), dtype=dtype)
-        where = np.full(t.vertex_count, -1, dtype=np.int64)
-        where[idx] = np.arange(idx.size)
-        any_nonzero = False
-        for j in range(nlev):
-            s = t.sphere(n + j)
-            slot = where[s.start:s.stop]
-            mask = slot >= 0
-            if not mask.any():
-                continue
-            any_nonzero = True
-            ridx = slot[mask]
-            blk = b.lifted[n][j][np.nonzero(mask)[0], :]
-            if weight is not None:
-                w = weight[idx[ridx]]
-                if conjugate:
-                    w = np.conj(w)
-                blk = blk * w[:, None]
-            out[ridx, j * d:(j + 1) * d] = blk
-        return out if any_nonzero else None
 
     def exponent_tables(self, sp_: SpectralPoint) -> tuple[np.ndarray, np.ndarray]:
         """Coefficient lookups: value = plus_table[j+l+2] + minus_table[|j-l|]."""
@@ -338,29 +324,33 @@ class ResolventKernel:
         return -1j * scale * core, 1j * scale * core
 
     def assemble(self, plus_table: np.ndarray, minus_table: np.ndarray) -> np.ndarray:
-        """Contract arbitrary per-exponent coefficient tables against the basis."""
-        out = np.zeros((self.rows.size, self.cols.size), dtype=complex)
-        for n, d, ua, vb, plus, minus in self._blocks:
-            g = plus_table[plus] + minus_table[minus]  # (levels_b, levels_a)
-            nl_b, nl_a = g.shape
-            ua3 = ua.reshape(ua.shape[0], nl_a, d)
-            tmp = np.tensordot(g, ua3, axes=(1, 1))        # (nl_b, rows, d)
-            tmp = np.moveaxis(tmp, 0, 1).reshape(ua.shape[0], nl_b * d)
-            out += tmp @ vb.T
-        return out
+        """Kernel entries ``a[x] G(|x|, |y|, |x∧y|) conj(b[y])`` from the tables.
+
+        ``G`` is the fixed linear map of the tables built in :meth:`_prepare`.
+        ``(E,)`` tables give a ``(rows, cols)`` matrix and ``(N, E)`` tables a
+        ``(N, rows, cols)`` stack, equal to the per-table results bit for bit
+        (the map is accumulated elementwise in a fixed order, not by BLAS).
+        """
+        plus, minus = np.atleast_2d(plus_table), np.atleast_2d(minus_table)
+        g = np.zeros((plus.shape[0], self._minus_idx.size), dtype=complex)
+        minus_part = minus[:, self._minus_idx]
+        for coef, p_idx in zip(self._coef, self._plus_idx):
+            g += coef * (plus[:, p_idx] + minus_part)
+        out = g[:, self._code]
+        if self.a_weight is not None:
+            out *= self.a_weight[self.rows][:, None]
+        if self.b_weight is not None:
+            out *= np.conj(self.b_weight[self.cols])
+        return out if np.ndim(plus_table) == 2 else out[0]
 
     def evaluate(self, sp_: SpectralPoint) -> np.ndarray:
         plus_t, minus_t = self.exponent_tables(sp_)
         return self.assemble(plus_t, minus_t)
 
-    def evaluate_derivative(self, sp_: SpectralPoint) -> np.ndarray:
-        plus_t, minus_t = self.derivative_tables(sp_)
-        return self.assemble(plus_t, minus_t)
-
 
 def weighted_resolvent_kernel(
     t: TreeGraph,
-    b: SphericalBasis,
+    b: object,
     a_weight: np.ndarray | None,
     b_weight: np.ndarray | None,
     sp_: SpectralPoint,
@@ -370,12 +360,14 @@ def weighted_resolvent_kernel(
 ) -> KernelMatrix:
     """Assemble the full kernel of ``A (free - z)^{-1} B*`` on the truncation.
 
+    ``b`` is unused: the kernel is assembled from meet depths, not from the
+    spherical basis; the argument stays for existing callers.
     ``a_weight``/``b_weight`` are diagonal weights (``None`` = identity).  When
     both ``tail_delta`` and ``tail_tol`` are given and the point carries an
     edge parameter, a :class:`TruncationWarning` is emitted if the geometric
     tail estimate at this depth exceeds the tolerance.
     """
-    kern = ResolventKernel(t, b, a_weight, b_weight)
+    kern = ResolventKernel(t, a_weight, b_weight)
     entries = kern.evaluate(sp_)
     if tail_delta is not None and tail_tol is not None and sp_.lam is not None:
         est = tail_bound(t.k, tail_delta, t.depth, abs(sp_.lam))

@@ -188,6 +188,14 @@ BAD_INPUTS = [
     pytest.param("--center", lambda tmp: INDEX + ["--center", "1+"], id="bad center"),
     pytest.param("grid", lambda tmp: SCAN + ["--grid", "0"], id="zero grid"),
     pytest.param("grid", lambda tmp: SCAN + ["--grid", "-3"], id="negative grid"),
+    pytest.param("'values'", lambda tmp: INDEX + ["--potential", json.dumps(
+        {"kind": "table", "delta": 6 * LOG2, "values": [{"v": -1, "re": 0.2}]})],
+                 id="negative vertex"),
+    pytest.param("--out", lambda tmp: SCAN + ["--grid", "4", "--out", str(tmp / "no" / "x.csv")],
+                 id="scan out in missing dir"),
+    pytest.param("--out", lambda tmp: ["spectrum", "--k", "2", "--depth", "3",
+                                       "--out", str(tmp / "no" / "x.csv")],
+                 id="spectrum out in missing dir"),
 ]
 
 

@@ -251,9 +251,8 @@ def test_kernel_complex_symmetric_at_real_z():
 
 def test_kernel_holomorphic_in_lambda():
     t = build_tree(2, 5)
-    b = build_spherical_basis(t)
     e_m, _ = weights(t, 6 * LOG2)
-    assembler = ResolventKernel(t, b, e_m, e_m)
+    assembler = ResolventKernel(t, e_m, e_m)
     radius, nodes = 0.05, 64
     samples = np.array([
         assembler.evaluate(from_lambda(2, radius * cmath.exp(2j * math.pi * i / nodes)))
@@ -267,13 +266,54 @@ def test_kernel_holomorphic_in_lambda():
 
 def test_sheet_swap_matches_negated_lambda():
     t = build_tree(2, 5)
-    b = build_spherical_basis(t)
     e_m, _ = weights(t, 6 * LOG2)
-    assembler = ResolventKernel(t, b, e_m, e_m)
+    assembler = ResolventKernel(t, e_m, e_m)
     lam = 0.08 + 0.03j
     swapped = assembler.evaluate(from_lambda(2, lam).sheet_swapped())
     negated = assembler.evaluate(from_lambda(2, -lam))
     assert np.abs(swapped - negated).max() < 1e-12
+
+
+@pytest.mark.parametrize("k,depth", [(1, 9), (2, 6), (4, 3)])
+def test_kernel_on_rectangular_subsets(k, depth):
+    # rows and cols are unsorted, non-contiguous and of different sizes; the
+    # weights are complex so that the conjugation of the column weight shows
+    t = build_tree(k, depth)
+    e_m, _ = weights(t, max(1.0, 6 * math.log(k)))
+    a_w = e_m * np.exp(0.4j * np.arange(t.vertex_count))
+    rng = np.random.default_rng(k)
+    rows = rng.choice(t.vertex_count, size=min(23, t.vertex_count - 1), replace=False)
+    cols = rng.choice(t.vertex_count, size=7, replace=False)
+    assembler = ResolventKernel(t, a_w, a_w, rows=rows, cols=cols)
+    for z in (t_minus(k) - 0.5, t_minus(k) - 0.25 + 0.1j):
+        kern = assembler.evaluate(from_z(k, z))
+        block = direct_resolvent_block(t, z, rows=rows, cols=cols)
+        oracle = a_w[rows][:, None] * block * np.conj(a_w[cols])[None, :]
+        assert kern.shape == (rows.size, cols.size)
+        assert np.abs(kern - oracle).max() < 1e-12 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("k,depth,rows", [
+    (2, 6, None),
+    (3, 4, np.array([0, 5, 2, 17, 39])),
+    (1, 12, None),
+    (2, 5, np.array([0])),
+])
+def test_assemble_stacked_tables_bit_for_bit(k, depth, rows):
+    t = build_tree(k, depth)
+    e_m, _ = weights(t, max(1.0, 6 * math.log(k)))
+    assembler = ResolventKernel(t, e_m, e_m, rows=rows, cols=rows)
+    lams = 0.12 * np.exp(2j * np.pi * np.arange(7) / 7 + 0.3j)
+    points = [from_lambda(k, lam) for lam in lams]
+    values = np.array([assembler.evaluate(p) for p in points])
+    derivatives = np.array([assembler.assemble(*assembler.derivative_tables(p)) for p in points])
+    for tables, single in (
+        (assembler.exponent_tables, values),
+        (assembler.derivative_tables, derivatives),
+    ):
+        plus, minus = (np.array(part) for part in zip(*(tables(p) for p in points)))
+        for part in (slice(None), slice(3, 4), slice(1, 3)):
+            assert np.array_equal(assembler.assemble(plus[part], minus[part]), single[part])
 
 
 # -- tail estimate -------------------------------------------------------------
