@@ -31,7 +31,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .decomposition import SphericalBasis
 from .errors import InvalidParameter
 from .operators import PotentialSpec, m_tilde
 from .resolvent import (
@@ -153,6 +152,16 @@ def gamma_beta(j: int, l: int, lam: complex) -> GammaBeta:
 
 # -- the sandwiched operator ----------------------------------------------------
 
+def newborn_multiplicity(k: int, n: int) -> int:
+    """Number of spherical blocks born at level ``n`` of the k-ary tree.
+
+    ``1`` at the root and ``k**(n-1) * (k-1)`` below it (``0`` for the path,
+    ``k = 1``): the dimension of the functions on sphere ``n`` orthogonal to
+    those lifted from sphere ``n - 1``.
+    """
+    return 1 if n == 0 else k ** (n - 1) * (k - 1)
+
+
 def support_vertices(
     t: TreeGraph, m_vec: np.ndarray, cutoff: float = SUPPORT_CUTOFF
 ) -> tuple[np.ndarray, int]:
@@ -193,21 +202,23 @@ class BSFactory:
     Builds the support, the polar factors and the restricted kernel assembler
     once.  ``radial`` is set when the perturbation is constant on spheres, in
     which case :meth:`reduced_blocks` exposes the exact per-block reduction
-    (level matrices ``T_n`` with multiplicity ``dims[n]``).  :meth:`blocks`
-    picks the reduction or the full support matrix.
+    (level matrices ``T_n`` with the multiplicity of the newborn block ``n``,
+    ``1`` at ``n = 0`` and ``k**(n-1) * (k-1)`` above).  :meth:`blocks` picks
+    the reduction or the full support matrix.  ``b`` is unused: the
+    multiplicities are known in closed form, so no spherical basis is built;
+    the argument stays for existing callers.
     """
 
     def __init__(
         self,
         t: TreeGraph,
-        b: SphericalBasis,
+        b: object,
         spec: PotentialSpec | None,
         *,
         allow_violation: bool = False,
         cutoff: float = SUPPORT_CUTOFF,
     ):
         self.tree = t
-        self.basis = b
         self.spec = spec
         self.m_vec = m_tilde(t, spec, allow_violation=allow_violation)
         self.support, self.r_support = support_vertices(t, self.m_vec, cutoff)
@@ -246,7 +257,7 @@ class BSFactory:
         # multiply loop and agree bit for bit.
         self._levels = []
         for n in range(self.r_support + 1):
-            d = int(self.basis.dims[n])
+            d = newborn_multiplicity(t.k, n)
             if d == 0:
                 continue
             nlev = self.r_support - n + 1
@@ -261,10 +272,14 @@ class BSFactory:
         return from_lambda(self.tree.k, lam, "minus", eps0=eps0 or self.eps0)
 
     def _tables(self, lam, derivative: bool, eps0: float | None):
-        """Exponent (or derivative) tables at each ``lam``, stacked to ``(N, E)``."""
-        tables = self.kernel.derivative_tables if derivative else self.kernel.exponent_tables
-        pairs = [tables(self.point(one, eps0=eps0)) for one in np.atleast_1d(lam)]
-        return np.array([p for p, _ in pairs]), np.array([m for _, m in pairs])
+        """Exponent (or derivative) tables at each ``lam``, stacked to ``(N, E)``.
+
+        Every parameter is checked against the disk, in order, before any
+        table is built.
+        """
+        points = [self.point(one, eps0=eps0) for one in np.atleast_1d(lam)]
+        stack = self.kernel.derivative_stack if derivative else self.kernel.exponent_stack
+        return stack(points)
 
     # -- full support matrices ---------------------------------------------
 
@@ -345,7 +360,7 @@ class BSFactory:
 
 def bs_operator(
     t: TreeGraph,
-    b: SphericalBasis,
+    b: object,
     spec: PotentialSpec | None,
     lam: complex,
     sign: int = 1,
@@ -356,7 +371,8 @@ def bs_operator(
     """One-shot construction of the sandwiched operator at edge parameter ``lam``.
 
     ``sign = -1`` gives the companion family used at the upper band edge
-    (equivalently, the sandwich built from the negated perturbation).
+    (equivalently, the sandwich built from the negated perturbation).  ``b``
+    is unused, as for :class:`BSFactory`.
     """
     if sign not in (1, -1):
         raise InvalidParameter("sign must be +1 or -1")
@@ -366,7 +382,7 @@ def bs_operator(
 
 def hol_split(
     t: TreeGraph,
-    b: SphericalBasis,
+    b: object,
     spec: PotentialSpec | None,
     lam: complex,
     *,
@@ -377,7 +393,8 @@ def hol_split(
     Returns ``(hol, residual)`` where ``residual`` is the Frobenius distance
     between the raw sandwich and ``HOL_COMPANION_FACTOR * J * hol``.  At
     ``lam = 0`` the raw form is undefined (it is the removable point) and the
-    residual is reported as ``0.0`` by convention.
+    residual is reported as ``0.0`` by convention.  ``b`` is unused, as for
+    :class:`BSFactory`.
     """
     factory = factory or BSFactory(t, b, spec)
     hol = factory.hol_matrix(lam)

@@ -11,15 +11,17 @@ is spectrally accurate for the analytic integrand, so the raw value lands on
 an integer to many digits whenever the circle is comfortably away from
 characteristic values; the residual after rounding is the certificate.
 
-Families may be supplied either as plain matrices or as lists of
-``(multiplicity, block)`` pairs (the exact reduction available for radial
-perturbations); traces and singular values then accumulate blockwise.
+Families are evaluated on arrays of nodes: ``f(lams)`` takes a 1-D array of
+parameters and returns the values stacked along a leading axis, either as one
+``(N, n, n)`` array or as a list of ``(multiplicity, (N, n, n) stack)`` pairs
+(the exact reduction available for radial perturbations); traces and
+singular values then accumulate blockwise.
 
-Evaluation is stacked: each contour pass collects the family values of a
-chunk of nodes and each scan evaluates the sandwich on a chunk of grid
-points at once, then calls LAPACK once per block slot per chunk.  A chunk
-holds at most :data:`STACK_ENTRIES` matrix entries over all its stacked
-blocks, and the results equal the per-point computation bit for bit.
+Each contour pass asks the family for one chunk of nodes at a time and each
+scan evaluates the sandwich on a chunk of grid points at once, then calls
+LAPACK once per block slot per chunk.  A chunk holds at most
+:data:`STACK_ENTRIES` matrix entries over all its stacked blocks, and the
+results equal the per-point computation bit for bit.
 """
 
 import csv
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .birman_schwinger import BSFactory
-from .decomposition import SphericalBasis
 from .errors import (
     InvalidParameter,
     NonConvergent,
@@ -99,32 +100,23 @@ class IndexReport:
         }
 
 
-def _as_blocks(val) -> list[tuple[int, np.ndarray]]:
-    if isinstance(val, np.ndarray):
-        return [(1, val)]
-    return list(val)
+def _block_list(val) -> list[tuple[int, np.ndarray]]:
+    """A family value as ``(multiplicity, stack)`` pairs; one array is one block."""
+    return [(1, val)] if isinstance(val, np.ndarray) else val
 
 
-def _stacked_trace_and_sv(evals) -> tuple[list[complex], np.ndarray]:
-    """``Tr[F^{-1} F']`` and the min singular value of ``F`` at each node.
+def _trace_and_sv(fv, fp) -> tuple[np.ndarray, np.ndarray]:
+    """``Tr[F^{-1} F']`` and the min singular value of ``F`` at each node of a chunk.
 
-    ``evals`` holds one ``(F blocks, F' blocks)`` pair per node; every block
-    slot is stacked over the nodes and decomposed in one LAPACK call.  Traces
-    add up slot by slot in block order, as for a single node.
+    ``fv``/``fp`` are the stacked blocks of ``F`` and ``F'``; every block slot
+    is decomposed in one LAPACK call.  Traces add up slot by slot in block
+    order, as for a single node.
     """
-    slots = []
-    sv = np.full(len(evals), math.inf)
-    for slot, (mult, _) in enumerate(evals[0][0]):
-        blk = np.array([fv[slot][1] for fv, _ in evals])
-        blkp = np.array([fp[slot][1] for _, fp in evals])
-        slots.append((mult, np.trace(np.linalg.solve(blk, blkp), axis1=-2, axis2=-1)))
+    traces = np.zeros(fv[0][1].shape[0], dtype=complex)
+    sv = np.full(traces.shape, math.inf)
+    for (mult, blk), (_, blkp) in zip(fv, fp):
+        traces += mult * np.trace(np.linalg.solve(blk, blkp), axis1=-2, axis2=-1)
         sv = np.minimum(sv, np.linalg.svd(blk, compute_uv=False).min(axis=-1))
-    traces = []
-    for i in range(len(evals)):
-        tr = 0.0 + 0.0j
-        for mult, slot_tr in slots:
-            tr += mult * slot_tr[i]
-        traces.append(tr)
     return traces, sv
 
 
@@ -139,10 +131,11 @@ def contour_index(
 ) -> IndexReport:
     """Count characteristic values of ``f`` inside the contour.
 
-    ``f(lam)`` returns the family value (matrix or block list); ``fprime``
-    its derivative, approximated by complex central differences with step
-    ``1e-6 * radius`` when omitted.  Nodes are doubled up to
-    ``max_doublings`` times until the quadrature result sits within
+    ``f(lams)`` returns the family values at a 1-D array of nodes, stacked
+    along the first axis (an array or a block list, see the module
+    docstring); ``fprime`` its derivative, approximated by complex central
+    differences with step ``1e-6 * radius`` when omitted.  Nodes are doubled
+    up to ``max_doublings`` times until the quadrature result sits within
     ``residual_tol`` of an integer.
 
     Raises
@@ -157,7 +150,7 @@ def contour_index(
         h = 1e-6 * contour.radius
 
         def fprime(lam, _f=f, _h=h):
-            plus, minus = _as_blocks(_f(lam + _h)), _as_blocks(_f(lam - _h))
+            plus, minus = _block_list(_f(lam + _h)), _block_list(_f(lam - _h))
             return [(m, (bp - bm) / (2.0 * _h)) for (m, bp), (_, bm) in zip(plus, minus)]
 
     nodes = contour.nodes
@@ -182,26 +175,20 @@ def contour_index(
 def _quadrature_pass(f, fprime, contour, nodes, phase, sv_floor) -> IndexReport:
     pts = contour.points(nodes, phase)
     unit = (pts - contour.center) / contour.radius
+    # chunks are sized from the blocks of the first node
+    step = _chunk_len(sum(b[0].size for _, b in _block_list(f(pts[:1]))))
     total = 0.0 + 0.0j
     min_sv = math.inf
-    step = None
-    done = 0
-    evals = []
-    for lam in pts:
-        evals.append((_as_blocks(f(lam)), _as_blocks(fprime(lam))))
-        step = step or _chunk_len(sum(b.size for _, b in evals[0][0]))
-        if len(evals) < step and done + len(evals) < nodes:
-            continue
-        traces, svs = _stacked_trace_and_sv(evals)
-        for node, u, tr, sv in zip(pts[done:], unit[done:], traces, svs):
+    for start in range(0, nodes, step):
+        lams = pts[start:start + step]
+        traces, svs = _trace_and_sv(_block_list(f(lams)), _block_list(fprime(lams)))
+        for node, u, tr, sv in zip(lams, unit[start:], traces, svs):
             if sv < sv_floor:
                 raise SingularOnContour(
                     f"family singular at contour node {node:.6g} (sv={sv:.3g})"
                 )
             min_sv = min(min_sv, float(sv))
             total += u * tr
-        done += len(evals)
-        evals = []
     raw = contour.radius * total / nodes
     rounded = int(round(raw.real))
     return IndexReport(
@@ -222,11 +209,14 @@ def _sign_for(threshold: str) -> int:
 
 
 def _family(factory: BSFactory, sign: int, eps0: float | None):
-    """Evaluators for F = I + T and F' = T' as block lists."""
+    """Evaluators for F = I + T and F' = T' as block lists.
+
+    Both take a scalar or a 1-D array of parameters, as :meth:`BSFactory.blocks`.
+    """
 
     def fval(lam):
         return [
-            (d, np.eye(b.shape[0]) + b) for d, b in factory.blocks(lam, sign, eps0=eps0)
+            (d, np.eye(b.shape[-1]) + b) for d, b in factory.blocks(lam, sign, eps0=eps0)
         ]
 
     def fpval(lam):
@@ -268,7 +258,7 @@ def _grid_chunk(factory: BSFactory, lams: np.ndarray, sign, eps0):
 
 def resonance_indicator(
     t: TreeGraph,
-    b: SphericalBasis,
+    b: object,
     spec: PotentialSpec | None,
     lam: complex,
     threshold: str = "minus",
@@ -276,7 +266,10 @@ def resonance_indicator(
     eps0: float | None = None,
     factory: BSFactory | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Eigenvalues of the sandwich at ``lam`` and their distance to ``-1``."""
+    """Eigenvalues of the sandwich at ``lam`` and their distance to ``-1``.
+
+    ``b`` is unused, as for :class:`BSFactory`.
+    """
     factory = factory or BSFactory(t, b, spec)
     eigs = np.concatenate([
         np.repeat(np.linalg.eigvals(blk), d)
@@ -312,7 +305,7 @@ CSV_HEADER = ["re_lambda", "im_lambda", "dist_minus_one", "min_sv"]
 
 def absence_scan(
     t: TreeGraph,
-    b: SphericalBasis,
+    b: object,
     spec: PotentialSpec | None,
     annulus: tuple[float, float],
     grid: int,
@@ -331,7 +324,8 @@ def absence_scan(
     eigenvalue distance to ``-1`` and the smallest singular value of
     ``I + T`` on a ``grid x grid`` polar grid.  The grid is evaluated in
     chunks of points; rows stream to ``csv_path`` per completed chunk, so a
-    failure leaves the rows of the finished chunks behind.
+    failure leaves the rows of the finished chunks behind.  ``b`` is unused,
+    as for :class:`BSFactory`.
     """
     r_min, r_max = annulus
     if grid < 1:

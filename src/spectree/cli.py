@@ -271,9 +271,8 @@ def _cmd_scan(args) -> int:
         depth = _auto_depth(args.k, spec)
     t = build_tree(args.k, depth)
     _check_out(args.out)
-    b = build_spherical_basis(t)
     report = absence_scan(
-        t, b, spec, (args.rmin, args.rmax), args.grid, args.threshold,
+        t, None, spec, (args.rmin, args.rmax), args.grid, args.threshold,
         nodes=args.nodes, csv_path=args.out,
     )
     summary = {
@@ -334,8 +333,7 @@ def _cmd_index(args) -> int:
     center = _complex_arg("--center", args.center)
     depth = args.depth if args.depth is not None else _auto_depth(args.k, spec)
     t = build_tree(args.k, depth)
-    b = build_spherical_basis(t)
-    factory = BSFactory(t, b, spec)
+    factory = BSFactory(t, None, spec)
     fval, fpval = charval._family(factory, charval._sign_for(args.threshold), factory.eps0)
     report = charval.contour_index(
         fval, fpval, ContourSpec(center, args.radius, args.nodes)

@@ -298,9 +298,20 @@ class ResolventKernel:
 
     def exponent_tables(self, sp_: SpectralPoint) -> tuple[np.ndarray, np.ndarray]:
         """Coefficient lookups: value = plus_table[j+l+2] + minus_table[|j-l|]."""
-        s = _checked_two_sin_phi(sp_)
-        powers = sp_.eiphi ** np.arange(self._max_exponent + 1)
-        scale = KERNEL_PREFACTOR / math.sqrt(sp_.k)
+        plus, minus = self.exponent_stack([sp_])
+        return plus[0], minus[0]
+
+    def exponent_stack(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`exponent_tables` of a sequence of points, stacked to ``(N, E)``.
+
+        The per-point scalars stay Python complex arithmetic; only the powers
+        and tables broadcast over the points, so each row equals the
+        single-point table bit for bit.
+        """
+        xi = np.array([p.eiphi for p in points])[:, None]
+        s = np.array([_checked_two_sin_phi(p) for p in points])[:, None]
+        powers = xi ** np.arange(self._max_exponent + 1)
+        scale = KERNEL_PREFACTOR / math.sqrt(self.tree.k)
         return -1j * scale * powers / s, 1j * scale * powers / s
 
     def derivative_tables(self, sp_: SpectralPoint) -> tuple[np.ndarray, np.ndarray]:
@@ -310,17 +321,28 @@ class ResolventKernel:
         ``d/dlam [xi^a / s] = xi^a (i a phi' s - s') / s^2`` where
         ``phi' = 2 / sqrt(4 - lam^2)`` and ``s' = (4 - 2 lam^2) / sqrt(4 - lam^2)``.
         """
-        if sp_.lam is None:
-            raise InvalidParameter("derivative tables need an edge-parametrized point")
-        lam = sp_.lam
-        root = cmath.sqrt(4.0 - lam * lam)
-        s = lam * root
-        sprime = (4.0 - 2.0 * lam * lam) / root
-        phiprime = 2.0 / root
+        plus, minus = self.derivative_stack([sp_])
+        return plus[0], minus[0]
+
+    def derivative_stack(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`derivative_tables` of a sequence of points, stacked to ``(N, E)``.
+
+        ``s``, ``s'``, ``phi'`` and ``s^2`` are Python complex scalars per point
+        (numpy's vectorized complex multiply may round differently).
+        """
+        scalars = []
+        for p in points:
+            if p.lam is None:
+                raise InvalidParameter("derivative tables need an edge-parametrized point")
+            lam = p.lam
+            root = cmath.sqrt(4.0 - lam * lam)
+            s = lam * root
+            scalars.append((p.eiphi, s, (4.0 - 2.0 * lam * lam) / root, 2.0 / root, s * s))
+        xi, s, sprime, phiprime, s2 = (np.array(col)[:, None] for col in zip(*scalars))
         a = np.arange(self._max_exponent + 1)
-        powers = sp_.eiphi ** a
-        core = powers * (1j * a * phiprime * s - sprime) / (s * s)
-        scale = KERNEL_PREFACTOR / math.sqrt(sp_.k)
+        powers = xi ** a
+        core = powers * (1j * a * phiprime * s - sprime) / s2
+        scale = KERNEL_PREFACTOR / math.sqrt(self.tree.k)
         return -1j * scale * core, 1j * scale * core
 
     def assemble(self, plus_table: np.ndarray, minus_table: np.ndarray) -> np.ndarray:

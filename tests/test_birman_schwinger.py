@@ -31,9 +31,13 @@ from spectree.birman_schwinger import (
     BSFactory,
     HOL_COMPANION_FACTOR,
     SERIES_RADIUS,
+    newborn_multiplicity,
     phase_ratio,
     support_vertices,
 )
+from spectree import charval
+from spectree.charval import ContourSpec, _family, contour_index
+from spectree.errors import OutOfDisk
 from spectree.quadrature import cauchy_reconstruct
 
 LOG2 = math.log(2.0)
@@ -328,6 +332,37 @@ def test_blocks_dispatch(tree_basis, radial_spec_k2, derivative):
     assert mult == 1 and np.array_equal(blk, full(lam, -1))
 
 
+@pytest.mark.parametrize("k, depths", [
+    (1, (0, 1, 6, 12)), (2, (0, 1, 4, 8)), (3, (1, 3, 5)), (4, (2, 4)),
+])
+def test_block_multiplicities_match_basis_dims(k, depths):
+    # the closed form BSFactory uses instead of building the spherical basis
+    for depth in depths:
+        t = build_tree(k, depth)
+        dims = build_spherical_basis(t).dims
+        assert [newborn_multiplicity(k, n) for n in range(depth + 1)] == dims.tolist()
+        factory = BSFactory(t, None, PotentialSpec.radial_exp(0.3, max(1.6, 6 * math.log(k))))
+        levels = range(factory.r_support + 1)
+        assert [d for d, _ in factory.reduced_blocks(0.1j)] == [
+            int(dims[n]) for n in levels if dims[n]
+        ]
+
+
+def _point_tables(sp_, size, derivative):
+    """Exponent or derivative tables of one point, by the plain per-point formulas."""
+    lam, xi = sp_.lam, sp_.eiphi
+    a = np.arange(size)
+    scale = 1.0 / math.sqrt(sp_.k)
+    if derivative:
+        root = cmath.sqrt(4.0 - lam * lam)
+        s = lam * root
+        core = xi ** a * (1j * a * (2.0 / root) * s - (4.0 - 2.0 * lam * lam) / root) / (s * s)
+        return -1j * scale * core, 1j * scale * core
+    s = -1j * (xi - 1.0 / xi)
+    powers = xi ** a
+    return -1j * scale * powers / s, 1j * scale * powers / s
+
+
 @pytest.mark.parametrize("derivative", [False, True])
 @pytest.mark.parametrize("k, depth, spec", [
     pytest.param(2, 6, PotentialSpec.radial_exp(0.3 * (1 + 0.5j), 6 * LOG2), id="radial"),
@@ -336,15 +371,28 @@ def test_blocks_dispatch(tree_basis, radial_spec_k2, derivative):
     pytest.param(2, 6, PotentialSpec.table([(0, 0.3 - 0.2j), (2, 0.1j)], 6 * LOG2),
                  id="table"),
 ])
-def test_blocks_over_lambda_array(tree_basis, k, depth, spec, derivative):
-    # stacked evaluation equals stacking the scalar calls, bit for bit
+def test_blocks_over_lambda_array(monkeypatch, tree_basis, k, depth, spec, derivative):
+    # stacked tables equal the per-point tables, and stacked blocks equal
+    # stacking the scalar calls, bit for bit
     t, b = tree_basis(k, depth)
     factory = BSFactory(t, b, spec)
+    kernel = factory.kernel
     rng = np.random.default_rng(3)
     lams = 0.15 * np.sqrt(rng.random(9)) * np.exp(2j * np.pi * rng.random(9))
+    points = [from_lambda(k, lam, eps0=factory.eps0) for lam in lams]
+    size = 2 * depth + 3
+    single = kernel.derivative_tables if derivative else kernel.exponent_tables
+    stacked = kernel.derivative_stack if derivative else kernel.exponent_stack
+    per_point = [single(p) for p in points]
+    for p, (plus, minus) in zip(points, per_point):
+        want_plus, want_minus = _point_tables(p, size, derivative)
+        assert np.array_equal(plus, want_plus) and np.array_equal(minus, want_minus)
     for sign in (1, -1):
         scalar = [factory.blocks(lam, sign, derivative=derivative) for lam in lams]
         for part in (slice(None), slice(0, 1), slice(2, 4)):
+            plus, minus = stacked(points[part])
+            assert np.array_equal(plus, np.array([p for p, _ in per_point[part]]))
+            assert np.array_equal(minus, np.array([m for _, m in per_point[part]]))
             got = factory.blocks(lams[part], sign, derivative=derivative)
             want = scalar[part]
             assert [d for d, _ in got] == [d for d, _ in want[0]]
@@ -352,6 +400,35 @@ def test_blocks_over_lambda_array(tree_basis, k, depth, spec, derivative):
             for slot, (_, blk) in enumerate(got):
                 assert blk.shape[0] == len(want)
                 assert np.array_equal(blk, np.array([w[slot][1] for w in want]))
+
+    # parameters of a stack outside the disk: the first one is named, before
+    # any LAPACK call (the 16-node contour is one chunk; its node 0 is inside)
+    outside = lams.copy()
+    outside[[3, 6]] = (0.31 + 0.02j, 0.4j)
+    contour = ContourSpec(0.16j, 0.15, nodes=16)
+    monkeypatch.setattr(charval, "STACK_ENTRIES", 16 * factory.block_entries)
+
+    def first_error(points):
+        for lam in points:
+            try:
+                from_lambda(k, lam, eps0=factory.eps0)
+            except OutOfDisk as exc:
+                return str(exc)
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("LAPACK called before the disk check")
+
+    for name in ("solve", "svd", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, no_lapack)
+    fval, fpval = _family(factory, 1, factory.eps0)
+    for evaluate, points in (
+        (lambda: factory.blocks(outside, -1, derivative=derivative), outside),
+        (lambda: (fpval if derivative else fval)(outside), outside),
+        (lambda: contour_index(fval, fpval, contour), contour.points()),
+    ):
+        with pytest.raises(OutOfDisk) as exc:
+            evaluate()
+        assert str(exc.value) == first_error(points) != first_error(points[:1])
 
 
 def test_derivative_matches_finite_differences(tree_basis, radial_spec_k2):

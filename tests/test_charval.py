@@ -37,11 +37,12 @@ from spectree.operators import perturbed_operator
 LOG2 = math.log(2.0)
 
 
-from helpers import det_winding_oracle, planted_family
+from helpers import det_winding_oracle, diag_stack, planted_family, reference_pass
 
 
 def test_constant_identity_has_index_zero():
-    rep = contour_index(lambda lam: np.eye(4), lambda lam: np.zeros((4, 4)),
+    rep = contour_index(lambda lam: diag_stack(lam, [1.0] * 4),
+                        lambda lam: diag_stack(lam, [0.0] * 4),
                         ContourSpec(0.0, 0.1))
     assert rep.rounded == 0
     assert rep.residual < 1e-12
@@ -50,10 +51,10 @@ def test_constant_identity_has_index_zero():
 
 def test_scalar_winding():
     def f(lam):
-        return np.diag([lam - 0.05, 1.0, 1.0])
+        return diag_stack(lam, [lam - 0.05, 1.0, 1.0])
 
     def fp(lam):
-        return np.diag([1.0, 0.0, 0.0])
+        return diag_stack(lam, [1.0, 0.0, 0.0])
 
     rep = contour_index(f, fp, ContourSpec(0.0, 0.1))
     assert rep.rounded == 1 and rep.residual < 1e-12
@@ -66,10 +67,10 @@ def test_rank_one_double_zero_with_determinant_oracle():
     proj = np.outer(u, u.conj()) / (u.conj() @ u)
 
     def f(lam):
-        return np.eye(8) + (2.0 * (lam - a) * (lam - b) - 1.0) * proj
+        return np.eye(8) + (2.0 * (lam - a) * (lam - b) - 1.0)[..., None, None] * proj
 
     def fp(lam):
-        return 2.0 * ((lam - a) + (lam - b)) * proj
+        return 2.0 * ((lam - a) + (lam - b))[..., None, None] * proj
 
     contour = ContourSpec(0.0, 0.1)
     rep = contour_index(f, fp, contour)
@@ -79,7 +80,7 @@ def test_rank_one_double_zero_with_determinant_oracle():
 
 def test_finite_difference_fallback():
     def f(lam):
-        return np.diag([lam - 0.02, 1.0])
+        return diag_stack(lam, [lam - 0.02, 1.0])
 
     rep = contour_index(f, None, ContourSpec(0.0, 0.07))
     assert rep.rounded == 1 and rep.residual < 1e-8
@@ -88,10 +89,10 @@ def test_finite_difference_fallback():
 def test_block_family_input():
     # block lists with multiplicities accumulate traces blockwise
     def f(lam):
-        return [(3, np.array([[lam - 0.01]])), (1, np.eye(2))]
+        return [(3, diag_stack(lam, [lam - 0.01])), (1, diag_stack(lam, [1.0, 1.0]))]
 
     def fp(lam):
-        return [(3, np.array([[1.0 + 0j]])), (1, np.zeros((2, 2)))]
+        return [(3, diag_stack(lam, [1.0 + 0j])), (1, diag_stack(lam, [0.0, 0.0]))]
 
     rep = contour_index(f, fp, ContourSpec(0.0, 0.05))
     assert rep.rounded == 3
@@ -127,10 +128,10 @@ def test_additivity_over_annuli():
 
 def test_singular_on_contour():
     def f(lam):
-        return np.eye(2) * 1e-12
+        return diag_stack(lam, [1e-12, 1e-12])
 
     def fp(lam):
-        return np.zeros((2, 2))
+        return diag_stack(lam, [0.0, 0.0])
 
     with pytest.raises(SingularOnContour):
         contour_index(f, fp, ContourSpec(0.0, 0.1))
@@ -138,7 +139,7 @@ def test_singular_on_contour():
 
 def test_non_convergent_on_non_holomorphic_family():
     def f(lam):
-        return np.array([[1.0 + 0.5 * np.conj(lam) / 0.1]])
+        return diag_stack(lam, [1.0 + 0.5 * np.conj(lam) / 0.1])
 
     with pytest.raises(NonConvergent):
         contour_index(f, None, ContourSpec(0.0, 0.1, nodes=16))
@@ -321,25 +322,6 @@ def test_absence_scan_partial_flush(tmp_path, monkeypatch, tree_basis, radial_sp
         assert lines == full[:1 + 8 * (failing - 1)]
 
 
-def _reference_pass(f, fprime, contour):
-    """One trapezoidal pass evaluated node by node, without stacking."""
-    pts = contour.points()
-    unit = (pts - contour.center) / contour.radius
-    total = 0.0 + 0.0j
-    min_sv = math.inf
-    for lam, u in zip(pts, unit):
-        tr = 0.0 + 0.0j
-        sv = math.inf
-        for (mult, blk), (_, blkp) in zip(f(lam), fprime(lam)):
-            tr += mult * np.trace(np.linalg.solve(blk, blkp))
-            sv = min(sv, float(np.linalg.svd(blk, compute_uv=False).min()))
-        min_sv = min(min_sv, sv)
-        total += u * tr
-    raw = contour.radius * total / contour.nodes
-    rounded = int(round(raw.real))
-    return IndexReport(complex(raw), rounded, float(abs(raw - rounded)), float(min_sv))
-
-
 SCAN_SPECS = [
     pytest.param(6, PotentialSpec.radial_exp(0.3 * (1 + 0.5j), 6 * LOG2), id="radial"),
     pytest.param(4, PotentialSpec.radial_exp(1.0, 6 * LOG2), id="amplitude-1"),
@@ -362,7 +344,7 @@ def test_absence_scan_matches_per_point_reference(
 
     fval, fpval = _family(factory, -1, factory.eps0)
     for radius, index in rep.ladder:
-        assert index == _reference_pass(fval, fpval, ContourSpec(0.0, radius, 32))
+        assert index == reference_pass(fval, fpval, ContourSpec(0.0, radius, 32))
 
     rows, flagged = [], 0
     for lam in rep.grid_rows[:, 0] + 1j * rep.grid_rows[:, 1]:
@@ -389,7 +371,7 @@ def test_contour_index_chunks_match_per_node_reference(monkeypatch):
     def as_list(g):
         return lambda lam: [(1, g(lam))]
 
-    want = _reference_pass(as_list(f), as_list(fp), contour)
+    want = reference_pass(as_list(f), as_list(fp), contour)
     assert want.rounded == 2
     for entries in (64, 7 * 64, cv.STACK_ENTRIES):  # chunks of 1, 7 and all nodes
         monkeypatch.setattr(cv, "STACK_ENTRIES", entries)
@@ -404,10 +386,10 @@ def test_singular_node_is_named_across_chunks(monkeypatch):
     pts = contour.points()
 
     def f(lam):
-        return np.array([[1e-12 if lam in (pts[7], pts[8]) else 1.0]])
+        return diag_stack(lam, [np.where(np.isin(lam, pts[7:9]), 1e-12, 1.0)])
 
     with pytest.raises(SingularOnContour) as exc:
-        cv._quadrature_pass(f, lambda lam: np.zeros((1, 1)), contour, 16, 0.0, 1e-10)
+        cv._quadrature_pass(f, lambda lam: diag_stack(lam, [0.0]), contour, 16, 0.0, 1e-10)
     assert f"node {pts[7]:.6g} " in str(exc.value)
 
 
@@ -447,13 +429,14 @@ def test_family_paths_agree(tree_basis):
     fval_r, fp_r = _family(factory, 1, factory.eps0)
     rep_reduced = contour_index(fval_r, fp_r, ContourSpec(0.0, 0.1, nodes=64))
 
-    def fval_full(lam):
-        m = factory.matrix(lam, 1)
-        return np.eye(m.shape[0]) + m
+    def fval_full(lams):
+        m = np.array([factory.matrix(lam, 1) for lam in lams])
+        return np.eye(m.shape[-1]) + m
 
-    rep_full = contour_index(
-        fval_full, lambda lam: factory.derivative(lam, 1), ContourSpec(0.0, 0.1, nodes=64)
-    )
+    def fp_full(lams):
+        return np.array([factory.derivative(lam, 1) for lam in lams])
+
+    rep_full = contour_index(fval_full, fp_full, ContourSpec(0.0, 0.1, nodes=64))
     assert rep_reduced.rounded == rep_full.rounded == 0
     assert abs(rep_reduced.raw - rep_full.raw) < 1e-10
     assert rep_reduced.min_sv_on_contour == pytest.approx(

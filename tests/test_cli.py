@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from spectree import charval
-from spectree.cli import main
-from spectree.errors import NonConvergent, SingularOnContour
+from helpers import reference_pass
+from spectree import PotentialSpec, build_tree, charval, from_lambda
+from spectree.birman_schwinger import BSFactory
+from spectree.charval import ContourSpec
+from spectree.cli import _auto_depth, build_parser, main
+from spectree.errors import NonConvergent, OutOfDisk, SingularOnContour
 
 LOG2 = math.log(2.0)
 RADIAL = json.dumps({
@@ -104,6 +107,49 @@ def test_index_json(capsys, pot_file):
     assert out["rounded"] == 0
     assert set(out) == {"raw", "rounded", "residual", "min_sv"}
     assert set(out["raw"]) == {"re", "im"}
+
+
+TABLE = json.dumps({
+    "kind": "table",
+    "values": [{"v": 0, "re": 0.3, "im": -0.2}, {"v": 2, "re": 0.0, "im": 0.1}],
+    "delta": 6 * LOG2,
+})
+
+
+@pytest.mark.parametrize("potential, extra", [
+    (RADIAL, ["--radius", "0.1", "--nodes", "64"]),
+    (RADIAL, ["--center", "0.05+0.02j", "--radius", "0.03", "--threshold", "plus"]),
+    (TABLE, ["--radius", "0.12", "--nodes", "64"]),
+], ids=["radial", "radial plus off-center", "table"])
+def test_index_matches_node_by_node_reference(capsys, potential, extra):
+    code = main(["index", "--k", "2", "--potential", potential] + extra)
+    out = json.loads(capsys.readouterr().out)
+
+    args = build_parser().parse_args(["index", "--k", "2", "--potential", potential] + extra)
+    spec = PotentialSpec.from_json(potential)
+    factory = BSFactory(build_tree(2, _auto_depth(2, spec)), None, spec)
+    fval, fpval = charval._family(factory, charval._sign_for(args.threshold), factory.eps0)
+    want = reference_pass(fval, fpval, ContourSpec(complex(args.center), args.radius, args.nodes))
+    assert code == 0 and want.certified
+    assert out == want.to_json()
+
+
+def test_index_contour_leaving_the_disk(capsys):
+    # node 0 (0.15 + 0.15j) is inside the disk |lam| < 0.3; later nodes are not
+    contour = ContourSpec(0.15j, 0.15, 32)
+    code = main(["index", "--k", "2", "--potential", RADIAL, "--center", "0.15j",
+                 "--radius", "0.15", "--nodes", "32"])
+    captured = capsys.readouterr()
+    for node, lam in enumerate(contour.points()):
+        try:
+            from_lambda(2, lam)
+        except OutOfDisk as exc:
+            want = f"error: {exc}"
+            break
+    assert node > 0
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [want]
 
 
 def test_inline_potential_accepted(capsys):
