@@ -292,13 +292,6 @@ class ScanReport:
     def all_indices_zero(self) -> bool:
         return all(rep.rounded == 0 and rep.certified for _, rep in self.ladder)
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(CSV_HEADER)
-            for row in self.grid_rows:
-                w.writerow([f"{x:.17g}" for x in row])
-
 
 CSV_HEADER = ["re_lambda", "im_lambda", "dist_minus_one", "min_sv"]
 

@@ -43,6 +43,7 @@ import scipy.sparse.linalg as spla
 from .errors import (
     AssumptionViolated,
     BranchFailure,
+    CapacityExceeded,
     InvalidParameter,
     OnSpectrum,
     OutOfDisk,
@@ -59,6 +60,35 @@ KERNEL_PREFACTOR = 1.0
 
 #: default radius of the working punctured disk in the edge parameter
 DEFAULT_DISK_RADIUS = 0.3
+
+#: memory budget in bytes when ``/proc/meminfo`` cannot be read
+FALLBACK_MEMORY_BUDGET = 4 * 2**30
+
+
+def memory_budget() -> int:
+    """Bytes the large arrays of one kernel or direct solve may take.
+
+    ``MemAvailable`` from ``/proc/meminfo``, or :data:`FALLBACK_MEMORY_BUDGET`
+    where that cannot be read.
+    """
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return FALLBACK_MEMORY_BUDGET
+
+
+def _check_budget(nbytes: int, what: str) -> None:
+    """Raise :class:`CapacityExceeded` before ``what`` allocates past the budget."""
+    budget = memory_budget()
+    if nbytes > budget:
+        raise CapacityExceeded(
+            f"{what} need {nbytes / 2**30:.3g} GiB, over the "
+            f"{budget / 2**30:.3g} GiB memory budget"
+        )
 
 
 def t_minus(k: int) -> float:
@@ -267,14 +297,21 @@ class ResolventKernel:
         # (i - off[a]) // k**(a - r)
         pa, pb = self.rows - t.sphere_offsets[da], self.cols - t.sphere_offsets[db]
         small = np.min_scalar_type(t.depth)
+        # peak: gap plus two rows x cols code arrays, coded at most this wide
+        top_a, top_b = int(da.max(initial=0)), int(db.max(initial=0))
+        wide = np.min_scalar_type((top_a + 1) * (top_b + 1) * (min(top_a, top_b) + 1))
+        _check_budget(
+            self.rows.size * self.cols.size * (small.itemsize + 2 * wide.itemsize),
+            f"meet-depth codes of {self.rows.size} x {self.cols.size} vertex pairs",
+        )
         gap = np.minimum.outer(da.astype(small), db.astype(small))
-        for r in range(1, min(da.max(initial=0), db.max(initial=0)) + 1):
+        for r in range(1, min(top_a, top_b) + 1):
             up_a = np.where(da >= r, pa // k ** np.maximum(da - r, 0), -1)
             up_b = np.where(db >= r, pb // k ** np.maximum(db - r, 0), -2)
             gap -= up_a[:, None] == up_b
         # code each pair by (|x|, |y|, gap), then relabel the codes that occur
-        n_gap, n_b = int(gap.max(initial=0)) + 1, int(db.max(initial=0)) + 1
-        size = (int(da.max(initial=0)) + 1) * n_b * n_gap
+        n_gap, n_b = int(gap.max(initial=0)) + 1, top_b + 1
+        size = (top_a + 1) * n_b * n_gap
         kind = np.min_scalar_type(size)
         code = (da * n_b * n_gap).astype(kind)[:, None] + (db * n_gap).astype(kind) + gap
         present = np.zeros(size, dtype=bool)
@@ -451,6 +488,11 @@ def direct_resolvent_block(
     n_small = t.vertex_count
     rows = np.arange(n_small) if rows is None else np.asarray(rows)
     cols = np.arange(n_small) if cols is None else np.asarray(cols)
+    # rhs and sol are big.vertex_count x cols, the returned block rows x cols
+    _check_budget(
+        np.dtype(complex).itemsize * cols.size * (2 * big.vertex_count + rows.size),
+        f"direct-solve columns for {cols.size} of {big.vertex_count} vertices",
+    )
 
     diag = np.full(big.vertex_count, -z, dtype=complex)
     if spec is not None:

@@ -35,9 +35,9 @@ from spectree.birman_schwinger import (
     phase_ratio,
     support_vertices,
 )
-from spectree import charval
+from spectree import charval, resolvent
 from spectree.charval import ContourSpec, _family, contour_index
-from spectree.errors import OutOfDisk
+from spectree.errors import CapacityExceeded, OutOfDisk
 from spectree.quadrature import cauchy_reconstruct
 
 LOG2 = math.log(2.0)
@@ -438,3 +438,12 @@ def test_derivative_matches_finite_differences(tree_basis, radial_spec_k2):
     analytic = factory.derivative(lam, +1)
     fd = (factory.matrix(lam + h, +1) - factory.matrix(lam - h, +1)) / (2 * h)
     assert np.abs(analytic - fd).max() < 1e-8
+
+
+def test_full_support_factory_over_budget_raises(monkeypatch, radial_spec_k2):
+    # without the cutoff the support is all 511 vertices of the depth-8 tree
+    monkeypatch.setattr(resolvent, "memory_budget", lambda: 10**6)
+    t = build_tree(2, 8)
+    assert BSFactory(t, None, radial_spec_k2).support.size < t.vertex_count
+    with pytest.raises(CapacityExceeded, match="511 x 511"):
+        BSFactory(t, None, radial_spec_k2, cutoff=0)

@@ -1,15 +1,30 @@
 """Command-line surface: flags, exit codes, emitted artifacts."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import reference_pass
-from spectree import PotentialSpec, build_tree, charval, from_lambda
+from spectree import (
+    PotentialSpec,
+    build_tree,
+    charval,
+    direct_resolvent_block,
+    from_lambda,
+    from_z,
+    resolvent,
+    t_minus,
+    weights,
+    weighted_resolvent_kernel,
+)
 from spectree.birman_schwinger import BSFactory
 from spectree.charval import ContourSpec
-from spectree.cli import _auto_depth, build_parser, main
+from spectree.cli import _auto_depth, _sphere_column_errors, build_parser, main
 from spectree.errors import NonConvergent, OutOfDisk, SingularOnContour
 
 LOG2 = math.log(2.0)
@@ -48,6 +63,79 @@ def test_kernel_accepts_lambda(capsys):
                  "--delta", "1.5"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["rel_frobenius_error"] <= 1e-6
+
+
+def _full_matrix_errors(closed, oracle):
+    diff = closed - oracle
+    return np.abs(diff).max(), np.linalg.norm(diff) / np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("k,depth", [(1, 12), (2, 6), (3, 4)])
+@pytest.mark.parametrize("lam", [None, 0.12 + 0.04j], ids=["below t_minus", "above t_minus"])
+def test_kernel_errors_equal_full_matrix_figures(capsys, k, depth, lam):
+    point = [] if lam is None else ["--lam", str(lam)]
+    code = main(["kernel", "--k", str(k), "--depth", str(depth)] + point)
+    out = json.loads(capsys.readouterr().out)
+    sp_ = from_z(k, t_minus(k) - 0.5) if lam is None else from_lambda(k, lam)
+    assert (sp_.z.real > t_minus(k)) == (lam is not None)
+    t = build_tree(k, depth)
+    e_m, _ = weights(t, out["delta"])
+    closed = weighted_resolvent_kernel(t, None, e_m, e_m, sp_).entries
+    oracle = e_m[:, None] * direct_resolvent_block(t, sp_.z) * e_m[None, :]
+    max_err, rel = _full_matrix_errors(closed, oracle)
+    assert code == 0
+    assert abs(out["max_abs_error"] - max_err) <= 1e-15
+    assert abs(out["rel_frobenius_error"] - rel) <= 1e-15
+
+
+@pytest.mark.parametrize("k,depth", [(1, 12), (2, 6), (3, 4)])
+def test_sphere_column_weighting_is_exact(k, depth):
+    # two radial kernels at different points differ at O(1), so a wrong
+    # sphere weight would show far above roundoff
+    t = build_tree(k, depth)
+    e_m, _ = weights(t, max(1.0, 6 * math.log(k)))
+    a = weighted_resolvent_kernel(t, None, e_m, e_m, from_z(k, t_minus(k) - 0.5)).entries
+    b = weighted_resolvent_kernel(t, None, e_m, e_m, from_lambda(k, 0.12 + 0.04j)).entries
+    cols = t.sphere_offsets[:depth + 1]
+    max_err, rel = _sphere_column_errors(t, a[:, cols], b[:, cols])
+    full_max, full_rel = _full_matrix_errors(a, b)
+    assert max_err == full_max
+    assert abs(rel - full_rel) <= 1e-13 * full_rel
+
+
+def test_kernel_depth_16_under_one_gib():
+    # the wrapper's RUSAGE_CHILDREN covers only the one kernel process
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    wrapper = (
+        "import json, resource, subprocess, sys\n"
+        "proc = subprocess.run([sys.executable, '-m', 'spectree.cli', 'kernel',\n"
+        "                       '--k', '2', '--depth', '16'], capture_output=True, text=True)\n"
+        "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "print(json.dumps([proc.returncode, proc.stdout, proc.stderr, peak]))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", wrapper], env=env,
+                         capture_output=True, text=True, timeout=600)
+    code, stdout, stderr, peak_kib = json.loads(run.stdout)
+    assert code == 0, stderr[-2000:]
+    out = json.loads(stdout)
+    assert (out["k"], out["depth"]) == (2, 16)
+    assert out["rel_frobenius_error"] <= 1e-6
+    assert peak_kib < 2**20
+
+
+def test_kernel_over_memory_budget_is_one_error_line(monkeypatch, capsys):
+    monkeypatch.setattr(resolvent, "memory_budget", lambda: 1000)
+    code = main(["kernel", "--k", "2", "--depth", "6"])
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert code == 1
+    assert captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "memory budget" in lines[0]
 
 
 def test_scan_writes_csv(tmp_path, capsys, pot_file):

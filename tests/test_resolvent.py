@@ -26,9 +26,11 @@ from spectree import (
     weights,
     weighted_resolvent_kernel,
 )
+from spectree import resolvent
 from spectree.errors import (
     AssumptionViolated,
     BranchFailure,
+    CapacityExceeded,
     OnSpectrum,
     OutOfDisk,
     TruncationWarning,
@@ -314,6 +316,44 @@ def test_assemble_stacked_tables_bit_for_bit(k, depth, rows):
         plus, minus = (np.array(part) for part in zip(*(tables(p) for p in points)))
         for part in (slice(None), slice(3, 4), slice(1, 3)):
             assert np.array_equal(assembler.assemble(plus[part], minus[part]), single[part])
+
+
+@pytest.mark.parametrize("k,depth", [(1, 12), (2, 6), (3, 4)])
+def test_first_vertex_columns_cover_every_depth_triple(k, depth):
+    # the kernel check compares one column per sphere; every (|x|, |y|, |x∧y|)
+    # label of the full kernel must occur in those columns
+    t = build_tree(k, depth)
+    code = ResolventKernel(t)._code
+    seen = np.unique(code[:, t.sphere_offsets[:depth + 1]])
+    assert np.array_equal(seen, np.unique(code))
+
+
+# -- memory budget ---------------------------------------------------------------
+
+
+def test_memory_budget_falls_back_without_meminfo(monkeypatch):
+    assert resolvent.memory_budget() > 0
+
+    def unreadable(*args, **kwargs):
+        raise OSError("unreadable")
+
+    monkeypatch.setattr(resolvent, "open", unreadable, raising=False)
+    assert resolvent.memory_budget() == resolvent.FALLBACK_MEMORY_BUDGET
+
+
+def test_budget_stops_full_kernel_and_solve_before_allocating(monkeypatch):
+    # k=2 depth 8: the full 511 x 511 codes need about 1.3 MB, the 9 sphere
+    # columns well under the budget of 1 MB
+    monkeypatch.setattr(resolvent, "memory_budget", lambda: 10**6)
+    t = build_tree(2, 8)
+    cols = t.sphere_offsets[:t.depth + 1]
+    z = t_minus(2) - 0.5
+    ResolventKernel(t, cols=cols).evaluate(from_z(2, z))
+    direct_resolvent_block(t, z, cols=cols)
+    with pytest.raises(CapacityExceeded, match="memory budget"):
+        ResolventKernel(t)
+    with pytest.raises(CapacityExceeded, match="memory budget"):
+        direct_resolvent_block(t, z)
 
 
 # -- tail estimate -------------------------------------------------------------
