@@ -40,7 +40,7 @@ from .errors import (
     SingularOnContour,
 )
 from .operators import PotentialSpec, perturbed_operator, m_tilde
-from .resolvent import t_minus, t_plus
+from .resolvent import _check_budget, t_minus, t_plus
 from .tree import TreeGraph
 
 #: resonance flag threshold: an eigenvalue of the sandwich counts as "-1"
@@ -256,6 +256,13 @@ def _grid_chunk(factory: BSFactory, lams: np.ndarray, sign, eps0):
     return dist, minsv, _flags(blocks, dist)
 
 
+def _polar_grid(r_min: float, r_max: float, grid: int) -> np.ndarray:
+    """``grid`` radii by ``grid`` angles over the annulus, radius-major."""
+    radii = np.linspace(r_min, r_max, grid)
+    angles = 2.0 * np.pi * np.arange(grid) / grid
+    return np.outer(radii, np.exp(1j * angles)).ravel()
+
+
 def resonance_indicator(
     t: TreeGraph,
     b: object,
@@ -342,9 +349,7 @@ def absence_scan(
         for radius in circles
     ]
 
-    radii = np.linspace(r_min, r_max, grid)
-    angles = 2.0 * np.pi * np.arange(grid) / grid
-    points = np.array([r * np.exp(1j * a) for r in radii for a in angles])
+    points = _polar_grid(r_min, r_max, grid)
     step = _chunk_len(factory.block_entries)
 
     chunks = []
@@ -420,6 +425,10 @@ def spectrum(
     band_tol: float = 1e-8,
 ) -> SpectrumResult:
     """Dense eigensolve of the perturbed truncated operator."""
+    # the dense complex operator plus the eigensolver's copy of it
+    v = t.vertex_count
+    _check_budget(2 * np.dtype(complex).itemsize * v * v,
+                  f"dense operator and eigensolve on {v} vertices")
     m_vec = m_tilde(t, spec, allow_violation=allow_violation)
     h = perturbed_operator(t, spec, allow_violation=allow_violation)
     if np.abs(m_vec.imag).max(initial=0.0) == 0.0:

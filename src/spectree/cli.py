@@ -38,7 +38,9 @@ from .operators import (
     weights,
 )
 from .resolvent import (
+    SOLVE_CHUNK,
     ResolventKernel,
+    _check_budget,
     direct_resolvent_block,
     from_lambda,
     from_z,
@@ -145,48 +147,106 @@ def build_parser() -> _Parser:
 
 # -- validate ------------------------------------------------------------------
 
+#: matrix entries in one row block of the edge-swap check (4 MiB complex)
+_ROW_BLOCK_ENTRIES = 2**18
+
+
+def _validation_bytes(v: int) -> int:
+    """Peak bytes of the largest ``validate`` stage on ``v`` vertices.
+
+    That is the kernel stage: the closed-form kernel and the direct-solve
+    oracle (two V x V complex arrays), the kernel's meet-depth codes (at most
+    four bytes per pair) and one direct-solve chunk with its gather.
+    """
+    itemsize = np.dtype(complex).itemsize
+    return v * v * (2 * itemsize + 4) + 3 * itemsize * v * min(v, SOLVE_CHUNK)
+
+
 def _run_validation(k: int, depth: int, spec: PotentialSpec | None):
+    """The invariant suite as ``(name, value, tol, passed)`` rows.
+
+    Each stage builds its own V x V arrays, so they are freed when it returns
+    and the peak is that of the largest stage.
+    """
     rows = []
 
     def check(name, value, tol):
         rows.append((name, float(value), tol, value <= tol))
 
     t = build_tree(k, depth)
+    _check_budget(_validation_bytes(t.vertex_count),
+                  f"validate's dense checks on {t.vertex_count} vertices")
+    delta = spec.delta if spec is not None else max(1.0, 6.0 * math.log(k))
+    e_m, e_p = weights(t, delta)
+    _check_operators(t, spec, e_m, e_p, check)
+    _check_basis(t, check)
+    _check_kernel(t, e_m, check)
+    if spec is not None:
+        _check_birman_schwinger(t, spec, check)
+    return rows
+
+
+def _check_operators(t: TreeGraph, spec, e_m, e_p, check) -> None:
+    k, depth = t.k, t.depth
     sizes = [t.sphere_size(r) for r in range(depth + 1)]
     check("tree sphere sizes", max(abs(s - k**r) for r, s in enumerate(sizes)), 0)
     a = adjacency(t)
     check("edge count = V - 1", abs(a.sum() / 2 - (t.vertex_count - 1)), 0)
     pi_up, pi_dn = raising(t), lowering(t)
-    check("raising + lowering = adjacency", np.abs(pi_up + pi_dn - a).max(), 0)
+    diff = pi_up + pi_dn
+    diff -= a
+    check("raising + lowering = adjacency", np.abs(diff, out=diff).max(), 0)
+    del diff
     interior = t.vertex_count - t.sphere_size(depth)
     check("trace of lower.raise = k * interior",
-          abs(np.trace(pi_dn @ pi_up) - k * interior), 0)
+          abs(np.einsum("ij,ji->", pi_dn, pi_up) - k * interior), 0)
+    del pi_up, pi_dn
     eigs = np.linalg.eigvalsh(a)
     check("adjacency band confinement", max(0.0, np.abs(eigs).max() - 2 * math.sqrt(k)), 1e-10)
     th = theta(t)
     check("parity conjugation flips adjacency", np.abs(th[:, None] * a * th[None, :] + a).max(), 0)
-    m_vec = m_tilde(t, spec)
-    z0 = 0.37 + 0.11j
-    eye = np.eye(t.vertex_count)
-    lhs = th[:, None] * (-a + np.diag(m_vec) + (k + 1 - z0) * eye) * th[None, :]
-    rhs = a + np.diag(m_vec) + (k + 1 - z0) * eye
-    check("edge-swap conjugation identity", np.abs(lhs - rhs).max(), 1e-10)
-    delta = spec.delta if spec is not None else max(1.0, 6.0 * math.log(k))
-    e_m, e_p = weights(t, delta)
+    check("edge-swap conjugation identity",
+          _edge_swap_deviation(a, th, m_tilde(t, spec), k + 1 - (0.37 + 0.11j)), 1e-10)
     check("weight pair multiplies to identity", np.abs(e_m * e_p - 1).max(), 1e-12)
 
+
+def _edge_swap_deviation(a: np.ndarray, th: np.ndarray, m_vec: np.ndarray, c: complex) -> float:
+    """``max |lhs - rhs|`` with ``lhs = th (-a + diag(m) + c I) th`` and
+    ``rhs = a + diag(m) + c I``, built one block of rows at a time.
+    """
+    v = a.shape[0]
+    worst = 0.0
+    step = max(1, _ROW_BLOCK_ENTRIES // v)
+    for start in range(0, v, step):
+        stop = min(start + step, v)
+        eye = np.eye(stop - start, v, start)
+        diag = np.zeros((stop - start, v), dtype=complex)
+        np.fill_diagonal(diag[:, start:], m_vec[start:stop])
+        lhs = th[start:stop, None] * (-a[start:stop] + diag + c * eye) * th[None, :]
+        rhs = a[start:stop] + diag + c * eye
+        worst = max(worst, np.abs(lhs - rhs).max())
+    return worst
+
+
+def _check_basis(t: TreeGraph, check) -> None:
     b = build_spherical_basis(t)
     check("basis count = vertex count", abs(b.total_vectors() - t.vertex_count), 0)
     full = np.hstack([
         b.global_vectors(n, j)
-        for n in range(depth + 1) if b.dims[n]
+        for n in range(t.depth + 1) if b.dims[n]
         for j in range(b.levels(n))
     ])
     gram = full.T @ full
-    check("basis Gram deviation", np.abs(gram - np.eye(gram.shape[0])).max(), 1e-10)
-    jac = max(verify_jacobi_form(b, t, n) for n in range(min(depth, 5)))
+    del full
+    gram[np.diag_indices_from(gram)] -= 1.0
+    check("basis Gram deviation", np.abs(gram).max(), 1e-10)
+    del gram
+    jac = max(verify_jacobi_form(b, t, n) for n in range(min(t.depth, 5)))
     check("block Jacobi residual", jac, 1e-10)
 
+
+def _check_kernel(t: TreeGraph, e_m: np.ndarray, check) -> None:
+    k = t.k
     sp_ = from_z(k, -1.0 if k == 1 else t_minus(k) - 0.5)
     qf = max(
         abs(fourier_coefficient(n, sp_) - quadrature.fourier_quadrature(sp_.u, n))
@@ -200,26 +260,29 @@ def _run_validation(k: int, depth: int, spec: PotentialSpec | None):
     )
     check("sine-projected coefficient vs quadrature", qs, 1e-10)
 
-    kern = weighted_resolvent_kernel(t, b, e_m, e_m, sp_)
-    oracle = e_m[:, None] * direct_resolvent_block(t, sp_.z) * e_m[None, :]
-    rel = np.linalg.norm(kern.entries - oracle) / np.linalg.norm(oracle)
+    diff = weighted_resolvent_kernel(t, None, e_m, e_m, sp_).entries
+    oracle = direct_resolvent_block(t, sp_.z)
+    oracle *= e_m[:, None]
+    oracle *= e_m[None, :]
+    diff -= oracle
+    rel = np.linalg.norm(diff) / np.linalg.norm(oracle)
     check("weighted kernel vs direct solve (rel)", rel, 1e-6)
 
-    if spec is not None:
-        spec.check_assumption(t)
-        rows.append(("potential decay certificate", 0.0, 0, True))
-        factory = BSFactory(t, b, spec)
-        lam = 0.05j
-        tmat = factory.matrix(lam, +1)
-        g_pert = direct_resolvent_block(t, factory.point(lam).z, spec=spec,
-                                        rows=factory.support, cols=factory.support)
-        s_res = np.eye(tmat.shape[0]) + tmat
-        s_res = s_res @ (np.eye(tmat.shape[0]) - factory.j_phase[:, None]
-                         * factory.sqrt_abs[:, None] * g_pert * factory.sqrt_abs[None, :])
-        check("resolvent-identity residual", np.abs(s_res - np.eye(tmat.shape[0])).max(), 1e-8)
-        _, hol_res = hol_split(t, b, spec, lam, factory=factory)
-        check("desingularized reconstruction residual", hol_res, 1e-8)
-    return rows
+
+def _check_birman_schwinger(t: TreeGraph, spec: PotentialSpec, check) -> None:
+    spec.check_assumption(t)
+    check("potential decay certificate", 0.0, 0)
+    factory = BSFactory(t, None, spec)
+    lam = 0.05j
+    tmat = factory.matrix(lam, +1)
+    g_pert = direct_resolvent_block(t, factory.point(lam).z, spec=spec,
+                                    rows=factory.support, cols=factory.support)
+    s_res = np.eye(tmat.shape[0]) + tmat
+    s_res = s_res @ (np.eye(tmat.shape[0]) - factory.j_phase[:, None]
+                     * factory.sqrt_abs[:, None] * g_pert * factory.sqrt_abs[None, :])
+    check("resolvent-identity residual", np.abs(s_res - np.eye(tmat.shape[0])).max(), 1e-8)
+    _, hol_res = hol_split(t, None, spec, lam, factory=factory)
+    check("desingularized reconstruction residual", hol_res, 1e-8)
 
 
 def _cmd_validate(args) -> int:

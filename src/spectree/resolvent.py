@@ -64,9 +64,13 @@ DEFAULT_DISK_RADIUS = 0.3
 #: memory budget in bytes when ``/proc/meminfo`` cannot be read
 FALLBACK_MEMORY_BUDGET = 4 * 2**30
 
+#: right-hand-side columns per sparse LU solve in :func:`direct_resolvent_block`
+SOLVE_CHUNK = 256
+
 
 def memory_budget() -> int:
-    """Bytes the large arrays of one kernel or direct solve may take.
+    """Bytes the large arrays of one kernel, direct solve, ``validate`` stage
+    or dense spectrum may take.
 
     ``MemAvailable`` from ``/proc/meminfo``, or :data:`FALLBACK_MEMORY_BUDGET`
     where that cannot be read.
@@ -488,9 +492,12 @@ def direct_resolvent_block(
     n_small = t.vertex_count
     rows = np.arange(n_small) if rows is None else np.asarray(rows)
     cols = np.arange(n_small) if cols is None else np.asarray(cols)
-    # rhs and sol are big.vertex_count x cols, the returned block rows x cols
+    step = SOLVE_CHUNK
+    # the returned rows x cols block, plus one chunk's identity columns, their
+    # solution and its gathered rows
     _check_budget(
-        np.dtype(complex).itemsize * cols.size * (2 * big.vertex_count + rows.size),
+        np.dtype(complex).itemsize
+        * (rows.size * cols.size + 3 * big.vertex_count * min(step, cols.size)),
         f"direct-solve columns for {cols.size} of {big.vertex_count} vertices",
     )
 
@@ -500,16 +507,16 @@ def direct_resolvent_block(
     if boundary == "exact":
         s = big.sphere(big.depth)
         diag[s.start:s.stop] -= big.k * subtree_green(big.k, z)
-    rhs = np.zeros((big.vertex_count, cols.size), dtype=complex)
-    rhs[cols, np.arange(cols.size)] = 1.0
 
     h = (free_operator_sparse(big).astype(complex) + sp.diags(diag)).tocsc()
     lu = spla.splu(h)
-    sol = np.empty((big.vertex_count, cols.size), dtype=complex)
-    step = 256
+    out = np.empty((rows.size, cols.size), dtype=complex)
     for start in range(0, cols.size, step):
-        sol[:, start:start + step] = lu.solve(rhs[:, start:start + step])
-    return sol[rows, :]
+        chunk = cols[start:start + step]
+        rhs = np.zeros((big.vertex_count, chunk.size), dtype=complex)
+        rhs[chunk, np.arange(chunk.size)] = 1.0
+        out[:, start:start + chunk.size] = lu.solve(rhs)[rows, :]
+    return out
 
 
 # -- truncation tail estimate -------------------------------------------------

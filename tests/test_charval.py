@@ -24,6 +24,7 @@ from spectree.charval import (
     IndexReport,
     contour_index,
     _family,
+    _polar_grid,
 )
 from spectree.errors import (
     InvalidParameter,
@@ -248,6 +249,15 @@ def test_planted_root_eigenvalue():
 
 
 # -- scans ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("annulus", [(0.02, 0.16), (0.01, 0.05), (0.001, 0.29), (0.05, 0.1)])
+@pytest.mark.parametrize("grid", [1, 2, 6, 7, 32, 64, 100])
+def test_polar_grid_equals_per_point_exponentials(annulus, grid):
+    radii = np.linspace(*annulus, grid)
+    angles = 2.0 * np.pi * np.arange(grid) / grid
+    per_point = np.array([r * np.exp(1j * a) for r in radii for a in angles])
+    assert np.array_equal(_polar_grid(*annulus, grid).view(float), per_point.view(float))
 
 
 def test_absence_scan_smoke(tmp_path, tree_basis, radial_spec_k2):

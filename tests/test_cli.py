@@ -12,19 +12,30 @@ import pytest
 from helpers import reference_pass
 from spectree import (
     PotentialSpec,
+    build_spherical_basis,
     build_tree,
     charval,
     direct_resolvent_block,
     from_lambda,
     from_z,
+    quadrature,
     resolvent,
     t_minus,
     weights,
     weighted_resolvent_kernel,
 )
-from spectree.birman_schwinger import BSFactory
+from spectree.birman_schwinger import BSFactory, hol_split
 from spectree.charval import ContourSpec
-from spectree.cli import _auto_depth, _sphere_column_errors, build_parser, main
+from spectree.cli import (
+    _auto_depth,
+    _fmt,
+    _run_validation,
+    _sphere_column_errors,
+    build_parser,
+    main,
+)
+from spectree.decomposition import verify_jacobi_form
+from spectree.operators import adjacency, lowering, m_tilde, raising, theta
 from spectree.errors import NonConvergent, OutOfDisk, SingularOnContour
 
 LOG2 = math.log(2.0)
@@ -48,6 +59,127 @@ def test_validate_passes(capsys, pot_file):
     assert code == 0
     assert "FAIL" not in out
     assert "overall" in out
+
+
+def _dense_validation(k, depth, spec):
+    """The invariant suite with every V x V operand built whole, as a reference."""
+    rows = []
+
+    def check(name, value, tol):
+        rows.append((name, float(value), tol, value <= tol))
+
+    t = build_tree(k, depth)
+    v = t.vertex_count
+    check("tree sphere sizes", max(abs(t.sphere_size(r) - k**r) for r in range(depth + 1)), 0)
+    a = adjacency(t)
+    check("edge count = V - 1", abs(a.sum() / 2 - (v - 1)), 0)
+    pi_up, pi_dn = raising(t), lowering(t)
+    check("raising + lowering = adjacency", np.abs(pi_up + pi_dn - a).max(), 0)
+    check("trace of lower.raise = k * interior",
+          abs(np.trace(pi_dn @ pi_up) - k * (v - t.sphere_size(depth))), 0)
+    check("adjacency band confinement",
+          max(0.0, np.abs(np.linalg.eigvalsh(a)).max() - 2 * math.sqrt(k)), 1e-10)
+    th = theta(t)
+    check("parity conjugation flips adjacency", np.abs(th[:, None] * a * th[None, :] + a).max(), 0)
+    m_vec, z0, eye = m_tilde(t, spec), 0.37 + 0.11j, np.eye(v)
+    lhs = th[:, None] * (-a + np.diag(m_vec) + (k + 1 - z0) * eye) * th[None, :]
+    rhs = a + np.diag(m_vec) + (k + 1 - z0) * eye
+    check("edge-swap conjugation identity", np.abs(lhs - rhs).max(), 1e-10)
+    e_m, e_p = weights(t, spec.delta if spec is not None else max(1.0, 6.0 * math.log(k)))
+    check("weight pair multiplies to identity", np.abs(e_m * e_p - 1).max(), 1e-12)
+
+    b = build_spherical_basis(t)
+    check("basis count = vertex count", abs(b.total_vectors() - v), 0)
+    full = np.hstack([b.global_vectors(n, j)
+                      for n in range(depth + 1) if b.dims[n] for j in range(b.levels(n))])
+    gram = full.T @ full
+    check("basis Gram deviation", np.abs(gram - np.eye(gram.shape[0])).max(), 1e-10)
+    check("block Jacobi residual",
+          max(verify_jacobi_form(b, t, n) for n in range(min(depth, 5))), 1e-10)
+
+    sp_ = from_z(k, -1.0 if k == 1 else t_minus(k) - 0.5)
+    check("fourier coefficient vs quadrature", max(
+        abs(resolvent.fourier_coefficient(n, sp_) - quadrature.fourier_quadrature(sp_.u, n))
+        for n in range(7)), 1e-10)
+    check("sine-projected coefficient vs quadrature", max(
+        abs(resolvent.sine_projected_coefficient(j, l, sp_)
+            - quadrature.sine_projected_quadrature(k, sp_.z, j, l))
+        for j in range(4) for l in range(4)), 1e-10)
+    kern = weighted_resolvent_kernel(t, b, e_m, e_m, sp_)
+    oracle = e_m[:, None] * direct_resolvent_block(t, sp_.z) * e_m[None, :]
+    check("weighted kernel vs direct solve (rel)",
+          np.linalg.norm(kern.entries - oracle) / np.linalg.norm(oracle), 1e-6)
+
+    if spec is not None:
+        check("potential decay certificate", 0.0, 0)
+        factory, lam = BSFactory(t, b, spec), 0.05j
+        tmat = factory.matrix(lam, +1)
+        g_pert = direct_resolvent_block(t, factory.point(lam).z, spec=spec,
+                                        rows=factory.support, cols=factory.support)
+        ident = np.eye(tmat.shape[0])
+        s_res = (ident + tmat) @ (ident - factory.j_phase[:, None] * factory.sqrt_abs[:, None]
+                                  * g_pert * factory.sqrt_abs[None, :])
+        check("resolvent-identity residual", np.abs(s_res - ident).max(), 1e-8)
+        check("desingularized reconstruction residual",
+              hol_split(t, b, spec, lam, factory=factory)[1], 1e-8)
+    return rows
+
+
+@pytest.mark.parametrize("k,depth", [(1, 10), (2, 6), (3, 4)])
+@pytest.mark.parametrize("radial", [False, True], ids=["free", "radial"])
+def test_validation_rows_equal_dense_formulas(k, depth, radial):
+    spec = (PotentialSpec.radial_exp(0.3 + 0.15j, max(1.0, 6 * math.log(k)))
+            if radial else None)
+
+    def printed(rows):
+        return [(name, _fmt(value), tol, bool(passed)) for name, value, tol, passed in rows]
+
+    got = printed(_run_validation(k, depth, spec))
+    assert got == printed(_dense_validation(k, depth, spec))
+    assert all(passed for *_, passed in got)
+
+
+def _peak_of_cli(argv):
+    """Exit code, stdout, stderr and peak RSS (KiB) of one CLI run in a child.
+
+    The wrapper's ``RUSAGE_CHILDREN`` covers only that one process.
+    """
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    wrapper = (
+        "import json, resource, subprocess, sys\n"
+        "proc = subprocess.run([sys.executable, '-m', 'spectree.cli'] + sys.argv[1:],\n"
+        "                      capture_output=True, text=True)\n"
+        "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "print(json.dumps([proc.returncode, proc.stdout, proc.stderr, peak]))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", wrapper, *argv], env=env,
+                         capture_output=True, text=True, timeout=600)
+    return json.loads(run.stdout)
+
+
+def test_validate_depth_10_under_400_mib():
+    # the potential of the validate-dense benchmark workload
+    code, stdout, stderr, peak_kib = _peak_of_cli(
+        ["validate", "--k", "2", "--depth", "10", "--potential", RADIAL])
+    assert code == 0, stderr[-2000:]
+    assert stdout.strip().splitlines()[-1].split() == ["overall", "PASS"]
+    assert peak_kib < 400 * 2**10
+
+
+@pytest.mark.parametrize("command", ["validate", "spectrum"])
+def test_dense_commands_over_memory_budget_are_one_error_line(monkeypatch, capsys, command):
+    monkeypatch.setattr(resolvent, "memory_budget", lambda: 1000)
+    code = main([command, "--k", "2", "--depth", "6"])
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert code == 1
+    assert captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "memory budget" in lines[0]
 
 
 def test_kernel_json(capsys):
@@ -104,22 +236,7 @@ def test_sphere_column_weighting_is_exact(k, depth):
 
 
 def test_kernel_depth_16_under_one_gib():
-    # the wrapper's RUSAGE_CHILDREN covers only the one kernel process
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    wrapper = (
-        "import json, resource, subprocess, sys\n"
-        "proc = subprocess.run([sys.executable, '-m', 'spectree.cli', 'kernel',\n"
-        "                       '--k', '2', '--depth', '16'], capture_output=True, text=True)\n"
-        "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
-        "print(json.dumps([proc.returncode, proc.stdout, proc.stderr, peak]))\n"
-    )
-    run = subprocess.run([sys.executable, "-c", wrapper], env=env,
-                         capture_output=True, text=True, timeout=600)
-    code, stdout, stderr, peak_kib = json.loads(run.stdout)
+    code, stdout, stderr, peak_kib = _peak_of_cli(["kernel", "--k", "2", "--depth", "16"])
     assert code == 0, stderr[-2000:]
     out = json.loads(stdout)
     assert (out["k"], out["depth"]) == (2, 16)

@@ -7,9 +7,12 @@ cross-check on the closure itself) for the assembled kernel.
 """
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from spectree import (
     build_tree,
@@ -26,7 +29,7 @@ from spectree import (
     weights,
     weighted_resolvent_kernel,
 )
-from spectree import resolvent
+from spectree import PotentialSpec, resolvent
 from spectree.errors import (
     AssumptionViolated,
     BranchFailure,
@@ -35,6 +38,7 @@ from spectree.errors import (
     OutOfDisk,
     TruncationWarning,
 )
+from spectree.operators import free_operator_sparse, m_tilde
 from spectree.quadrature import (
     cauchy_reconstruct,
     fourier_quadrature,
@@ -326,6 +330,49 @@ def test_first_vertex_columns_cover_every_depth_triple(k, depth):
     code = ResolventKernel(t)._code
     seen = np.unique(code[:, t.sphere_offsets[:depth + 1]])
     assert np.array_equal(seen, np.unique(code))
+
+
+# -- direct solve ----------------------------------------------------------------
+
+
+def _one_shot_block(t, z, spec, rows, cols):
+    """``splu(h).solve(eye)[rows][:, cols]`` on the boundary-closed operator."""
+    diag = np.full(t.vertex_count, -z, dtype=complex)
+    if spec is not None:
+        diag += m_tilde(t, spec)
+    s = t.sphere(t.depth)
+    diag[s.start:s.stop] -= t.k * resolvent.subtree_green(t.k, z)
+    h = (free_operator_sparse(t).astype(complex) + sp.diags(diag)).tocsc()
+    return spla.splu(h).solve(np.eye(t.vertex_count, dtype=complex))[rows][:, cols]
+
+
+@pytest.mark.parametrize("with_spec", [False, True], ids=["free", "radial"])
+@pytest.mark.parametrize("subset", [False, True], ids=["full", "unsorted subset"])
+def test_direct_solve_chunks_equal_one_shot_solve(with_spec, subset):
+    # V = 1023: the columns fall in four 256-column chunks
+    t = build_tree(2, 9)
+    spec = PotentialSpec.radial_exp(0.3 + 0.15j, 6 * math.log(2)) if with_spec else None
+    z = t_minus(2) - 0.5
+    rng = np.random.default_rng(3)
+    rows = rng.permutation(t.vertex_count)[:300] if subset else np.arange(t.vertex_count)
+    cols = rng.permutation(t.vertex_count)[:700] if subset else np.arange(t.vertex_count)
+    got = direct_resolvent_block(
+        t, z, spec=spec, rows=rows if subset else None, cols=cols if subset else None,
+    )
+    assert np.array_equal(got, _one_shot_block(t, z, spec, rows, cols))
+
+
+def test_direct_solve_peak_under_one_and_a_half_blocks():
+    t = build_tree(2, 10)
+    block = np.dtype(complex).itemsize * t.vertex_count**2
+    tracemalloc.start()
+    try:
+        out = direct_resolvent_block(t, t_minus(2) - 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (t.vertex_count, t.vertex_count)
+    assert peak < 1.5 * block
 
 
 # -- memory budget ---------------------------------------------------------------
