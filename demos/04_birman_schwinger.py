@@ -12,15 +12,13 @@ import numpy as np
 
 from spectree import (
     PotentialSpec,
-    bs_operator,
     build_spherical_basis,
     build_tree,
-    gamma_beta,
     hol_split,
     m_tilde,
     polar_factors,
 )
-from spectree.birman_schwinger import BSFactory
+from spectree.birman_schwinger import BSFactory, phase_ratio
 from spectree.quadrature import cauchy_reconstruct
 
 k, depth = 2, 8
@@ -35,18 +33,18 @@ factory = BSFactory(t, b, spec)
 print(f"support: {factory.support.size} vertices up to sphere {factory.r_support}")
 print(f"working disk radius: {factory.eps0:.3f}")
 
-op = bs_operator(t, b, spec, 0.1j, +1, factory=factory)
-eigs = np.linalg.eigvals(op.matrix)
-print(f"\nsandwich at lam=0.1j: {op.matrix.shape[0]}x{op.matrix.shape[1]}, "
+sandwich = factory.matrix(0.1j, +1)
+eigs = np.linalg.eigvals(sandwich)
+print(f"\nsandwich at lam=0.1j: {sandwich.shape[0]}x{sandwich.shape[1]}, "
       f"closest eigenvalue to -1 at distance {np.abs(eigs + 1).min():.4f}")
 
 print("\nnorm along a ray into the edge (bounded = removable point):")
 for lam in (1e-1, 1e-2, 1e-3, 1e-4):
     print(f"  |lam| = {lam:.0e}: norm {np.linalg.norm(factory.matrix(lam, +1), 2):.6f}")
 
-gb = gamma_beta(0, 0, 0.0)
+gamma, beta = phase_ratio(2, 0.0), phase_ratio(0, 0.0)
 print("\npole-free coefficient pair at the edge itself (j=l=0):",
-      f"beta - gamma = {gb.beta - gb.gamma:.6f} (closed form -1j)")
+      f"beta - gamma = {beta - gamma:.6f} (closed form -1j)")
 hol, res = hol_split(t, b, spec, 0.05j, factory=factory)
 print(f"desingularized reconstruction residual at lam=0.05j: {res:.2e}")
 hol0, _ = hol_split(t, b, spec, 0.0, factory=factory)

@@ -9,11 +9,7 @@ sandwiched family hits ``-1`` with an operator-valued argument principle.
 """
 from .birman_schwinger import (
     BSFactory,
-    BSOperator,
-    GammaBeta,
     HOL_COMPANION_FACTOR,
-    bs_operator,
-    gamma_beta,
     hol_split,
     phase_ratio,
     polar_factors,
@@ -79,8 +75,6 @@ from .resolvent import (
     from_lambda,
     from_z,
     sine_projected_coefficient,
-    spectral_point_from_json,
-    spectral_point_to_json,
     t_minus,
     t_plus,
     tail_bound,

@@ -12,9 +12,8 @@ at the edge; the two pole parts cancel in the combination
     gamma(lam) = (exp(i a phi(lam)) - 1) / (lam sqrt(4 - lam^2)),  a = j+l+2,
     beta(lam)  = same with a = |j-l|,
 
-leaving a kernel that is holomorphic through ``lam = 0``.  ``gamma``/``beta``
-are evaluated in closed form away from the origin and by short Maclaurin
-series inside ``|lam| < 1e-3`` to dodge cancellation.
+leaving a kernel that is holomorphic through ``lam = 0``.  Both are one
+closed form with ``expm1`` in the numerator, accurate up to and at the origin.
 
 For radial potentials the sandwich commutes with the sibling-permutation
 symmetry, so it is unitarily equivalent to a direct sum of per-block level
@@ -25,11 +24,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import InvalidParameter
 from .operators import PotentialSpec, m_tilde
@@ -47,12 +43,6 @@ from .tree import TreeGraph
 #: desingularized coefficient.  Pinned by the same quadrature calibration
 #: as the kernel prefactor.
 HOL_COMPANION_FACTOR = 2.0
-
-#: below this radius gamma/beta switch to their Maclaurin series
-SERIES_RADIUS = 1e-3
-
-#: number of retained Maclaurin coefficients
-SERIES_TERMS = 8
 
 #: support cutoff: vertices with |m| below this are dropped from the sandwich
 SUPPORT_CUTOFF = 1e-14
@@ -75,79 +65,20 @@ def polar_factors(m_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # -- gamma/beta ----------------------------------------------------------------
 
-def _working_len() -> int:
-    return SERIES_TERMS + 4
-
-
-@lru_cache(maxsize=None)
-def _phi_coeffs() -> tuple[float, ...]:
-    # 2*arcsin(lam/2): coefficient of lam^(2m+1) is C(2m,m) / (16^m (2m+1))
-    n = _working_len()
-    c = np.zeros(n)
-    for m in range((n - 1) // 2 + 1):
-        if 2 * m + 1 < n:
-            c[2 * m + 1] = math.comb(2 * m, m) / (16.0**m * (2 * m + 1))
-    return tuple(c)
-
-
-@lru_cache(maxsize=None)
-def _inv_sqrt_coeffs() -> tuple[float, ...]:
-    # (4 - lam^2)^(-1/2) = (1/2) sum C(2m,m) (lam^2/16)^m
-    n = _working_len()
-    c = np.zeros(n)
-    for m in range(n // 2 + 1):
-        if 2 * m < n:
-            c[2 * m] = 0.5 * math.comb(2 * m, m) / 16.0**m
-    return tuple(c)
-
-
-@lru_cache(maxsize=None)
-def phase_ratio_series(a: int) -> tuple[complex, ...]:
-    """Maclaurin coefficients of ``(exp(i a phi(lam)) - 1) / (lam sqrt(4-lam^2))``."""
-    n = _working_len()
-    phi = np.array(_phi_coeffs())
-    expm1 = np.zeros(n, dtype=complex)
-    power = np.zeros(n, dtype=complex)
-    power[0] = 1.0
-    fact = 1.0
-    for p in range(1, n):
-        power = P.polymul(power, phi)[:n]
-        fact *= p
-        expm1 += (1j * a) ** p / fact * power
-    ratio = expm1[1:]  # divide by lam; the constant term vanishes
-    ratio = P.polymul(ratio, np.array(_inv_sqrt_coeffs()))[:SERIES_TERMS]
-    return tuple(ratio)
-
-
 def phase_ratio(a: int, lam: complex) -> complex:
-    """``(exp(i a phi(lam)) - 1) / (lam sqrt(4 - lam^2))``, finite at 0."""
+    """``(exp(i a phi(lam)) - 1) / (lam sqrt(4 - lam^2))``, finite at 0.
+
+    ``gamma`` is this ratio at ``a = j+l+2`` and ``beta`` at ``a = |j-l|``.
+    ``expm1`` keeps the numerator accurate as ``lam -> 0``; at ``lam = 0`` the
+    ratio is its limit ``i a / 2``.
+    """
     lam = complex(lam)
     if abs(lam) >= 2.0:
         raise InvalidParameter(f"|lam|={abs(lam):.3g} outside the principal disk")
-    if abs(lam) < SERIES_RADIUS:
-        return complex(P.polyval(lam, np.array(phase_ratio_series(a))))
+    if lam == 0:
+        return 0.5j * a
     phi = 2.0 * cmath.asin(lam / 2.0)
-    return (cmath.exp(1j * a * phi) - 1.0) / (lam * cmath.sqrt(4.0 - lam * lam))
-
-
-@dataclass(frozen=True)
-class GammaBeta:
-    """Desingularized coefficient pair for one level pair ``(j, l)``."""
-
-    j: int
-    l: int
-    lam: complex
-    gamma: complex
-    beta: complex
-
-
-def gamma_beta(j: int, l: int, lam: complex) -> GammaBeta:
-    """Evaluate the pole-free coefficient pair at ``lam`` (``lam = 0`` allowed)."""
-    return GammaBeta(
-        j=j, l=l, lam=complex(lam),
-        gamma=phase_ratio(j + l + 2, lam),
-        beta=phase_ratio(abs(j - l), lam),
-    )
+    return complex(np.expm1(1j * a * phi)) / (lam * cmath.sqrt(4.0 - lam * lam))
 
 
 # -- the sandwiched operator ----------------------------------------------------
@@ -183,19 +114,6 @@ def support_vertices(
     return idx, r_support
 
 
-@dataclass
-class BSOperator:
-    """Finite matrix realization of the sandwiched resolvent on its support."""
-
-    support: np.ndarray
-    matrix: np.ndarray
-    j_phase: np.ndarray
-    sqrt_abs: np.ndarray
-    lam: complex
-    sign: int
-    point: SpectralPoint
-
-
 class BSFactory:
     """Precomputed machinery for evaluating the sandwich at many parameters.
 
@@ -215,12 +133,11 @@ class BSFactory:
         b: object,
         spec: PotentialSpec | None,
         *,
-        allow_violation: bool = False,
         cutoff: float = SUPPORT_CUTOFF,
     ):
         self.tree = t
         self.spec = spec
-        self.m_vec = m_tilde(t, spec, allow_violation=allow_violation)
+        self.m_vec = m_tilde(t, spec)
         self.support, self.r_support = support_vertices(t, self.m_vec, cutoff)
         j_full, sqrt_full = polar_factors(self.m_vec)
         self.j_phase = j_full[self.support]
@@ -287,27 +204,11 @@ class BSFactory:
         """``sign * J * kernel`` on the support for ``(N, E)`` tables."""
         return sign * self.j_phase[:, None] * self.kernel.assemble(plus, minus)
 
-    def matrix_at(self, sp_: SpectralPoint, sign: int) -> np.ndarray:
-        plus, minus = self.kernel.exponent_tables(sp_)
-        return self._sandwich(plus[None], minus[None], sign)[0]
-
     def matrix(self, lam: complex, sign: int = 1, *, eps0: float | None = None) -> np.ndarray:
-        return self.matrix_at(self.point(lam, eps0=eps0), sign)
+        return self._sandwich(*self._tables(lam, False, eps0), sign)[0]
 
     def derivative(self, lam: complex, sign: int = 1, *, eps0: float | None = None) -> np.ndarray:
         return self._sandwich(*self._tables(lam, True, eps0), sign)[0]
-
-    def operator(self, lam: complex, sign: int = 1, *, eps0: float | None = None) -> BSOperator:
-        sp_ = self.point(lam, eps0=eps0)
-        return BSOperator(
-            support=self.support,
-            matrix=self.matrix_at(sp_, sign),
-            j_phase=self.j_phase,
-            sqrt_abs=self.sqrt_abs,
-            lam=complex(lam),
-            sign=sign,
-            point=sp_,
-        )
 
     def hol_matrix(self, lam: complex) -> np.ndarray:
         """Desingularized kernel on the support (no phase factor applied)."""
@@ -356,28 +257,6 @@ class BSFactory:
             return self.reduced_blocks(lam, sign, derivative=derivative, eps0=eps0)
         stack = self._sandwich(*self._tables(lam, derivative, eps0), sign)
         return [(1, stack if np.ndim(lam) else stack[0])]
-
-
-def bs_operator(
-    t: TreeGraph,
-    b: object,
-    spec: PotentialSpec | None,
-    lam: complex,
-    sign: int = 1,
-    *,
-    eps0: float | None = None,
-    factory: BSFactory | None = None,
-) -> BSOperator:
-    """One-shot construction of the sandwiched operator at edge parameter ``lam``.
-
-    ``sign = -1`` gives the companion family used at the upper band edge
-    (equivalently, the sandwich built from the negated perturbation).  ``b``
-    is unused, as for :class:`BSFactory`.
-    """
-    if sign not in (1, -1):
-        raise InvalidParameter("sign must be +1 or -1")
-    factory = factory or BSFactory(t, b, spec)
-    return factory.operator(lam, sign, eps0=eps0)
 
 
 def hol_split(

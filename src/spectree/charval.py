@@ -52,6 +52,22 @@ RESONANCE_RTOL = 1e-6
 #: peak memory of a scan by several MiB
 STACK_ENTRIES = 2**14
 
+#: a contour count certifies when its raw value lies this close to an integer
+RESIDUAL_TOL = 0.1
+
+#: a contour node where the family's min singular value drops below this is
+#: singular
+SV_FLOOR = 1e-10
+
+#: times a contour pass doubles its node count before it gives up
+MAX_DOUBLINGS = 2
+
+#: ratio of consecutive radii on the ladder of circles of :func:`absence_scan`
+LADDER_FACTOR = 2.0
+
+#: eigenvalues within this distance of ``[t_minus, t_plus]`` lie in the band
+BAND_TOL = 1e-8
+
 
 def _chunk_len(entries: int) -> int:
     """Points per chunk when one point's blocks hold ``entries`` entries."""
@@ -89,7 +105,7 @@ class IndexReport:
 
     @property
     def certified(self) -> bool:
-        return self.residual < 0.1 and self.min_sv_on_contour > 0
+        return self.residual < RESIDUAL_TOL and self.min_sv_on_contour > 0
 
     def to_json(self) -> dict:
         return {
@@ -120,51 +136,41 @@ def _trace_and_sv(fv, fp) -> tuple[np.ndarray, np.ndarray]:
     return traces, sv
 
 
-def contour_index(
-    f,
-    fprime=None,
-    contour: ContourSpec = ContourSpec(0.0, 0.1),
-    *,
-    sv_floor: float = 1e-10,
-    residual_tol: float = 0.1,
-    max_doublings: int = 2,
-) -> IndexReport:
+def contour_index(f, fprime, contour: ContourSpec = ContourSpec(0.0, 0.1)) -> IndexReport:
     """Count characteristic values of ``f`` inside the contour.
 
     ``f(lams)`` returns the family values at a 1-D array of nodes, stacked
     along the first axis (an array or a block list, see the module
-    docstring); ``fprime`` its derivative, approximated by complex central
-    differences with step ``1e-6 * radius`` when omitted.  Nodes are doubled
-    up to ``max_doublings`` times until the quadrature result sits within
-    ``residual_tol`` of an integer.
+    docstring); ``fprime`` its derivative, in the same form.  Nodes are
+    doubled up to :data:`MAX_DOUBLINGS` times until the quadrature result
+    sits within :data:`RESIDUAL_TOL` of an integer.
 
     Raises
     ------
     SingularOnContour
-        If the family drops below ``sv_floor`` at some node (after one
+        If the family drops below :data:`SV_FLOOR` at some node (after one
         automatic node-phase nudge).
     NonConvergent
         If the residual never certifies.
+    CapacityExceeded
+        If the node arrays of the last doubling would not fit the memory
+        budget.
     """
-    if fprime is None:
-        h = 1e-6 * contour.radius
-
-        def fprime(lam, _f=f, _h=h):
-            plus, minus = _block_list(_f(lam + _h)), _block_list(_f(lam - _h))
-            return [(m, (bp - bm) / (2.0 * _h)) for (m, bp), (_, bm) in zip(plus, minus)]
-
     nodes = contour.nodes
-    for _ in range(max_doublings + 1):
+    # the last doubling's angles, their exponentials, nodes and unit phases
+    most = nodes << MAX_DOUBLINGS
+    _check_budget(4 * np.dtype(complex).itemsize * most, f"{most} contour nodes")
+    for _ in range(MAX_DOUBLINGS + 1):
         report = None
         for phase in (0.0, math.pi / nodes):
             try:
-                report = _quadrature_pass(f, fprime, contour, nodes, phase, sv_floor)
+                report = _quadrature_pass(f, fprime, contour, nodes, phase)
                 break
             except SingularOnContour:
                 if phase != 0.0:
                     raise
         assert report is not None
-        if report.residual < residual_tol:
+        if report.residual < RESIDUAL_TOL:
             return report
         nodes *= 2
     raise NonConvergent(
@@ -172,7 +178,7 @@ def contour_index(
     )
 
 
-def _quadrature_pass(f, fprime, contour, nodes, phase, sv_floor) -> IndexReport:
+def _quadrature_pass(f, fprime, contour, nodes, phase) -> IndexReport:
     pts = contour.points(nodes, phase)
     unit = (pts - contour.center) / contour.radius
     # chunks are sized from the blocks of the first node
@@ -183,7 +189,7 @@ def _quadrature_pass(f, fprime, contour, nodes, phase, sv_floor) -> IndexReport:
         lams = pts[start:start + step]
         traces, svs = _trace_and_sv(_block_list(f(lams)), _block_list(fprime(lams)))
         for node, u, tr, sv in zip(lams, unit[start:], traces, svs):
-            if sv < sv_floor:
+            if sv < SV_FLOOR:
                 raise SingularOnContour(
                     f"family singular at contour node {node:.6g} (sv={sv:.3g})"
                 )
@@ -312,14 +318,13 @@ def absence_scan(
     threshold: str = "minus",
     *,
     nodes: int = 256,
-    ladder_factor: float = 2.0,
     csv_path=None,
     factory: BSFactory | None = None,
 ) -> ScanReport:
     """Certify the absence of edge resonances on an annulus.
 
     Runs the argument-principle counter on the geometric ladder of circles
-    ``r_min * ladder_factor**m`` inside ``[r_min, r_max]``, closed by a circle
+    ``r_min * LADDER_FACTOR**m`` inside ``[r_min, r_max]``, closed by a circle
     at ``r_max`` when the ladder falls short of it, and tabulates the
     eigenvalue distance to ``-1`` and the smallest singular value of
     ``I + T`` on a ``grid x grid`` polar grid.  The grid is evaluated in
@@ -330,6 +335,11 @@ def absence_scan(
     r_min, r_max = annulus
     if grid < 1:
         raise InvalidParameter(f"grid must be >= 1, got {grid}")
+    # the grid points, the rows kept per chunk and their concatenation
+    _check_budget(
+        grid * grid * (np.dtype(complex).itemsize + 2 * len(CSV_HEADER) * np.dtype(float).itemsize),
+        f"{grid} x {grid} grid points and rows",
+    )
     factory = factory or BSFactory(t, b, spec)
     eps0 = factory.eps0
     if not 0.0 < r_min < r_max < eps0:
@@ -340,8 +350,8 @@ def absence_scan(
     fval, fpval = _family(factory, sign, eps0)
 
     circles = [r_min]
-    while circles[-1] * ladder_factor <= r_max * (1.0 + 1e-12):
-        circles.append(circles[-1] * ladder_factor)
+    while circles[-1] * LADDER_FACTOR <= r_max * (1.0 + 1e-12):
+        circles.append(circles[-1] * LADDER_FACTOR)
     if circles[-1] < r_max * (1.0 - 1e-12):
         circles.append(r_max)
     ladder = [
@@ -420,17 +430,14 @@ class SpectrumResult:
         return self.eigenvalues[~self.inside_band]
 
 
-def spectrum(
-    t: TreeGraph, spec: PotentialSpec | None, *, allow_violation: bool = False,
-    band_tol: float = 1e-8,
-) -> SpectrumResult:
+def spectrum(t: TreeGraph, spec: PotentialSpec | None) -> SpectrumResult:
     """Dense eigensolve of the perturbed truncated operator."""
     # the dense complex operator plus the eigensolver's copy of it
     v = t.vertex_count
     _check_budget(2 * np.dtype(complex).itemsize * v * v,
                   f"dense operator and eigensolve on {v} vertices")
-    m_vec = m_tilde(t, spec, allow_violation=allow_violation)
-    h = perturbed_operator(t, spec, allow_violation=allow_violation)
+    m_vec = m_tilde(t, spec)
+    h = perturbed_operator(t, spec)
     if np.abs(m_vec.imag).max(initial=0.0) == 0.0:
         eigs = np.linalg.eigvalsh(h.real).astype(complex)
     else:
@@ -438,7 +445,7 @@ def spectrum(
         eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
     lo, hi = t_minus(t.k), t_plus(t.k)
     x = np.clip(eigs.real, lo, hi)
-    inside = np.abs(eigs - x) <= band_tol
+    inside = np.abs(eigs - x) <= BAND_TOL
     return SpectrumResult(
         eigenvalues=eigs, inside_band=inside, t_minus=lo, t_plus=hi
     )

@@ -22,15 +22,17 @@ import math
 import sys
 
 import numpy as np
+from scipy.sparse.linalg import eigsh
 
 from . import charval, quadrature
-from .birman_schwinger import BSFactory, hol_split
+from .birman_schwinger import SUPPORT_CUTOFF, BSFactory, hol_split
 from .charval import ContourSpec, absence_scan, spectrum
 from .decomposition import build_spherical_basis, verify_jacobi_form
 from .errors import InvalidParameter, NonConvergent, SingularOnContour, SpectreeError
 from .operators import (
     PotentialSpec,
     adjacency,
+    adjacency_sparse,
     lowering,
     m_tilde,
     raising,
@@ -151,6 +153,12 @@ def build_parser() -> _Parser:
 _ROW_BLOCK_ENTRIES = 2**18
 
 
+def _default_delta(k: int, spec: PotentialSpec | None) -> float:
+    """Weight rate of ``validate`` and ``kernel``: the potential's decay rate,
+    else ``max(1, 6 ln k)``."""
+    return spec.delta if spec is not None else max(1.0, 6.0 * math.log(k))
+
+
 def _validation_bytes(v: int) -> int:
     """Peak bytes of the largest ``validate`` stage on ``v`` vertices.
 
@@ -176,8 +184,7 @@ def _run_validation(k: int, depth: int, spec: PotentialSpec | None):
     t = build_tree(k, depth)
     _check_budget(_validation_bytes(t.vertex_count),
                   f"validate's dense checks on {t.vertex_count} vertices")
-    delta = spec.delta if spec is not None else max(1.0, 6.0 * math.log(k))
-    e_m, e_p = weights(t, delta)
+    e_m, e_p = weights(t, _default_delta(k, spec))
     _check_operators(t, spec, e_m, e_p, check)
     _check_basis(t, check)
     _check_kernel(t, e_m, check)
@@ -201,8 +208,10 @@ def _check_operators(t: TreeGraph, spec, e_m, e_p, check) -> None:
     check("trace of lower.raise = k * interior",
           abs(np.einsum("ij,ji->", pi_dn, pi_up) - k * interior), 0)
     del pi_up, pi_dn
-    eigs = np.linalg.eigvalsh(a)
-    check("adjacency band confinement", max(0.0, np.abs(eigs).max() - 2 * math.sqrt(k)), 1e-10)
+    # ARPACK needs two vertices; the one-vertex adjacency is the zero matrix
+    radius = (abs(eigsh(adjacency_sparse(t), k=1, which="LM", return_eigenvectors=False)[0])
+              if t.vertex_count > 1 else 0.0)
+    check("adjacency band confinement", max(0.0, radius - 2 * math.sqrt(k)), 1e-10)
     th = theta(t)
     check("parity conjugation flips adjacency", np.abs(th[:, None] * a * th[None, :] + a).max(), 0)
     check("edge-swap conjugation identity",
@@ -241,7 +250,7 @@ def _check_basis(t: TreeGraph, check) -> None:
     gram[np.diag_indices_from(gram)] -= 1.0
     check("basis Gram deviation", np.abs(gram).max(), 1e-10)
     del gram
-    jac = max(verify_jacobi_form(b, t, n) for n in range(min(t.depth, 5)))
+    jac = max((verify_jacobi_form(b, t, n) for n in range(min(t.depth, 5))), default=0.0)
     check("block Jacobi residual", jac, 1e-10)
 
 
@@ -323,9 +332,7 @@ def _sphere_column_errors(t: TreeGraph, closed: np.ndarray, oracle: np.ndarray) 
 def _cmd_kernel(args) -> int:
     depth = args.depth if args.depth is not None else 8
     spec = _load_potential(args.potential)
-    delta = args.delta
-    if delta is None:
-        delta = spec.delta if spec is not None else max(1.0, 6.0 * math.log(args.k))
+    delta = args.delta if args.delta is not None else _default_delta(args.k, spec)
     if args.lam is not None:
         sp_ = from_lambda(args.k, _complex_arg("--lam", args.lam), args.threshold)
     else:
@@ -386,9 +393,9 @@ def _auto_depth(k: int, spec: PotentialSpec | None) -> int:
             d += 1
         return max(d + 1, 4)
     amp = abs(spec.amplitude)
-    if amp <= 1e-14:
+    if amp <= SUPPORT_CUTOFF:
         return 4
-    span = math.log(amp / 1e-14) / spec.delta
+    span = math.log(amp / SUPPORT_CUTOFF) / spec.delta
     return max(4, math.ceil(span))
 
 

@@ -17,6 +17,7 @@ the root degree defect.
 """
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -148,11 +149,20 @@ class PotentialSpec:
     def __post_init__(self):
         if self.kind not in ("radial-exp", "table"):
             raise InvalidParameter(f"unknown potential kind {self.kind!r}")
-        if self.delta <= 0:
-            raise InvalidParameter("decay rate delta must be positive")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise InvalidParameter(
+                f"potential field 'delta' must be positive and finite, got {self.delta!r}"
+            )
+        if not cmath.isfinite(self.amplitude):
+            raise InvalidParameter(f"potential field 'amplitude' is not finite: {self.amplitude!r}")
+        if self.c_const is not None and not math.isfinite(self.c_const):
+            raise InvalidParameter(f"potential field 'C' is not finite: {self.c_const!r}")
         negative = [v for v, _ in self.values if v < 0]
         if negative:
             raise InvalidParameter(f"potential field 'values' has negative vertices {negative}")
+        nonfinite = [v for v, x in self.values if not cmath.isfinite(x)]
+        if nonfinite:
+            raise InvalidParameter(f"potential field 'values' is not finite at vertices {nonfinite}")
 
     @classmethod
     def radial_exp(cls, amplitude: complex, delta: float) -> "PotentialSpec":
@@ -227,7 +237,7 @@ class PotentialSpec:
             raise InvalidParameter("potential JSON must be an object")
         kind = obj.get("kind")
         delta = _field(obj, "delta", float)
-        c = obj.get("C")
+        c = _field(obj, "C", float) if "C" in obj else None
         if kind == "radial-exp":
             amp = _field(obj, "amplitude", _complex_field)
             spec = cls(kind="radial-exp", delta=delta, amplitude=amp, c_const=c)
@@ -267,21 +277,17 @@ def potential_matrix(
     return spec.materialize(t)
 
 
-def m_tilde(
-    t: TreeGraph, spec: PotentialSpec | None, *, allow_violation: bool = False
-) -> np.ndarray:
+def m_tilde(t: TreeGraph, spec: PotentialSpec | None) -> np.ndarray:
     """Diagonal of the effective perturbation ``-d0 + M``."""
     _, d0 = degree_terms(t)
     m = -d0.astype(complex)
     if spec is not None:
-        m += potential_matrix(t, spec, allow_violation=allow_violation)
+        m += potential_matrix(t, spec)
     return m
 
 
-def perturbed_operator(
-    t: TreeGraph, spec: PotentialSpec | None, *, allow_violation: bool = False
-) -> np.ndarray:
+def perturbed_operator(t: TreeGraph, spec: PotentialSpec | None) -> np.ndarray:
     """Dense ``-adjacency + (k+1) + diag(m_tilde)``."""
     h = free_operator(t).astype(complex)
-    h[np.diag_indices_from(h)] += m_tilde(t, spec, allow_violation=allow_violation)
+    h[np.diag_indices_from(h)] += m_tilde(t, spec)
     return h

@@ -50,7 +50,7 @@ from .errors import (
     TruncationWarning,
 )
 from .operators import delta_floor, free_operator_sparse, m_tilde
-from .tree import TreeGraph, build_tree
+from .tree import TreeGraph
 
 #: Scalar multiplying each closed-form bracket, relative to the quadrature
 #: normalization ``(1/pi) * integral over the circle``.  Fixed uniquely by the
@@ -140,27 +140,6 @@ class SpectralPoint:
             k=self.k, z=self.z, u=self.u, eiphi=1.0 / self.eiphi,
             lam=self.lam, threshold=self.threshold,
         )
-
-
-def spectral_point_to_json(sp_: SpectralPoint) -> dict:
-    """Wire form of a point: edge-parametrized points carry ``lambda``."""
-    if sp_.lam is not None:
-        return {
-            "k": sp_.k,
-            "lambda": {"re": sp_.lam.real, "im": sp_.lam.imag},
-            "threshold": sp_.threshold,
-        }
-    return {"k": sp_.k, "z": {"re": sp_.z.real, "im": sp_.z.imag}}
-
-
-def spectral_point_from_json(obj: dict, *, eps0: float = DEFAULT_DISK_RADIUS) -> SpectralPoint:
-    """Rebuild a point from its wire form (see :func:`spectral_point_to_json`)."""
-    k = int(obj["k"])
-    if "lambda" in obj:
-        lam = complex(float(obj["lambda"]["re"]), float(obj["lambda"].get("im", 0.0)))
-        return from_lambda(k, lam, obj.get("threshold", "minus"), eps0=eps0)
-    z = complex(float(obj["z"]["re"]), float(obj["z"].get("im", 0.0)))
-    return from_z(k, z)
 
 
 def _distance_to_band(k: int, z: complex) -> float:
@@ -448,7 +427,14 @@ def weighted_resolvent_kernel(
 
 # -- direct-solve oracle ------------------------------------------------------
 
-def subtree_green(k: int, z: complex, tol: float = 1e-16, max_iter: int = 100_000) -> complex:
+#: step size at which the fixed point of :func:`subtree_green` has converged
+SUBTREE_TOL = 1e-16
+
+#: fixed-point steps :func:`subtree_green` takes before it gives up
+SUBTREE_MAX_ITER = 100_000
+
+
+def subtree_green(k: int, z: complex) -> complex:
     """Root resolvent entry of one dangling k-ary subtree, by fixed point.
 
     Eliminating the subtree below a vertex renormalizes its diagonal, and the
@@ -458,9 +444,9 @@ def subtree_green(k: int, z: complex, tol: float = 1e-16, max_iter: int = 100_00
     """
     g = 0.0 + 0.0j
     base = (k + 1.0) - z
-    for _ in range(max_iter):
+    for _ in range(SUBTREE_MAX_ITER):
         g_next = 1.0 / (base - k * g)
-        if abs(g_next - g) < tol:
+        if abs(g_next - g) < SUBTREE_TOL:
             return g_next
         g = g_next
     raise OnSpectrum(f"subtree closure did not converge at z={z}")
@@ -472,7 +458,6 @@ def direct_resolvent_block(
     *,
     spec=None,
     boundary: str = "exact",
-    pad: int = 0,
     rows: np.ndarray | None = None,
     cols: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -483,37 +468,34 @@ def direct_resolvent_block(
     subtree self-energy ``k * subtree_green(z)``, so the LU solve reproduces
     the *untruncated* operator's resolvent block exactly; with
     ``boundary="truncated"`` it is the plain compression (boundary
-    reflections and all).  ``pad`` additionally deepens the solved tree while
-    returning the block of the original one.
+    reflections and all).
     """
     if boundary not in ("exact", "truncated"):
         raise InvalidParameter(f"unknown boundary mode {boundary!r}")
-    big = build_tree(t.k, t.depth + pad) if pad > 0 else t
-    n_small = t.vertex_count
-    rows = np.arange(n_small) if rows is None else np.asarray(rows)
-    cols = np.arange(n_small) if cols is None else np.asarray(cols)
+    n = t.vertex_count
+    rows = np.arange(n) if rows is None else np.asarray(rows)
+    cols = np.arange(n) if cols is None else np.asarray(cols)
     step = SOLVE_CHUNK
     # the returned rows x cols block, plus one chunk's identity columns, their
     # solution and its gathered rows
     _check_budget(
-        np.dtype(complex).itemsize
-        * (rows.size * cols.size + 3 * big.vertex_count * min(step, cols.size)),
-        f"direct-solve columns for {cols.size} of {big.vertex_count} vertices",
+        np.dtype(complex).itemsize * (rows.size * cols.size + 3 * n * min(step, cols.size)),
+        f"direct-solve columns for {cols.size} of {n} vertices",
     )
 
-    diag = np.full(big.vertex_count, -z, dtype=complex)
+    diag = np.full(n, -z, dtype=complex)
     if spec is not None:
-        diag += m_tilde(big, spec)
+        diag += m_tilde(t, spec)
     if boundary == "exact":
-        s = big.sphere(big.depth)
-        diag[s.start:s.stop] -= big.k * subtree_green(big.k, z)
+        s = t.sphere(t.depth)
+        diag[s.start:s.stop] -= t.k * subtree_green(t.k, z)
 
-    h = (free_operator_sparse(big).astype(complex) + sp.diags(diag)).tocsc()
+    h = (free_operator_sparse(t).astype(complex) + sp.diags(diag)).tocsc()
     lu = spla.splu(h)
     out = np.empty((rows.size, cols.size), dtype=complex)
     for start in range(0, cols.size, step):
         chunk = cols[start:start + step]
-        rhs = np.zeros((big.vertex_count, chunk.size), dtype=complex)
+        rhs = np.zeros((n, chunk.size), dtype=complex)
         rhs[chunk, np.arange(chunk.size)] = 1.0
         out[:, start:start + chunk.size] = lu.solve(rhs)[rows, :]
     return out

@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import CapacityExceeded, IndexOutOfRange, InvalidParameter, RootHasNoParent
 
-DEFAULT_VERTEX_CAP = 10_000_000
+#: most vertices :func:`build_tree` builds
+VERTEX_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class TreeGraph:
         return out
 
 
-def build_tree(k: int, depth: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> TreeGraph:
+def build_tree(k: int, depth: int) -> TreeGraph:
     """Construct the depth-``depth`` truncation of the rooted k-ary tree.
 
     Raises
@@ -64,7 +65,7 @@ def build_tree(k: int, depth: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Tr
     InvalidParameter
         If ``k < 1`` or ``depth < 0``.
     CapacityExceeded
-        If the vertex count would exceed ``max_vertices``.
+        If the vertex count would exceed :data:`VERTEX_CAP`.
     """
     if k < 1:
         raise InvalidParameter(f"branching factor must be >= 1, got {k}")
@@ -72,9 +73,9 @@ def build_tree(k: int, depth: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Tr
         raise InvalidParameter(f"depth must be >= 0, got {depth}")
     sizes = [k**r for r in range(depth + 1)]
     count = sum(sizes)
-    if count > max_vertices:
+    if count > VERTEX_CAP:
         raise CapacityExceeded(
-            f"k={k}, depth={depth} needs {count} vertices (cap {max_vertices})"
+            f"k={k}, depth={depth} needs {count} vertices (cap {VERTEX_CAP})"
         )
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
     return TreeGraph(k=k, depth=depth, vertex_count=count, sphere_offsets=offsets)

@@ -1,6 +1,6 @@
 """Sandwiched operator, polar factors, desingularized coefficients.
 
-Oracles: mpmath high-precision evaluation for the series seam, dense LU
+Oracles: mpmath high-precision evaluation of the pole-free ratio, dense LU
 sandwiches for the operator itself, and exact finite-matrix identities
 (resolvent identity, edge-swap conjugation) that hold on any truncation.
 """
@@ -15,12 +15,10 @@ from hypothesis import strategies as st_
 
 from spectree import (
     PotentialSpec,
-    bs_operator,
     build_spherical_basis,
     build_tree,
     direct_resolvent_block,
     from_lambda,
-    gamma_beta,
     hol_split,
     m_tilde,
     polar_factors,
@@ -30,7 +28,6 @@ from spectree import (
 from spectree.birman_schwinger import (
     BSFactory,
     HOL_COMPANION_FACTOR,
-    SERIES_RADIUS,
     newborn_multiplicity,
     phase_ratio,
     support_vertices,
@@ -95,35 +92,30 @@ def test_support_restriction():
 # -- gamma/beta -------------------------------------------------------------
 
 
+def gamma_beta(j, l, lam):
+    """The pole-free pair ``(gamma, beta)`` of the level pair ``(j, l)``."""
+    return phase_ratio(j + l + 2, lam), phase_ratio(abs(j - l), lam)
+
+
 def test_gamma_beta_limit_at_zero():
     # closed form of the limit: i (|j-l| - (j+l+2)) / 2
     for j, l in ((0, 0), (1, 3), (2, 2), (0, 4)):
-        gb = gamma_beta(j, l, 0.0)
+        gamma, beta = gamma_beta(j, l, 0.0)
         expected = 1j * (abs(j - l) - (j + l + 2)) / 2.0
-        assert gb.beta - gb.gamma == pytest.approx(expected, abs=1e-14)
-    gb = gamma_beta(0, 0, 0.0)
-    assert gb.beta - gb.gamma == pytest.approx(-1j)
+        assert beta - gamma == pytest.approx(expected, abs=1e-14)
+    gamma, beta = gamma_beta(0, 0, 0.0)
+    assert beta - gamma == pytest.approx(-1j)
 
 
 def test_beta_vanishes_on_diagonal():
     for lam in (0.0, 1e-4, 0.05 + 0.02j):
-        assert gamma_beta(3, 3, lam).beta == 0.0
+        assert gamma_beta(3, 3, lam)[1] == 0.0
 
 
-@pytest.mark.parametrize("a", [1, 2, 7, 16])
-@pytest.mark.parametrize("lam", [1e-3, 1e-3 + 0j, 5e-4 - 2e-4j, 1e-5j, 0.0021])
+@pytest.mark.parametrize("a", [1, 2, 7, 16, 42])
+@pytest.mark.parametrize("lam", [1e-3, 1e-3 + 0j, 5e-4 - 2e-4j, 1e-5j, 0.0021, 1e-8, 1e-12j])
 def test_phase_ratio_against_mpmath(a, lam):
     assert phase_ratio(a, lam) == pytest.approx(mp_phase_ratio(a, lam), abs=1e-13)
-
-
-def test_series_seam_continuity():
-    lam = SERIES_RADIUS  # exact-path side of the seam
-    lam_in = SERIES_RADIUS * (1 - 1e-12)
-    for j, l in ((0, 0), (1, 4), (3, 2)):
-        outside = gamma_beta(j, l, lam)
-        inside = gamma_beta(j, l, lam_in)
-        assert abs(outside.gamma - inside.gamma) < 1e-12
-        assert abs(outside.beta - inside.beta) < 1e-12
 
 
 # -- the sandwiched operator --------------------------------------------------
@@ -134,11 +126,11 @@ def test_bare_root_sandwich():
     # so the 1x1 sandwich is minus the root resolvent entry
     t = build_tree(2, 6)
     b = build_spherical_basis(t)
-    op = bs_operator(t, b, None, 0.1j, +1)
-    assert np.array_equal(op.support, [0])
+    factory = BSFactory(t, b, None)
+    assert np.array_equal(factory.support, [0])
     sp = from_lambda(2, 0.1j)
-    assert op.matrix[0, 0] == pytest.approx(-sp.eiphi / math.sqrt(2), abs=1e-12)
-    assert op.j_phase[0] == -1.0
+    assert factory.matrix(0.1j, +1)[0, 0] == pytest.approx(-sp.eiphi / math.sqrt(2), abs=1e-12)
+    assert factory.j_phase[0] == -1.0
 
 
 def test_physical_sheet_matches_dense_sandwich(tree_basis, radial_spec_k2):
@@ -226,7 +218,7 @@ def test_sheet_swap_symmetry(tree_basis, radial_spec_k2):
     t, b = tree_basis(2, 6)
     factory = BSFactory(t, b, radial_spec_k2)
     lam = 0.06 + 0.04j
-    swapped = factory.matrix_at(factory.point(lam).sheet_swapped(), +1)
+    swapped = factory.j_phase[:, None] * factory.kernel.evaluate(factory.point(lam).sheet_swapped())
     negated = factory.matrix(-lam, +1)
     assert np.abs(swapped - negated).max() < 1e-12
 
@@ -258,11 +250,11 @@ def test_hol_at_zero_matches_gamma_beta_limit():
     hol, res = hol_split(t, b, spec, 0.0, factory=factory)
     assert res == 0.0
     assert np.isfinite(hol).all()
-    # manual assembly through gamma_beta on the 1x1 top block: the (root,root)
+    # manual assembly through gamma/beta on the 1x1 top block: the (root,root)
     # entry only sees n=0, j=l=0
     sqrt_abs = factory.sqrt_abs
-    gb = gamma_beta(0, 0, 0.0)
-    expected00 = (1j / (2 * math.sqrt(2))) * sqrt_abs[0] ** 2 * (gb.beta - gb.gamma)
+    gamma, beta = gamma_beta(0, 0, 0.0)
+    expected00 = (1j / (2 * math.sqrt(2))) * sqrt_abs[0] ** 2 * (beta - gamma)
     assert hol[0, 0] == pytest.approx(expected00, abs=1e-14)
 
 
@@ -276,8 +268,8 @@ def test_singular_parts_cancel_identity():
         bracket = (
             1j * sp.eiphi ** abs(j - l) - 1j * sp.eiphi ** (j + l + 2)
         ) / sp.two_sin_phi
-        gb = gamma_beta(j, l, lam)
-        assert bracket == pytest.approx(1j * (gb.beta - gb.gamma) * s / sp.two_sin_phi, abs=1e-12)
+        gamma, beta = gamma_beta(j, l, lam)
+        assert bracket == pytest.approx(1j * (beta - gamma) * s / sp.two_sin_phi, abs=1e-12)
         assert sp.two_sin_phi == pytest.approx(s, abs=1e-13)
 
 

@@ -79,14 +79,6 @@ def test_rank_one_double_zero_with_determinant_oracle():
     assert det_winding_oracle(f, contour) == 2
 
 
-def test_finite_difference_fallback():
-    def f(lam):
-        return diag_stack(lam, [lam - 0.02, 1.0])
-
-    rep = contour_index(f, None, ContourSpec(0.0, 0.07))
-    assert rep.rounded == 1 and rep.residual < 1e-8
-
-
 def test_block_family_input():
     # block lists with multiplicities accumulate traces blockwise
     def f(lam):
@@ -142,8 +134,12 @@ def test_non_convergent_on_non_holomorphic_family():
     def f(lam):
         return diag_stack(lam, [1.0 + 0.5 * np.conj(lam) / 0.1])
 
+    def fp(lam):
+        # the derivative of conj(lam) along the real axis
+        return diag_stack(lam, [0.5 / 0.1 + 0j])
+
     with pytest.raises(NonConvergent):
-        contour_index(f, None, ContourSpec(0.0, 0.1, nodes=16))
+        contour_index(f, fp, ContourSpec(0.0, 0.1, nodes=16))
 
 
 def test_contour_spec_validation():
@@ -399,7 +395,7 @@ def test_singular_node_is_named_across_chunks(monkeypatch):
         return diag_stack(lam, [np.where(np.isin(lam, pts[7:9]), 1e-12, 1.0)])
 
     with pytest.raises(SingularOnContour) as exc:
-        cv._quadrature_pass(f, lambda lam: diag_stack(lam, [0.0]), contour, 16, 0.0, 1e-10)
+        cv._quadrature_pass(f, lambda lam: diag_stack(lam, [0.0]), contour, 16, 0.0)
     assert f"node {pts[7]:.6g} " in str(exc.value)
 
 

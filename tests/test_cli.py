@@ -61,6 +61,17 @@ def test_validate_passes(capsys, pot_file):
     assert "overall" in out
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_validate_depth_zero_passes(capsys, k):
+    # one vertex: no Jacobi block to check and no adjacency spectrum to solve for
+    code = main(["validate", "--k", str(k), "--depth", "0"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.strip().splitlines()[-1].split() == ["overall", "PASS"]
+    assert captured.err == ""
+
+
 def _dense_validation(k, depth, spec):
     """The invariant suite with every V x V operand built whole, as a reference."""
     rows = []
@@ -180,6 +191,28 @@ def test_dense_commands_over_memory_budget_are_one_error_line(monkeypatch, capsy
     assert captured.out == ""
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "memory budget" in lines[0]
+
+
+ROOT_TABLE = json.dumps({"kind": "table", "values": [{"v": 0, "re": 0.3}], "delta": 6 * LOG2})
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["scan", "--k", "2", "--depth", "4", "--potential", ROOT_TABLE, "--rmin", "0.05",
+      "--rmax", "0.15", "--grid", "4", "--nodes", "32"], "4 x 4 grid points"),
+    (["index", "--k", "2", "--potential", ROOT_TABLE, "--radius", "0.1",
+      "--nodes", "32"], "128 contour nodes"),
+], ids=["scan grid", "index nodes"])
+def test_scan_and_index_over_memory_budget_are_one_error_line(monkeypatch, capsys, argv, what):
+    # the root-only table keeps the sandwich 1 x 1, so only the grid or the
+    # node arrays (16 x 80 and 128 x 64 bytes) exceed the budget
+    monkeypatch.setattr(resolvent, "memory_budget", lambda: 1000)
+    code = main(argv)
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert code == 1
+    assert captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert what in lines[0] and "memory budget" in lines[0]
 
 
 def test_kernel_json(capsys):
@@ -442,6 +475,21 @@ BAD_INPUTS = [
     pytest.param("'values'", lambda tmp: INDEX + ["--potential", json.dumps(
         {"kind": "table", "delta": 6 * LOG2, "values": [{"v": -1, "re": 0.2}]})],
                  id="negative vertex"),
+    pytest.param("'delta'", lambda tmp: INDEX + ["--potential", json.dumps(
+        {"kind": "radial-exp", "amplitude": 0.3, "delta": math.nan})], id="nan delta"),
+    pytest.param("'delta'", lambda tmp: INDEX + ["--potential", json.dumps(
+        {"kind": "radial-exp", "amplitude": 0.3, "delta": math.inf})], id="infinite delta"),
+    pytest.param("'amplitude'", lambda tmp: INDEX + ["--potential", json.dumps(
+        {"kind": "radial-exp", "amplitude": {"re": math.nan, "im": 0.0}, "delta": 6 * LOG2})],
+                 id="nan amplitude"),
+    pytest.param("'values'", lambda tmp: INDEX + ["--potential", json.dumps(
+        {"kind": "table", "delta": 6 * LOG2, "values": [{"v": 0, "re": 0.2, "im": math.nan}]})],
+                 id="nan table value"),
+    pytest.param("'C'", lambda tmp: INDEX + ["--potential", json.dumps(
+        {"kind": "radial-exp", "amplitude": 0.3, "delta": 6 * LOG2, "C": "x"})], id="string C"),
+    pytest.param("'C'", lambda tmp: INDEX + ["--potential", json.dumps(
+        {"kind": "radial-exp", "amplitude": 0.3, "delta": 6 * LOG2, "C": math.inf})],
+                 id="infinite C"),
     pytest.param("--out", lambda tmp: SCAN + ["--grid", "4", "--out", str(tmp / "no" / "x.csv")],
                  id="scan out in missing dir"),
     pytest.param("--out", lambda tmp: ["spectrum", "--k", "2", "--depth", "3",
