@@ -11,13 +11,11 @@ import numpy as np
 from spectree import (
     build_spherical_basis,
     build_tree,
-    depth_for_tail,
     direct_resolvent_block,
     fourier_coefficient,
     from_z,
     sine_projected_coefficient,
     t_minus,
-    tail_bound,
     weighted_resolvent_kernel,
     weights,
 )
@@ -48,8 +46,3 @@ rel = np.linalg.norm(kern.entries - oracle) / np.linalg.norm(oracle)
 print(f"\nassembled kernel ({t.vertex_count}x{t.vertex_count}) vs boundary-closed LU: "
       f"relative Frobenius error {rel:.2e}")
 print(f"kernel Hilbert-Schmidt norm: {kern.hs_norm:.6f}")
-
-print("\ntruncation tail estimate (squared-sum, decreasing in depth):")
-for r in (4, 6, 8, 10):
-    print(f"  depth {r}: {tail_bound(k, delta, r, 0.16):.2e}")
-print("depth needed for tail 1e-10:", depth_for_tail(k, delta, 1e-10, 0.16))

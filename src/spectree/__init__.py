@@ -46,7 +46,6 @@ from .errors import (
     RootHasNoParent,
     SingularOnContour,
     SpectreeError,
-    TruncationWarning,
 )
 from .operators import (
     PotentialSpec,
@@ -68,7 +67,6 @@ from .resolvent import (
     KernelMatrix,
     ResolventKernel,
     SpectralPoint,
-    depth_for_tail,
     direct_resolvent_block,
     disk_radius,
     fourier_coefficient,
@@ -77,7 +75,6 @@ from .resolvent import (
     sine_projected_coefficient,
     t_minus,
     t_plus,
-    tail_bound,
     weighted_resolvent_kernel,
 )
 from .tree import TreeGraph, build_tree, children, parent, vertex_depth

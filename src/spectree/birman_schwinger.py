@@ -33,7 +33,9 @@ from .resolvent import (
     DEFAULT_DISK_RADIUS,
     ResolventKernel,
     SpectralPoint,
+    checked_lambda,
     disk_radius,
+    edge_xi,
     from_lambda,
 )
 from .tree import TreeGraph
@@ -186,7 +188,7 @@ class BSFactory:
     # -- spectral-point plumbing ------------------------------------------
 
     def point(self, lam: complex, *, eps0: float | None = None) -> SpectralPoint:
-        return from_lambda(self.tree.k, lam, "minus", eps0=eps0 or self.eps0)
+        return from_lambda(self.tree.k, lam, eps0=eps0 or self.eps0)
 
     def _tables(self, lam, derivative: bool, eps0: float | None):
         """Exponent (or derivative) tables at each ``lam``, stacked to ``(N, E)``.
@@ -194,9 +196,11 @@ class BSFactory:
         Every parameter is checked against the disk, in order, before any
         table is built.
         """
-        points = [self.point(one, eps0=eps0) for one in np.atleast_1d(lam)]
-        stack = self.kernel.derivative_stack if derivative else self.kernel.exponent_stack
-        return stack(points)
+        eps0 = eps0 or self.eps0
+        lams = [checked_lambda(one, eps0) for one in np.atleast_1d(lam)]
+        if derivative:
+            return self.kernel.derivative_stack(lams)
+        return self.kernel.exponent_stack(np.array([edge_xi(one) for one in lams]))
 
     # -- full support matrices ---------------------------------------------
 

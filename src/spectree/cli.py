@@ -120,7 +120,6 @@ def build_parser() -> _Parser:
     common(kcmd)
     kcmd.add_argument("--z", default=None, help="spectral parameter (complex literal)")
     kcmd.add_argument("--lam", default=None, help="edge parameter (complex literal)")
-    kcmd.add_argument("--threshold", choices=("minus", "plus"), default="minus")
     kcmd.add_argument("--delta", type=float, default=None, help="weight decay rate")
 
     s = sub.add_parser("scan", help="absence-of-resonances certification")
@@ -334,7 +333,7 @@ def _cmd_kernel(args) -> int:
     spec = _load_potential(args.potential)
     delta = args.delta if args.delta is not None else _default_delta(args.k, spec)
     if args.lam is not None:
-        sp_ = from_lambda(args.k, _complex_arg("--lam", args.lam), args.threshold)
+        sp_ = from_lambda(args.k, _complex_arg("--lam", args.lam))
     else:
         z = _complex_arg("--z", args.z) if args.z is not None else t_minus(args.k) - 0.5
         sp_ = from_z(args.k, z)
@@ -387,10 +386,13 @@ def _auto_depth(k: int, spec: PotentialSpec | None) -> int:
     if spec is None:
         return 8
     if spec.kind == "table":
+        # d = depth of the deepest table vertex, the first whose spheres 0..d
+        # hold more than vmax vertices; at k = 1 vertex v lies at depth v
         vmax = max((v for v, _ in spec.values), default=0)
-        d = 0
-        while sum(k**r for r in range(d + 1)) <= vmax:
+        d, count = (vmax, vmax + 1) if k == 1 else (0, 1)
+        while count <= vmax:
             d += 1
+            count += k**d
         return max(d + 1, 4)
     amp = abs(spec.amplitude)
     if amp <= SUPPORT_CUTOFF:

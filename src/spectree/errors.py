@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the library."""
+"""Exception types shared across the library."""
 
 
 class SpectreeError(Exception):
@@ -51,7 +51,3 @@ class NonConvergent(SpectreeError, ArithmeticError):
 
 class NotIsolated(SpectreeError, ValueError):
     """Spectral point is not isolated well enough for a Riesz projection."""
-
-
-class TruncationWarning(UserWarning):
-    """Estimated truncation tail exceeds the requested tolerance."""

@@ -189,8 +189,14 @@ class PotentialSpec:
         if self.c_const is not None:
             return float(self.c_const), self.delta
         m = self.materialize(t)
-        growth = np.abs(m) * np.exp(self.delta * t.depths())
-        return float(growth.max(initial=0.0)), self.delta
+        nz = np.flatnonzero(m)
+        # log space: exp(delta |v|) overflows on deep vertices that carry weight
+        log_c = np.max(np.log(np.abs(m[nz])) + self.delta * t.depths()[nz], initial=-np.inf)
+        if log_c > math.log(np.finfo(float).max):
+            raise AssumptionViolated(
+                f"decay certificate constant C = exp({log_c:.6g}) overflows a float"
+            )
+        return math.exp(log_c), self.delta
 
     def check_assumption(self, t: TreeGraph) -> None:
         """Raise :class:`AssumptionViolated` unless the decay certificate holds."""

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,15 +40,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (
-    AssumptionViolated,
     BranchFailure,
     CapacityExceeded,
     InvalidParameter,
     OnSpectrum,
     OutOfDisk,
-    TruncationWarning,
 )
-from .operators import delta_floor, free_operator_sparse, m_tilde
+from .operators import free_operator_sparse, m_tilde
 from .tree import TreeGraph
 
 #: Scalar multiplying each closed-form bracket, relative to the quadrature
@@ -115,8 +112,7 @@ class SpectralPoint:
 
     ``eiphi`` stores ``exp(i phi)`` and is the single source of truth for all
     branch-dependent quantities; ``lam`` is set when the point was built from
-    the edge parametrization (``None`` for a plain spectral parameter), and
-    ``threshold`` records which band edge the parametrization refers to.
+    the edge parametrization (``None`` for a plain spectral parameter).
     """
 
     k: int
@@ -124,7 +120,6 @@ class SpectralPoint:
     u: complex
     eiphi: complex
     lam: complex | None = None
-    threshold: str = "minus"
 
     @property
     def phi(self) -> complex:
@@ -137,8 +132,7 @@ class SpectralPoint:
     def sheet_swapped(self) -> "SpectralPoint":
         """Same point with ``exp(i phi) -> exp(-i phi)`` (other sheet)."""
         return SpectralPoint(
-            k=self.k, z=self.z, u=self.u, eiphi=1.0 / self.eiphi,
-            lam=self.lam, threshold=self.threshold,
+            k=self.k, z=self.z, u=self.u, eiphi=1.0 / self.eiphi, lam=self.lam,
         )
 
 
@@ -170,40 +164,46 @@ def from_z(k: int, z: complex) -> SpectralPoint:
     return SpectralPoint(k=k, z=z, u=u, eiphi=xi)
 
 
-def from_lambda(
-    k: int,
-    lam: complex,
-    threshold: str = "minus",
-    *,
-    eps0: float = DEFAULT_DISK_RADIUS,
-) -> SpectralPoint:
-    """Spectral point from the band-edge parameter ``lam``.
-
-    For the lower edge, ``z = t_minus + lam**2 sqrt(k)`` and
-    ``phi = 2 arcsin(lam/2)`` (principal branch).  The upper edge is folded
-    onto the lower one through ``2(k+1) - z``, so the returned coordinates
-    always live at the lower edge; the ``threshold`` tag records the caller's
-    intent and ``Im(lam) >= 0`` is the physical half-plane in both cases.
+def checked_lambda(lam: complex, eps0: float) -> complex:
+    """``lam`` as a Python complex.
 
     Raises
     ------
     OutOfDisk
         Unless ``0 < |lam| < eps0``.
     """
-    if threshold not in ("minus", "plus"):
-        raise InvalidParameter(f"threshold must be 'minus' or 'plus', got {threshold!r}")
     lam = complex(lam)
     if not 0.0 < abs(lam) < eps0:
         raise OutOfDisk(f"|lam|={abs(lam):.3g} outside the punctured disk (0, {eps0:.3g})")
+    return lam
+
+
+def edge_xi(lam: complex) -> complex:
+    """``exp(i phi)`` at the edge parameter ``lam``, ``phi = 2 arcsin(lam/2)``."""
+    return cmath.exp(2j * cmath.asin(lam / 2.0))
+
+
+def from_lambda(k: int, lam: complex, *, eps0: float = DEFAULT_DISK_RADIUS) -> SpectralPoint:
+    """Spectral point from the band-edge parameter ``lam``.
+
+    ``z = t_minus + lam**2 sqrt(k)`` and ``phi = 2 arcsin(lam/2)`` (principal
+    branch); ``Im(lam) >= 0`` is the physical half-plane.  The upper edge
+    folds onto the lower one through ``2(k+1) - z``, so one parametrization
+    serves both edges.
+
+    Raises
+    ------
+    OutOfDisk
+        Unless ``0 < |lam| < eps0``.
+    """
+    lam = checked_lambda(lam, eps0)
     u = lam * lam
-    z = t_minus(k) + u * math.sqrt(k)
-    xi = cmath.exp(2j * cmath.asin(lam / 2.0))
-    return SpectralPoint(k=k, z=z, u=u, eiphi=xi, lam=lam, threshold=threshold)
+    return SpectralPoint(k=k, z=t_minus(k) + u * math.sqrt(k), u=u, eiphi=edge_xi(lam), lam=lam)
 
 
-def _checked_two_sin_phi(sp_: SpectralPoint) -> complex:
-    s = sp_.two_sin_phi
-    if abs(s) < 1e-14 * (1.0 + abs(sp_.eiphi)) ** 2:
+def _checked_two_sin_phi(xi: complex) -> complex:
+    s = -1j * (xi - 1.0 / xi)
+    if abs(s) < 1e-14 * (1.0 + abs(xi)) ** 2:
         raise BranchFailure("2 sin(phi) vanished; kernel closed form undefined")
     return s
 
@@ -215,7 +215,7 @@ def fourier_coefficient(n: int, sp_: SpectralPoint) -> complex:
     for ``u`` off ``[0, 4]``, elsewhere the same expression evaluates the
     continued (boundary) values on the committed sheet.
     """
-    s = _checked_two_sin_phi(sp_)
+    s = _checked_two_sin_phi(sp_.eiphi)
     return 1j * sp_.eiphi ** abs(n) / s
 
 
@@ -226,7 +226,7 @@ def sine_projected_coefficient(j: int, l: int, sp_: SpectralPoint) -> complex:
     sin((j+1) t) sin((l+1) t) dt`` for ``u`` off ``[0, 4]``, and its
     continuation elsewhere on the committed sheet.
     """
-    s = _checked_two_sin_phi(sp_)
+    s = _checked_two_sin_phi(sp_.eiphi)
     xi = sp_.eiphi
     bracket = 1j * (xi ** abs(j - l) - xi ** (j + l + 2)) / s
     return KERNEL_PREFACTOR * bracket / math.sqrt(sp_.k)
@@ -318,19 +318,18 @@ class ResolventKernel:
 
     def exponent_tables(self, sp_: SpectralPoint) -> tuple[np.ndarray, np.ndarray]:
         """Coefficient lookups: value = plus_table[j+l+2] + minus_table[|j-l|]."""
-        plus, minus = self.exponent_stack([sp_])
+        plus, minus = self.exponent_stack(np.array([sp_.eiphi]))
         return plus[0], minus[0]
 
-    def exponent_stack(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`exponent_tables` of a sequence of points, stacked to ``(N, E)``.
+    def exponent_stack(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`exponent_tables` at each ``exp(i phi)`` of ``xi``, stacked to ``(N, E)``.
 
         The per-point scalars stay Python complex arithmetic; only the powers
         and tables broadcast over the points, so each row equals the
         single-point table bit for bit.
         """
-        xi = np.array([p.eiphi for p in points])[:, None]
-        s = np.array([_checked_two_sin_phi(p) for p in points])[:, None]
-        powers = xi ** np.arange(self._max_exponent + 1)
+        s = np.array([_checked_two_sin_phi(complex(x)) for x in xi])[:, None]
+        powers = xi[:, None] ** np.arange(self._max_exponent + 1)
         scale = KERNEL_PREFACTOR / math.sqrt(self.tree.k)
         return -1j * scale * powers / s, 1j * scale * powers / s
 
@@ -341,23 +340,24 @@ class ResolventKernel:
         ``d/dlam [xi^a / s] = xi^a (i a phi' s - s') / s^2`` where
         ``phi' = 2 / sqrt(4 - lam^2)`` and ``s' = (4 - 2 lam^2) / sqrt(4 - lam^2)``.
         """
-        plus, minus = self.derivative_stack([sp_])
+        if sp_.lam is None:
+            raise InvalidParameter("derivative tables need an edge-parametrized point")
+        plus, minus = self.derivative_stack([sp_.lam])
         return plus[0], minus[0]
 
-    def derivative_stack(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`derivative_tables` of a sequence of points, stacked to ``(N, E)``.
+    def derivative_stack(self, lams) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`derivative_tables` at each edge parameter, stacked to ``(N, E)``.
 
-        ``s``, ``s'``, ``phi'`` and ``s^2`` are Python complex scalars per point
-        (numpy's vectorized complex multiply may round differently).
+        ``lams`` hold Python complex values, as :func:`checked_lambda` returns
+        them; ``xi``, ``s``, ``s'``, ``phi'`` and ``s^2`` are Python complex
+        scalars per parameter (numpy's vectorized complex multiply may round
+        differently).
         """
         scalars = []
-        for p in points:
-            if p.lam is None:
-                raise InvalidParameter("derivative tables need an edge-parametrized point")
-            lam = p.lam
+        for lam in lams:
             root = cmath.sqrt(4.0 - lam * lam)
             s = lam * root
-            scalars.append((p.eiphi, s, (4.0 - 2.0 * lam * lam) / root, 2.0 / root, s * s))
+            scalars.append((edge_xi(lam), s, (4.0 - 2.0 * lam * lam) / root, 2.0 / root, s * s))
         xi, s, sprime, phiprime, s2 = (np.array(col)[:, None] for col in zip(*scalars))
         a = np.arange(self._max_exponent + 1)
         powers = xi ** a
@@ -396,29 +396,14 @@ def weighted_resolvent_kernel(
     a_weight: np.ndarray | None,
     b_weight: np.ndarray | None,
     sp_: SpectralPoint,
-    *,
-    tail_delta: float | None = None,
-    tail_tol: float | None = None,
 ) -> KernelMatrix:
     """Assemble the full kernel of ``A (free - z)^{-1} B*`` on the truncation.
 
     ``b`` is unused: the kernel is assembled from meet depths, not from the
     spherical basis; the argument stays for existing callers.
-    ``a_weight``/``b_weight`` are diagonal weights (``None`` = identity).  When
-    both ``tail_delta`` and ``tail_tol`` are given and the point carries an
-    edge parameter, a :class:`TruncationWarning` is emitted if the geometric
-    tail estimate at this depth exceeds the tolerance.
+    ``a_weight``/``b_weight`` are diagonal weights (``None`` = identity).
     """
-    kern = ResolventKernel(t, a_weight, b_weight)
-    entries = kern.evaluate(sp_)
-    if tail_delta is not None and tail_tol is not None and sp_.lam is not None:
-        est = tail_bound(t.k, tail_delta, t.depth, abs(sp_.lam))
-        if est > tail_tol:
-            warnings.warn(
-                f"truncation tail estimate {est:.3g} exceeds tolerance {tail_tol:.3g}",
-                TruncationWarning,
-                stacklevel=2,
-            )
+    entries = ResolventKernel(t, a_weight, b_weight).evaluate(sp_)
     return KernelMatrix(
         entries=entries, point=sp_, prefactor=KERNEL_PREFACTOR,
         a_weight=a_weight, b_weight=b_weight,
@@ -500,42 +485,3 @@ def direct_resolvent_block(
         out[:, start:start + chunk.size] = lu.solve(rhs)[rows, :]
     return out
 
-
-# -- truncation tail estimate -------------------------------------------------
-
-def tail_bound(k: int, delta: float, depth: int, lambda_max: float) -> float:
-    """Geometric estimate of the squared-kernel terms discarded beyond ``depth``.
-
-    Per sphere radius the certified decay of the weights against the sphere
-    growth contributes the base rate ``delta/2 - 3 ln k`` and the
-    edge-parameter disk contributes the margin ``delta/4 - 2 lambda_max``;
-    the discarded part of the double sphere sum is then a closed-form
-    geometric tail, monotone decreasing in ``depth`` and vanishing as
-    ``depth -> infinity``.
-    """
-    floor = delta_floor(k)
-    if delta <= 0 or delta < floor - 1e-12:
-        raise AssumptionViolated(
-            f"decay rate {delta:.6g} inadmissible for k={k} (floor {floor:.6g})"
-        )
-    rate = 0.75 * delta - 3.0 * math.log(k) - 2.0 * lambda_max
-    if rate <= 0:
-        return math.inf
-    x = math.exp(-rate)
-    s_all = x / (1.0 - x) ** 2
-    m = depth + 2  # first discarded (radius+1) index
-    s_tail = x**m * (m - (m - 1) * x) / (1.0 - x) ** 2
-    pref = 1.0 / (lambda_max**2 * (4.0 - lambda_max**2))
-    return pref * 2.0 * s_tail * s_all
-
-
-def depth_for_tail(
-    k: int, delta: float, tol: float, lambda_max: float, max_depth: int = 10_000
-) -> int:
-    """Smallest truncation depth whose tail estimate is below ``tol``."""
-    for depth in range(1, max_depth + 1):
-        if tail_bound(k, delta, depth, lambda_max) <= tol:
-            return depth
-    raise InvalidParameter(
-        f"no depth up to {max_depth} meets tail tolerance {tol:.3g}"
-    )

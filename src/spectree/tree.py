@@ -71,12 +71,13 @@ def build_tree(k: int, depth: int) -> TreeGraph:
         raise InvalidParameter(f"branching factor must be >= 1, got {k}")
     if depth < 0:
         raise InvalidParameter(f"depth must be >= 0, got {depth}")
-    sizes = [k**r for r in range(depth + 1)]
+    # the deepest sphere alone has k**depth vertices: bound it before forming
+    # any power, so a huge depth costs no big-integer arithmetic
+    fits = depth < VERTEX_CAP and k ** min(depth, VERTEX_CAP.bit_length()) <= VERTEX_CAP
+    sizes = [k**r for r in range(depth + 1)] if fits else []
     count = sum(sizes)
-    if count > VERTEX_CAP:
-        raise CapacityExceeded(
-            f"k={k}, depth={depth} needs {count} vertices (cap {VERTEX_CAP})"
-        )
+    if not fits or count > VERTEX_CAP:
+        raise CapacityExceeded(f"k={k}, depth={depth} needs over {VERTEX_CAP} vertices (the cap)")
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
     return TreeGraph(k=k, depth=depth, vertex_count=count, sphere_offsets=offsets)
 

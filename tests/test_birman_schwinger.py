@@ -374,8 +374,13 @@ def test_blocks_over_lambda_array(monkeypatch, tree_basis, k, depth, spec, deriv
     points = [from_lambda(k, lam, eps0=factory.eps0) for lam in lams]
     size = 2 * depth + 3
     single = kernel.derivative_tables if derivative else kernel.exponent_tables
-    stacked = kernel.derivative_stack if derivative else kernel.exponent_stack
     per_point = [single(p) for p in points]
+
+    def stacked(points):
+        if derivative:
+            return kernel.derivative_stack([p.lam for p in points])
+        return kernel.exponent_stack(np.array([p.eiphi for p in points]))
+
     for p, (plus, minus) in zip(points, per_point):
         want_plus, want_minus = _point_tables(p, size, derivative)
         assert np.array_equal(plus, want_plus) and np.array_equal(minus, want_minus)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -403,6 +404,7 @@ def test_usage_error_exit_code(capsys):
     for argv in (
         ["scan", "--k", "2"],  # missing required flags
         ["scan", "--k", "2", "--rmin", "0.05", "--rmax", "0.15", "--jobs", "2"],  # removed flag
+        ["kernel", "--k", "2", "--lam", "0.1j", "--threshold", "plus"],  # removed flag
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -444,6 +446,13 @@ def test_contour_failure_is_certification_exit(monkeypatch, capsys, pot_file, er
 INDEX = ["index", "--k", "2", "--radius", "0.1", "--nodes", "32"]
 SCAN = ["scan", "--k", "2", "--depth", "4", "--potential", RADIAL,
         "--rmin", "0.05", "--rmax", "0.15", "--nodes", "32"]
+
+
+def _deep_k1_table(vertex):
+    """``index`` on a k=1 table whose one vertex sits deep enough that
+    ``exp(delta |v|)`` overflows a float."""
+    return ["index", "--k", "1", "--radius", "0.1", "--potential", json.dumps(
+        {"kind": "table", "values": [{"v": vertex, "re": 0.1}], "delta": 1.6})]
 
 
 def _file(tmp_path, text):
@@ -490,6 +499,10 @@ BAD_INPUTS = [
     pytest.param("'C'", lambda tmp: INDEX + ["--potential", json.dumps(
         {"kind": "radial-exp", "amplitude": 0.3, "delta": 6 * LOG2, "C": math.inf})],
                  id="infinite C"),
+    pytest.param("certificate", lambda tmp: _deep_k1_table(2000), id="certificate overflow"),
+    pytest.param("certificate", lambda tmp: _deep_k1_table(8000), id="certificate overflow deeper"),
+    pytest.param("cap", lambda tmp: ["kernel", "--k", "2", "--depth", "40000"],
+                 id="kernel depth past the cap"),
     pytest.param("--out", lambda tmp: SCAN + ["--grid", "4", "--out", str(tmp / "no" / "x.csv")],
                  id="scan out in missing dir"),
     pytest.param("--out", lambda tmp: ["spectrum", "--k", "2", "--depth", "3",
@@ -498,6 +511,7 @@ BAD_INPUTS = [
 ]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("field, argv", BAD_INPUTS)
 def test_bad_input_is_one_error_line(tmp_path, capsys, field, argv):
     code = main(argv(tmp_path))
@@ -507,3 +521,38 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, field, argv):
     assert captured.out == ""
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert field in lines[0]
+
+
+def _auto_depth_by_resumming(k, vmax):
+    """The table branch of ``_auto_depth`` as it was: every sphere size re-summed
+    at each step."""
+    d = 0
+    while sum(k**r for r in range(d + 1)) <= vmax:
+        d += 1
+    return max(d + 1, 4)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_auto_depth_of_a_table_equals_the_resumming_loop(k):
+    # the re-summing loop is quadratic at k = 1, so there it runs on fewer vertices
+    vertices = list(range(301)) + [1000, 1999, 2000] if k == 1 else range(2001)
+    for v in vertices:
+        spec = PotentialSpec.table([(v, 0.1)], 1.6)
+        assert _auto_depth(k, spec) == _auto_depth_by_resumming(k, v), v
+
+
+@pytest.mark.parametrize("command", ["scan", "index"])
+def test_table_vertex_past_the_cap_is_one_quick_error_line(capsys, command):
+    potential = json.dumps({"kind": "table", "values": [{"v": 10**8, "re": 0.1}], "delta": 1.6})
+    argv = {
+        "scan": ["scan", "--k", "1", "--rmin", "0.05", "--rmax", "0.1"],
+        "index": ["index", "--k", "1", "--radius", "0.1"],
+    }[command] + ["--potential", potential]
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "cap" in lines[0]
+    assert elapsed < 1.0

@@ -17,7 +17,6 @@ import scipy.sparse.linalg as spla
 from spectree import (
     build_tree,
     build_spherical_basis,
-    depth_for_tail,
     direct_resolvent_block,
     fourier_coefficient,
     from_lambda,
@@ -25,18 +24,15 @@ from spectree import (
     sine_projected_coefficient,
     t_minus,
     t_plus,
-    tail_bound,
     weights,
     weighted_resolvent_kernel,
 )
 from spectree import PotentialSpec, resolvent
 from spectree.errors import (
-    AssumptionViolated,
     BranchFailure,
     CapacityExceeded,
     OnSpectrum,
     OutOfDisk,
-    TruncationWarning,
 )
 from spectree.operators import free_operator_sparse, m_tilde
 from spectree.quadrature import (
@@ -106,10 +102,9 @@ def test_from_lambda_minus():
 
 def test_from_lambda_plus_folds_to_minus():
     lam = 0.07 + 0.02j
-    sp = from_lambda(2, lam, "plus")
+    sp = from_lambda(2, lam)
     z_plus = t_plus(2) - lam * lam * math.sqrt(2.0)
     assert sp.z == pytest.approx(2 * (2 + 1) - z_plus)
-    assert sp.threshold == "plus"
 
 
 def test_from_lambda_disk_guard():
@@ -405,60 +400,6 @@ def test_budget_stops_full_kernel_and_solve_before_allocating(monkeypatch):
         ResolventKernel(t)
     with pytest.raises(CapacityExceeded, match="memory budget"):
         direct_resolvent_block(t, z)
-
-
-# -- tail estimate -------------------------------------------------------------
-
-
-def test_tail_bound_monotone_and_vanishing():
-    vals = [tail_bound(2, 6 * LOG2, r, 0.2) for r in range(4, 40, 4)]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-    assert vals[-1] < 1e-6
-    assert tail_bound(2, 6 * LOG2, 400, 0.2) < 1e-100
-
-
-def test_tail_bound_k1_rate():
-    delta = 1.0
-    lam_max = delta / 10
-    # rate at least delta/2 per level once the disk margin is accounted for
-    for r in (10, 20, 40):
-        ratio = tail_bound(1, delta, 2 * r, lam_max) / tail_bound(1, delta, r, lam_max)
-        assert ratio < math.exp(-0.5 * delta * (r - 2))
-        assert ratio > math.exp(-delta * r)  # and not absurdly fast either
-
-
-def test_tail_bound_doubling_reduction_k2():
-    delta = 6 * LOG2
-    lam_max = 0.16
-    # base rate delta/2 - 3 ln k vanishes at the admissibility floor; the
-    # decay left over is exactly the disk margin
-    margin = 0.25 * delta - 2 * lam_max
-    for r in (6, 8, 10):
-        ratio = tail_bound(2, delta, 2 * r, lam_max) / tail_bound(2, delta, r, lam_max)
-        assert ratio < math.exp(-margin * (r - 2))
-
-
-def test_tail_bound_guards():
-    with pytest.raises(AssumptionViolated):
-        tail_bound(2, 0.5 * LOG2, 8, 0.1)
-    with pytest.raises(AssumptionViolated):
-        tail_bound(1, -1.0, 8, 0.1)
-
-
-def test_depth_for_tail():
-    depth = depth_for_tail(2, 6 * LOG2, 1e-8, 0.16)
-    assert tail_bound(2, 6 * LOG2, depth, 0.16) <= 1e-8
-    assert tail_bound(2, 6 * LOG2, depth - 1, 0.16) > 1e-8
-
-
-def test_truncation_warning():
-    t = build_tree(2, 3)
-    b = build_spherical_basis(t)
-    with pytest.warns(TruncationWarning):
-        weighted_resolvent_kernel(
-            t, b, None, None, from_lambda(2, 0.1j),
-            tail_delta=6 * LOG2, tail_tol=1e-12,
-        )
 
 
 def test_branch_failure_at_degenerate_point():

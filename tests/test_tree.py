@@ -4,6 +4,7 @@ The independent oracle here is an explicit breadth-first construction with
 a queue; the library must reproduce its parent/depth tables exactly.
 """
 import collections
+import time
 
 import numpy as np
 import pytest
@@ -117,3 +118,11 @@ def test_errors():
         vertex_depth(t, 15)
     with pytest.raises(IndexOutOfRange):
         parent(t, -1)
+
+
+@pytest.mark.parametrize("k, depth", [(1, 10**12), (2, 10**9)])
+def test_cap_is_checked_before_the_sphere_sizes(k, depth):
+    start = time.perf_counter()
+    with pytest.raises(CapacityExceeded):
+        build_tree(k, depth)
+    assert time.perf_counter() - start < 1.0
