@@ -95,19 +95,18 @@ def newborn_multiplicity(k: int, n: int) -> int:
     return 1 if n == 0 else k ** (n - 1) * (k - 1)
 
 
-def support_vertices(
-    t: TreeGraph, m_vec: np.ndarray, cutoff: float = SUPPORT_CUTOFF
-) -> tuple[np.ndarray, int]:
+def support_vertices(t: TreeGraph, m_vec: np.ndarray) -> tuple[np.ndarray, int]:
     """Vertices carrying the sandwich: ``m != 0`` up to the last relevant sphere.
 
     The supporting radius is the largest sphere whose maximal ``|m|`` still
-    reaches ``cutoff``; beyond it the sandwich weights are numerically zero.
+    reaches :data:`SUPPORT_CUTOFF`; beyond it the sandwich weights are
+    numerically zero.
     """
     mod = np.abs(m_vec)
     r_support = 0
     for r in range(t.depth + 1):
         s = t.sphere(r)
-        if mod[s.start:s.stop].max(initial=0.0) >= cutoff:
+        if mod[s.start:s.stop].max(initial=0.0) >= SUPPORT_CUTOFF:
             r_support = r
     limit = t.sphere_offsets[r_support + 1]
     idx = np.nonzero(mod[:limit] > 0)[0]
@@ -126,22 +125,15 @@ class BSFactory:
     ``1`` at ``n = 0`` and ``k**(n-1) * (k-1)`` above).  :meth:`blocks` picks
     the reduction or the full support matrix.  ``b`` is unused: the
     multiplicities are known in closed form, so no spherical basis is built;
-    the argument stays for existing callers.
+    the argument stays for existing callers.  Parameters must lie in the
+    punctured disk ``0 < |lam| < eps0``.
     """
 
-    def __init__(
-        self,
-        t: TreeGraph,
-        b: object,
-        spec: PotentialSpec | None,
-        *,
-        cutoff: float = SUPPORT_CUTOFF,
-    ):
+    def __init__(self, t: TreeGraph, b: object, spec: PotentialSpec | None):
         self.tree = t
-        self.spec = spec
-        self.m_vec = m_tilde(t, spec)
-        self.support, self.r_support = support_vertices(t, self.m_vec, cutoff)
-        j_full, sqrt_full = polar_factors(self.m_vec)
+        m_vec = m_tilde(t, spec)
+        self.support, self.r_support = support_vertices(t, m_vec)
+        j_full, sqrt_full = polar_factors(m_vec)
         self.j_phase = j_full[self.support]
         self.sqrt_abs = sqrt_full[self.support]
         self.eps0 = disk_radius(t.k, spec.delta) if spec is not None else DEFAULT_DISK_RADIUS
@@ -171,9 +163,8 @@ class BSFactory:
         lv = np.arange(self.r_support + 1)
         self._plus_idx = np.add.outer(lv, lv) + 2
         self._minus_idx = np.abs(np.subtract.outer(lv, lv))
-        # per block n: multiplicity, level count, row and column weights.  The
-        # weights are 3-D so that scalar and stacked calls run the same numpy
-        # multiply loop and agree bit for bit.
+        # per block n: multiplicity, level count, row and column weights,
+        # shaped to broadcast over a stack of level matrices
         self._levels = []
         for n in range(self.r_support + 1):
             d = newborn_multiplicity(t.k, n)
@@ -187,17 +178,16 @@ class BSFactory:
 
     # -- spectral-point plumbing ------------------------------------------
 
-    def point(self, lam: complex, *, eps0: float | None = None) -> SpectralPoint:
-        return from_lambda(self.tree.k, lam, eps0=eps0 or self.eps0)
+    def point(self, lam: complex) -> SpectralPoint:
+        return from_lambda(self.tree.k, lam, eps0=self.eps0)
 
-    def _tables(self, lam, derivative: bool, eps0: float | None):
-        """Exponent (or derivative) tables at each ``lam``, stacked to ``(N, E)``.
+    def _tables(self, lams, derivative: bool):
+        """Exponent (or derivative) tables at each of ``lams``, stacked to ``(N, E)``.
 
         Every parameter is checked against the disk, in order, before any
         table is built.
         """
-        eps0 = eps0 or self.eps0
-        lams = [checked_lambda(one, eps0) for one in np.atleast_1d(lam)]
+        lams = [checked_lambda(one, self.eps0) for one in lams]
         if derivative:
             return self.kernel.derivative_stack(lams)
         return self.kernel.exponent_stack(np.array([edge_xi(one) for one in lams]))
@@ -208,59 +198,53 @@ class BSFactory:
         """``sign * J * kernel`` on the support for ``(N, E)`` tables."""
         return sign * self.j_phase[:, None] * self.kernel.assemble(plus, minus)
 
-    def matrix(self, lam: complex, sign: int = 1, *, eps0: float | None = None) -> np.ndarray:
-        return self._sandwich(*self._tables(lam, False, eps0), sign)[0]
+    def matrix(self, lam: complex, sign: int = 1) -> np.ndarray:
+        return self._sandwich(*self._tables([lam], False), sign)[0]
 
-    def derivative(self, lam: complex, sign: int = 1, *, eps0: float | None = None) -> np.ndarray:
-        return self._sandwich(*self._tables(lam, True, eps0), sign)[0]
+    def derivative(self, lam: complex, sign: int = 1) -> np.ndarray:
+        return self._sandwich(*self._tables([lam], True), sign)[0]
 
     def hol_matrix(self, lam: complex) -> np.ndarray:
         """Desingularized kernel on the support (no phase factor applied)."""
-        n_exp = 2 * self.tree.depth + 2
-        ratios = np.array([phase_ratio(a, lam) for a in range(n_exp + 1)])
+        ratios = np.array([[phase_ratio(a, lam) for a in range(self.kernel.max_exponent + 1)]])
         scale = 1j / (2.0 * math.sqrt(self.tree.k))
-        return self.kernel.assemble(-scale * ratios, scale * ratios)
+        return self.kernel.assemble(-scale * ratios, scale * ratios)[0]
 
     # -- exact radial reduction ---------------------------------------------
 
     def reduced_blocks(
-        self, lam, sign: int = 1, *, derivative: bool = False,
-        eps0: float | None = None,
+        self, lams, sign: int = 1, *, derivative: bool = False,
     ) -> list[tuple[int, np.ndarray]]:
         """Per-block level matrices ``(multiplicity, T_n)`` for radial data.
 
-        ``lam`` is a scalar or a 1-D array; for an array of ``N`` parameters
-        each ``T_n`` is stacked to shape ``(N, nlev, nlev)``.  The union of
-        their spectra (with multiplicities) equals the spectrum of the full
-        support matrix, up to exact zeros for spheres where the perturbation
-        vanishes.
+        For a 1-D sequence of ``N`` parameters each ``T_n`` is stacked to
+        shape ``(N, nlev, nlev)``.  The union of their spectra (with
+        multiplicities) equals the spectrum of the full support matrix, up to
+        exact zeros for spheres where the perturbation vanishes.
         """
         if not self.radial:
             raise InvalidParameter("reduced blocks require a radial perturbation")
-        plus_t, minus_t = self._tables(lam, derivative, eps0)
+        plus_t, minus_t = self._tables(lams, derivative)
         g = plus_t[:, self._plus_idx] + minus_t[:, self._minus_idx]
-        out = []
-        for d, nlev, rows, cols in self._levels:
-            t_n = sign * rows * g[:, :nlev, :nlev] * cols
-            out.append((d, t_n if np.ndim(lam) else t_n[0]))
-        return out
+        return [
+            (d, sign * rows * g[:, :nlev, :nlev] * cols)
+            for d, nlev, rows, cols in self._levels
+        ]
 
     def blocks(
-        self, lam, sign: int = 1, *, derivative: bool = False,
-        eps0: float | None = None,
+        self, lams, sign: int = 1, *, derivative: bool = False,
     ) -> list[tuple[int, np.ndarray]]:
-        """The sandwich (or its derivative) as ``(multiplicity, block)`` pairs.
+        """The sandwich (or its derivative) as ``(multiplicity, stack)`` pairs.
 
         The exact radial reduction when every sphere up to the support radius
         carries weight; otherwise the full support matrix as a single block.
         A weightless sphere (the root, when the potential cancels the degree
         defect) would add spurious zero eigenvalues to the level matrices.
-        ``lam`` is a scalar or a 1-D array, as for :meth:`reduced_blocks`.
+        ``lams`` is a 1-D sequence, as for :meth:`reduced_blocks`.
         """
         if self._reduced:
-            return self.reduced_blocks(lam, sign, derivative=derivative, eps0=eps0)
-        stack = self._sandwich(*self._tables(lam, derivative, eps0), sign)
-        return [(1, stack if np.ndim(lam) else stack[0])]
+            return self.reduced_blocks(lams, sign, derivative=derivative)
+        return [(1, self._sandwich(*self._tables(lams, derivative), sign))]
 
 
 def hol_split(

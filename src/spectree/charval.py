@@ -24,6 +24,7 @@ LAPACK once per block slot per chunk.  A chunk holds at most
 results equal the per-point computation bit for bit.
 """
 
+import copy
 import csv
 import math
 from contextlib import nullcontext
@@ -214,19 +215,22 @@ def _sign_for(threshold: str) -> int:
     return 1 if threshold == "minus" else -1
 
 
-def _family(factory: BSFactory, sign: int, eps0: float | None):
+def _family(factory: BSFactory, sign: int, eps0: float | None = None):
     """Evaluators for F = I + T and F' = T' as block lists.
 
-    Both take a scalar or a 1-D array of parameters, as :meth:`BSFactory.blocks`.
+    Both take a 1-D array of parameters, as :meth:`BSFactory.blocks`.  A given
+    ``eps0`` replaces the factory's working disk radius for these evaluators
+    only, so a contour may reach past it (on a shallow copy of the factory).
     """
+    if eps0 is not None:
+        factory = copy.copy(factory)
+        factory.eps0 = eps0
 
-    def fval(lam):
-        return [
-            (d, np.eye(b.shape[-1]) + b) for d, b in factory.blocks(lam, sign, eps0=eps0)
-        ]
+    def fval(lams):
+        return [(d, np.eye(b.shape[-1]) + b) for d, b in factory.blocks(lams, sign)]
 
-    def fpval(lam):
-        return factory.blocks(lam, sign, derivative=True, eps0=eps0)
+    def fpval(lams):
+        return factory.blocks(lams, sign, derivative=True)
 
     return fval, fpval
 
@@ -248,10 +252,10 @@ def _flags(blocks, dist: np.ndarray) -> np.ndarray:
     return flags
 
 
-def _grid_chunk(factory: BSFactory, lams: np.ndarray, sign, eps0):
+def _grid_chunk(factory: BSFactory, lams: np.ndarray, sign):
     """Distance of the spectrum of T to ``-1``, min singular value of ``I + T``
     and the resonance flag at each parameter of a chunk."""
-    blocks = factory.blocks(lams, sign, eps0=eps0)
+    blocks = factory.blocks(lams, sign)
     dist = np.full(lams.shape, math.inf)
     minsv = np.full(lams.shape, math.inf)
     for _, b in blocks:
@@ -276,7 +280,6 @@ def resonance_indicator(
     lam: complex,
     threshold: str = "minus",
     *,
-    eps0: float | None = None,
     factory: BSFactory | None = None,
 ) -> tuple[np.ndarray, float]:
     """Eigenvalues of the sandwich at ``lam`` and their distance to ``-1``.
@@ -285,8 +288,8 @@ def resonance_indicator(
     """
     factory = factory or BSFactory(t, b, spec)
     eigs = np.concatenate([
-        np.repeat(np.linalg.eigvals(blk), d)
-        for d, blk in factory.blocks(lam, _sign_for(threshold), eps0=eps0)
+        np.repeat(np.linalg.eigvals(blk[0]), d)
+        for d, blk in factory.blocks([lam], _sign_for(threshold))
     ])
     return eigs, float(np.min(np.abs(eigs + 1.0)))
 
@@ -347,7 +350,7 @@ def absence_scan(
             f"annulus ({r_min}, {r_max}) must sit inside the working disk (0, {eps0:.3g})"
         )
     sign = _sign_for(threshold)
-    fval, fpval = _family(factory, sign, eps0)
+    fval, fpval = _family(factory, sign)
 
     circles = [r_min]
     while circles[-1] * LADDER_FACTOR <= r_max * (1.0 + 1e-12):
@@ -370,7 +373,7 @@ def absence_scan(
             writer.writerow(CSV_HEADER)
         for start in range(0, points.size, step):
             lams = points[start:start + step]
-            dist, minsv, flags = _grid_chunk(factory, lams, sign, eps0)
+            dist, minsv, flags = _grid_chunk(factory, lams, sign)
             rows = np.column_stack([lams.real, lams.imag, dist, minsv])
             chunks.append(rows)
             flagged += int(flags.sum())

@@ -429,7 +429,7 @@ def _cmd_index(args) -> int:
     depth = args.depth if args.depth is not None else _auto_depth(args.k, spec)
     t = build_tree(args.k, depth)
     factory = BSFactory(t, None, spec)
-    fval, fpval = charval._family(factory, charval._sign_for(args.threshold), factory.eps0)
+    fval, fpval = charval._family(factory, charval._sign_for(args.threshold))
     report = charval.contour_index(
         fval, fpval, ContourSpec(center, args.radius, args.nodes)
     )

@@ -135,7 +135,7 @@ class PotentialSpec:
     * ``radial-exp``: ``M(v) = amplitude * exp(-delta * |v|)``,
     * ``table``: explicit values on finitely many vertices, zero elsewhere.
 
-    ``c_const`` is the certificate constant ``C`` in
+    ``c_const`` is the positive certificate constant ``C`` in
     ``|M(v)| <= C * exp(-delta * |v|)``; when absent it is estimated on the
     truncation as ``max |M(v)| * exp(delta * |v|)``.
     """
@@ -155,8 +155,8 @@ class PotentialSpec:
             )
         if not cmath.isfinite(self.amplitude):
             raise InvalidParameter(f"potential field 'amplitude' is not finite: {self.amplitude!r}")
-        if self.c_const is not None and not math.isfinite(self.c_const):
-            raise InvalidParameter(f"potential field 'C' is not finite: {self.c_const!r}")
+        if self.c_const is not None and not 0.0 < self.c_const < math.inf:
+            raise InvalidParameter(f"potential field 'C' must be positive and finite: {self.c_const!r}")
         negative = [v for v, _ in self.values if v < 0]
         if negative:
             raise InvalidParameter(f"potential field 'values' has negative vertices {negative}")
@@ -184,14 +184,18 @@ class PotentialSpec:
                     m[v] = x
         return m
 
+    def _log_weighted(self, t: TreeGraph) -> np.ndarray:
+        """``log|M(v)| + delta |v|`` where ``M`` is nonzero (log space: ``exp(delta |v|)``
+        overflows on deep vertices that carry weight)."""
+        m = self.materialize(t)
+        nz = np.flatnonzero(m)
+        return np.log(np.abs(m[nz])) + self.delta * t.depths()[nz]
+
     def certificate(self, t: TreeGraph) -> tuple[float, float]:
         """The pair ``(C, delta)``, estimating ``C`` when not supplied."""
         if self.c_const is not None:
             return float(self.c_const), self.delta
-        m = self.materialize(t)
-        nz = np.flatnonzero(m)
-        # log space: exp(delta |v|) overflows on deep vertices that carry weight
-        log_c = np.max(np.log(np.abs(m[nz])) + self.delta * t.depths()[nz], initial=-np.inf)
+        log_c = np.max(self._log_weighted(t), initial=-np.inf)
         if log_c > math.log(np.finfo(float).max):
             raise AssumptionViolated(
                 f"decay certificate constant C = exp({log_c:.6g}) overflows a float"
@@ -199,16 +203,17 @@ class PotentialSpec:
         return math.exp(log_c), self.delta
 
     def check_assumption(self, t: TreeGraph) -> None:
-        """Raise :class:`AssumptionViolated` unless the decay certificate holds."""
+        """Raise :class:`AssumptionViolated` unless the decay certificate holds:
+        ``log|M(v)| + delta |v| <= log C`` (up to ``1e-12``) where ``M`` is nonzero."""
         floor = delta_floor(t.k)
         if self.delta < floor - _DECAY_SLACK:
             raise AssumptionViolated(
                 f"decay rate {self.delta:.6g} below the admissible floor "
                 f"{floor:.6g} for k={t.k}"
             )
-        c, delta = self.certificate(t)
-        bound = c * np.exp(-delta * t.depths()) + 1e-12 * (1.0 + c)
-        if np.any(np.abs(self.materialize(t)) > bound):
+        c, _ = self.certificate(t)
+        log_m = self._log_weighted(t)
+        if log_m.size and log_m.max() > math.log(c) + 1e-12:
             raise AssumptionViolated("materialized potential exceeds its certificate")
 
     # -- JSON wire format ---------------------------------------------------
@@ -274,12 +279,9 @@ def _complex_field(x) -> complex:
     return complex(x)
 
 
-def potential_matrix(
-    t: TreeGraph, spec: PotentialSpec, *, allow_violation: bool = False
-) -> np.ndarray:
+def potential_matrix(t: TreeGraph, spec: PotentialSpec) -> np.ndarray:
     """Diagonal of the multiplication operator M, admissibility-checked."""
-    if not allow_violation:
-        spec.check_assumption(t)
+    spec.check_assumption(t)
     return spec.materialize(t)
 
 

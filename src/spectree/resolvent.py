@@ -234,13 +234,9 @@ def sine_projected_coefficient(j: int, l: int, sp_: SpectralPoint) -> complex:
 
 @dataclass
 class KernelMatrix:
-    """Assembled weighted-resolvent kernel plus the data that produced it."""
+    """Assembled weighted-resolvent kernel."""
 
     entries: np.ndarray
-    point: SpectralPoint
-    prefactor: float
-    a_weight: np.ndarray | None
-    b_weight: np.ndarray | None
 
     @property
     def hs_norm(self) -> float:
@@ -314,7 +310,8 @@ class ResolventKernel:
         self._coef = np.where(n <= top, proj * float(k) ** (n - (a + b) / 2.0), 0.0)
         self._plus_idx = np.where(n <= top, a + b - 2 * n + 2, 0)
         self._minus_idx = np.abs(a - b)
-        self._max_exponent = 2 * t.depth + 2
+        #: largest table index any pair reads: ``a + b + 2`` at ``n = 0``
+        self.max_exponent = top_a + top_b + 2
 
     def exponent_tables(self, sp_: SpectralPoint) -> tuple[np.ndarray, np.ndarray]:
         """Coefficient lookups: value = plus_table[j+l+2] + minus_table[|j-l|]."""
@@ -329,7 +326,7 @@ class ResolventKernel:
         single-point table bit for bit.
         """
         s = np.array([_checked_two_sin_phi(complex(x)) for x in xi])[:, None]
-        powers = xi[:, None] ** np.arange(self._max_exponent + 1)
+        powers = xi[:, None] ** np.arange(self.max_exponent + 1)
         scale = KERNEL_PREFACTOR / math.sqrt(self.tree.k)
         return -1j * scale * powers / s, 1j * scale * powers / s
 
@@ -359,21 +356,20 @@ class ResolventKernel:
             s = lam * root
             scalars.append((edge_xi(lam), s, (4.0 - 2.0 * lam * lam) / root, 2.0 / root, s * s))
         xi, s, sprime, phiprime, s2 = (np.array(col)[:, None] for col in zip(*scalars))
-        a = np.arange(self._max_exponent + 1)
+        a = np.arange(self.max_exponent + 1)
         powers = xi ** a
         core = powers * (1j * a * phiprime * s - sprime) / s2
         scale = KERNEL_PREFACTOR / math.sqrt(self.tree.k)
         return -1j * scale * core, 1j * scale * core
 
-    def assemble(self, plus_table: np.ndarray, minus_table: np.ndarray) -> np.ndarray:
+    def assemble(self, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
         """Kernel entries ``a[x] G(|x|, |y|, |x∧y|) conj(b[y])`` from the tables.
 
         ``G`` is the fixed linear map of the tables built in :meth:`_prepare`.
-        ``(E,)`` tables give a ``(rows, cols)`` matrix and ``(N, E)`` tables a
-        ``(N, rows, cols)`` stack, equal to the per-table results bit for bit
-        (the map is accumulated elementwise in a fixed order, not by BLAS).
+        ``(N, E)`` tables give a ``(N, rows, cols)`` stack whose slices equal
+        the one-table results bit for bit (the map is accumulated elementwise
+        in a fixed order, not by BLAS).
         """
-        plus, minus = np.atleast_2d(plus_table), np.atleast_2d(minus_table)
         g = np.zeros((plus.shape[0], self._minus_idx.size), dtype=complex)
         minus_part = minus[:, self._minus_idx]
         for coef, p_idx in zip(self._coef, self._plus_idx):
@@ -383,11 +379,11 @@ class ResolventKernel:
             out *= self.a_weight[self.rows][:, None]
         if self.b_weight is not None:
             out *= np.conj(self.b_weight[self.cols])
-        return out if np.ndim(plus_table) == 2 else out[0]
+        return out
 
     def evaluate(self, sp_: SpectralPoint) -> np.ndarray:
         plus_t, minus_t = self.exponent_tables(sp_)
-        return self.assemble(plus_t, minus_t)
+        return self.assemble(plus_t[None], minus_t[None])[0]
 
 
 def weighted_resolvent_kernel(
@@ -403,11 +399,7 @@ def weighted_resolvent_kernel(
     spherical basis; the argument stays for existing callers.
     ``a_weight``/``b_weight`` are diagonal weights (``None`` = identity).
     """
-    entries = ResolventKernel(t, a_weight, b_weight).evaluate(sp_)
-    return KernelMatrix(
-        entries=entries, point=sp_, prefactor=KERNEL_PREFACTOR,
-        a_weight=a_weight, b_weight=b_weight,
-    )
+    return KernelMatrix(ResolventKernel(t, a_weight, b_weight).evaluate(sp_))
 
 
 # -- direct-solve oracle ------------------------------------------------------

@@ -56,7 +56,7 @@ def planted_family(rng, n, zeros, decoys=()):
 
 
 def reference_pass(f, fprime, contour):
-    """One trapezoidal pass evaluated node by node, without stacking."""
+    """One trapezoidal pass evaluated one node per call, without chunking."""
     pts = contour.points()
     unit = (pts - contour.center) / contour.radius
     total = 0.0 + 0.0j
@@ -64,9 +64,9 @@ def reference_pass(f, fprime, contour):
     for lam, u in zip(pts, unit):
         tr = 0.0 + 0.0j
         sv = math.inf
-        for (mult, blk), (_, blkp) in zip(f(lam), fprime(lam)):
-            tr += mult * np.trace(np.linalg.solve(blk, blkp))
-            sv = min(sv, float(np.linalg.svd(blk, compute_uv=False).min()))
+        for (mult, blk), (_, blkp) in zip(f([lam]), fprime([lam])):
+            tr += mult * np.trace(np.linalg.solve(blk[0], blkp[0]))
+            sv = min(sv, float(np.linalg.svd(blk[0], compute_uv=False).min()))
         min_sv = min(min_sv, sv)
         total += u * tr
     raw = contour.radius * total / contour.nodes

@@ -292,9 +292,9 @@ def test_radial_reduction_matches_full(tree_basis, radial_spec_k2):
     lam = 0.07 - 0.05j
     full = factory.matrix(lam, +1)
     eig_full = np.sort_complex(np.linalg.eigvals(full))
-    blocks = factory.reduced_blocks(lam, +1)
+    blocks = factory.reduced_blocks([lam], +1)
     eig_red = np.sort_complex(
-        np.concatenate([np.repeat(np.linalg.eigvals(m), d) for d, m in blocks])
+        np.concatenate([np.repeat(np.linalg.eigvals(m[0]), d) for d, m in blocks])
     )
     assert eig_red.size == eig_full.size
     assert np.abs(eig_full - eig_red).max() < 1e-12
@@ -306,8 +306,8 @@ def test_blocks_dispatch(tree_basis, radial_spec_k2, derivative):
     lam = 0.07 - 0.05j
 
     radial = BSFactory(t, b, radial_spec_k2)
-    got = radial.blocks(lam, -1, derivative=derivative)
-    want = radial.reduced_blocks(lam, -1, derivative=derivative)
+    got = radial.blocks([lam], -1, derivative=derivative)
+    want = radial.reduced_blocks([lam], -1, derivative=derivative)
     assert [d for d, _ in got] == [d for d, _ in want]
     assert all(np.array_equal(g, w) for (_, g), (_, w) in zip(got, want))
 
@@ -315,13 +315,13 @@ def test_blocks_dispatch(tree_basis, radial_spec_k2, derivative):
     cancelled = BSFactory(t, b, PotentialSpec.radial_exp(1.0, 6 * LOG2))
     assert cancelled.radial and 0 not in cancelled.support
     full = cancelled.derivative if derivative else cancelled.matrix
-    (mult, blk), = cancelled.blocks(lam, -1, derivative=derivative)
-    assert mult == 1 and np.array_equal(blk, full(lam, -1))
+    (mult, blk), = cancelled.blocks([lam], -1, derivative=derivative)
+    assert mult == 1 and np.array_equal(blk[0], full(lam, -1))
 
     table = BSFactory(t, b, PotentialSpec.table([(0, 0.3 - 0.2j), (2, 0.1j)], 6 * LOG2))
     full = table.derivative if derivative else table.matrix
-    (mult, blk), = table.blocks(lam, -1, derivative=derivative)
-    assert mult == 1 and np.array_equal(blk, full(lam, -1))
+    (mult, blk), = table.blocks([lam], -1, derivative=derivative)
+    assert mult == 1 and np.array_equal(blk[0], full(lam, -1))
 
 
 @pytest.mark.parametrize("k, depths", [
@@ -335,7 +335,7 @@ def test_block_multiplicities_match_basis_dims(k, depths):
         assert [newborn_multiplicity(k, n) for n in range(depth + 1)] == dims.tolist()
         factory = BSFactory(t, None, PotentialSpec.radial_exp(0.3, max(1.6, 6 * math.log(k))))
         levels = range(factory.r_support + 1)
-        assert [d for d, _ in factory.reduced_blocks(0.1j)] == [
+        assert [d for d, _ in factory.reduced_blocks([0.1j])] == [
             int(dims[n]) for n in levels if dims[n]
         ]
 
@@ -372,7 +372,7 @@ def test_blocks_over_lambda_array(monkeypatch, tree_basis, k, depth, spec, deriv
     rng = np.random.default_rng(3)
     lams = 0.15 * np.sqrt(rng.random(9)) * np.exp(2j * np.pi * rng.random(9))
     points = [from_lambda(k, lam, eps0=factory.eps0) for lam in lams]
-    size = 2 * depth + 3
+    size = 2 * factory.r_support + 3
     single = kernel.derivative_tables if derivative else kernel.exponent_tables
     per_point = [single(p) for p in points]
 
@@ -385,7 +385,7 @@ def test_blocks_over_lambda_array(monkeypatch, tree_basis, k, depth, spec, deriv
         want_plus, want_minus = _point_tables(p, size, derivative)
         assert np.array_equal(plus, want_plus) and np.array_equal(minus, want_minus)
     for sign in (1, -1):
-        scalar = [factory.blocks(lam, sign, derivative=derivative) for lam in lams]
+        scalar = [factory.blocks([lam], sign, derivative=derivative) for lam in lams]
         for part in (slice(None), slice(0, 1), slice(2, 4)):
             plus, minus = stacked(points[part])
             assert np.array_equal(plus, np.array([p for p, _ in per_point[part]]))
@@ -396,7 +396,7 @@ def test_blocks_over_lambda_array(monkeypatch, tree_basis, k, depth, spec, deriv
             assert sum(blk[0].size for _, blk in got) == factory.block_entries
             for slot, (_, blk) in enumerate(got):
                 assert blk.shape[0] == len(want)
-                assert np.array_equal(blk, np.array([w[slot][1] for w in want]))
+                assert np.array_equal(blk, np.array([w[slot][1][0] for w in want]))
 
     # parameters of a stack outside the disk: the first one is named, before
     # any LAPACK call (the 16-node contour is one chunk; its node 0 is inside)
@@ -417,7 +417,7 @@ def test_blocks_over_lambda_array(monkeypatch, tree_basis, k, depth, spec, deriv
 
     for name in ("solve", "svd", "eigvals"):
         monkeypatch.setattr(np.linalg, name, no_lapack)
-    fval, fpval = _family(factory, 1, factory.eps0)
+    fval, fpval = _family(factory, 1)
     for evaluate, points in (
         (lambda: factory.blocks(outside, -1, derivative=derivative), outside),
         (lambda: (fpval if derivative else fval)(outside), outside),
@@ -438,9 +438,10 @@ def test_derivative_matches_finite_differences(tree_basis, radial_spec_k2):
 
 
 def test_full_support_factory_over_budget_raises(monkeypatch, radial_spec_k2):
-    # without the cutoff the support is all 511 vertices of the depth-8 tree
+    # 10 exp(-6 ln 2 * 8) = 3.6e-14 clears the support cutoff on the deepest
+    # sphere, so the support is all 511 vertices of the depth-8 tree
     monkeypatch.setattr(resolvent, "memory_budget", lambda: 10**6)
     t = build_tree(2, 8)
     assert BSFactory(t, None, radial_spec_k2).support.size < t.vertex_count
     with pytest.raises(CapacityExceeded, match="511 x 511"):
-        BSFactory(t, None, radial_spec_k2, cutoff=0)
+        BSFactory(t, None, PotentialSpec.radial_exp(10.0, 6 * LOG2))

@@ -348,14 +348,14 @@ def test_absence_scan_matches_per_point_reference(
         monkeypatch.setattr(cv, "STACK_ENTRIES", 5 * factory.block_entries)
     rep = absence_scan(t, b, spec, (0.05, 0.15), 6, "plus", nodes=32, factory=factory)
 
-    fval, fpval = _family(factory, -1, factory.eps0)
+    fval, fpval = _family(factory, -1)
     for radius, index in rep.ladder:
         assert index == reference_pass(fval, fpval, ContourSpec(0.0, radius, 32))
 
     rows, flagged = [], 0
     for lam in rep.grid_rows[:, 0] + 1j * rep.grid_rows[:, 1]:
         _, dist = resonance_indicator(t, b, spec, lam, "plus", factory=factory)
-        blocks = factory.blocks(lam, -1)
+        blocks = [(d, blk[0]) for d, blk in factory.blocks([lam], -1)]
         minsv = min(
             float(np.linalg.svd(np.eye(blk.shape[0]) + blk, compute_uv=False).min())
             for _, blk in blocks
@@ -432,7 +432,7 @@ def test_family_paths_agree(tree_basis):
     t, b = tree_basis(2, 6)
     spec = PotentialSpec.radial_exp(0.35j, 6 * LOG2)
     factory = BSFactory(t, b, spec)
-    fval_r, fp_r = _family(factory, 1, factory.eps0)
+    fval_r, fp_r = _family(factory, 1)
     rep_reduced = contour_index(fval_r, fp_r, ContourSpec(0.0, 0.1, nodes=64))
 
     def fval_full(lams):

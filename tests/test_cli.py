@@ -317,6 +317,24 @@ def test_scan_deterministic_output(tmp_path, capsys, pot_file):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.filterwarnings("error")
+def test_deep_truncation_scans_like_the_support_depth(tmp_path, capsys):
+    # the support ends at sphere 19 on both trees; exponent tables as long as
+    # the depth-3000 tree would overflow xi**a on the second sheet (|xi| > 1)
+    potential = json.dumps({"kind": "radial-exp", "amplitude": {"re": 0, "im": 0.2},
+                            "delta": 1.6})
+    outputs = []
+    for depth in (3000, 20):
+        csv_path = tmp_path / f"depth{depth}.csv"
+        code = main(["scan", "--k", "1", "--depth", str(depth), "--potential", potential,
+                     "--rmin", "0.02", "--rmax", "0.16", "--grid", "4", "--nodes", "16",
+                     "--out", str(csv_path)])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        outputs.append((captured.out, csv_path.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_scan_certification_failure_exit_code(tmp_path, capsys, pot_file):
     code = main([
         "scan", "--k", "2", "--potential", pot_file,
@@ -367,7 +385,7 @@ def test_index_matches_node_by_node_reference(capsys, potential, extra):
     args = build_parser().parse_args(["index", "--k", "2", "--potential", potential] + extra)
     spec = PotentialSpec.from_json(potential)
     factory = BSFactory(build_tree(2, _auto_depth(2, spec)), None, spec)
-    fval, fpval = charval._family(factory, charval._sign_for(args.threshold), factory.eps0)
+    fval, fpval = charval._family(factory, charval._sign_for(args.threshold))
     want = reference_pass(fval, fpval, ContourSpec(complex(args.center), args.radius, args.nodes))
     assert code == 0 and want.certified
     assert out == want.to_json()
@@ -448,11 +466,11 @@ SCAN = ["scan", "--k", "2", "--depth", "4", "--potential", RADIAL,
         "--rmin", "0.05", "--rmax", "0.15", "--nodes", "32"]
 
 
-def _deep_k1_table(vertex):
+def _deep_k1_table(vertex, **fields):
     """``index`` on a k=1 table whose one vertex sits deep enough that
-    ``exp(delta |v|)`` overflows a float."""
+    ``exp(delta |v|)`` overflows a float; ``fields`` join the potential JSON."""
     return ["index", "--k", "1", "--radius", "0.1", "--potential", json.dumps(
-        {"kind": "table", "values": [{"v": vertex, "re": 0.1}], "delta": 1.6})]
+        {"kind": "table", "values": [{"v": vertex, "re": 0.1}], "delta": 1.6, **fields})]
 
 
 def _file(tmp_path, text):
@@ -499,6 +517,13 @@ BAD_INPUTS = [
     pytest.param("'C'", lambda tmp: INDEX + ["--potential", json.dumps(
         {"kind": "radial-exp", "amplitude": 0.3, "delta": 6 * LOG2, "C": math.inf})],
                  id="infinite C"),
+    pytest.param("'C'", lambda tmp: INDEX + ["--potential", json.dumps(
+        {"kind": "radial-exp", "amplitude": 0.3, "delta": 6 * LOG2, "C": 0})], id="zero C"),
+    pytest.param("'C'", lambda tmp: INDEX + ["--potential", json.dumps(
+        {"kind": "radial-exp", "amplitude": 0.3, "delta": 6 * LOG2, "C": -1.0})],
+                 id="negative C"),
+    pytest.param("certificate", lambda tmp: _deep_k1_table(2000, C=1e300),
+                 id="huge explicit C"),
     pytest.param("certificate", lambda tmp: _deep_k1_table(2000), id="certificate overflow"),
     pytest.param("certificate", lambda tmp: _deep_k1_table(8000), id="certificate overflow deeper"),
     pytest.param("cap", lambda tmp: ["kernel", "--k", "2", "--depth", "40000"],

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in ``src/``."""
+"""Every demo script runs to completion against the package in ``src/``,
+with warnings as errors."""
 import os
 import subprocess
 import sys
@@ -21,7 +22,7 @@ def test_demo_exits_zero(demo, tmp_path):
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        [sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

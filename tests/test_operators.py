@@ -127,8 +127,6 @@ def test_assumption_violation_and_override():
     bad = PotentialSpec.radial_exp(0.5, 0.5 * LOG2)
     with pytest.raises(AssumptionViolated):
         potential_matrix(t, bad)
-    vals = potential_matrix(t, bad, allow_violation=True)
-    assert vals.shape == (t.vertex_count,)
     # k = 1 admits any positive rate
     t1 = build_tree(1, 4)
     PotentialSpec.radial_exp(0.5, 0.5 * LOG2).check_assumption(t1)
@@ -140,6 +138,15 @@ def test_certificate_estimation():
     c, delta = spec.certificate(t)
     r3 = 2  # vertex 3 sits on sphere 2
     assert c == pytest.approx(max(1.0, 0.25 * math.exp(delta * r3)))
+
+
+def test_huge_explicit_certificate_is_checked_in_log_space():
+    # 0.1 exp(1.6 * 2000) needs C >= exp(3197.7); an absolute slack of
+    # 1e-12 * (1 + C) = 1e288 would let this table pass
+    deep = PotentialSpec.table([(2000, 0.1)], 1.6, c_const=1e300)
+    with pytest.raises(AssumptionViolated, match="exceeds its certificate"):
+        deep.check_assumption(build_tree(1, 2000))
+    PotentialSpec.table([(20, 0.1)], 1.6, c_const=1e300).check_assumption(build_tree(1, 20))
 
 
 def test_json_round_trip():

@@ -311,7 +311,10 @@ def test_assemble_stacked_tables_bit_for_bit(k, depth, rows):
     lams = 0.12 * np.exp(2j * np.pi * np.arange(7) / 7 + 0.3j)
     points = [from_lambda(k, lam) for lam in lams]
     values = np.array([assembler.evaluate(p) for p in points])
-    derivatives = np.array([assembler.assemble(*assembler.derivative_tables(p)) for p in points])
+    derivatives = np.array([
+        assembler.assemble(plus[None], minus[None])[0]
+        for plus, minus in map(assembler.derivative_tables, points)
+    ])
     for tables, single in (
         (assembler.exponent_tables, values),
         (assembler.derivative_tables, derivatives),
