@@ -122,11 +122,11 @@ class BSFactory:
     once.  ``radial`` is set when the perturbation is constant on spheres, in
     which case :meth:`reduced_blocks` exposes the exact per-block reduction
     (level matrices ``T_n`` with the multiplicity of the newborn block ``n``,
-    ``1`` at ``n = 0`` and ``k**(n-1) * (k-1)`` above).  :meth:`blocks` picks
-    the reduction or the full support matrix.  ``b`` is unused: the
-    multiplicities are known in closed form, so no spherical basis is built;
-    the argument stays for existing callers.  Parameters must lie in the
-    punctured disk ``0 < |lam| < eps0``.
+    ``1`` at ``n = 0`` and ``k**(n-1) * (k-1)`` above).  :meth:`blocks` returns
+    the reduction for radial data and the full support matrix otherwise.
+    ``b`` is unused: the multiplicities are known in closed form, so no
+    spherical basis is built; the argument stays for existing callers.
+    Parameters must lie in the punctured disk ``0 < |lam| < eps0``.
     """
 
     def __init__(self, t: TreeGraph, b: object, spec: PotentialSpec | None):
@@ -136,45 +136,44 @@ class BSFactory:
         j_full, sqrt_full = polar_factors(m_vec)
         self.j_phase = j_full[self.support]
         self.sqrt_abs = sqrt_full[self.support]
-        self.eps0 = disk_radius(t.k, spec.delta) if spec is not None else DEFAULT_DISK_RADIUS
+        self.eps0 = disk_radius(spec.delta) if spec is not None else DEFAULT_DISK_RADIUS
         self.kernel = ResolventKernel(
             t, a_weight=sqrt_full, b_weight=sqrt_full,
             rows=self.support, cols=self.support,
         )
         self.radial = spec is None or spec.kind == "radial-exp"
-        self._reduced = self.radial and self._prepare_radial(j_full, sqrt_full)
+        if self.radial:
+            self._prepare_radial(j_full, sqrt_full)
         #: matrix entries per parameter over all blocks :meth:`blocks` returns
         self.block_entries = (
-            sum(nlev * nlev for _, nlev, _, _ in self._levels) if self._reduced
+            sum(held.size ** 2 for _, held, _, _ in self._levels) if self.radial
             else self.support.size ** 2
         )
 
-    def _prepare_radial(self, j_full, sqrt_full) -> bool:
-        """Per-block weights of the level matrices; whether every sphere up
-        to the support radius carries weight."""
-        t = self.tree
-        a_radial = np.zeros(self.r_support + 1)
-        j_radial = np.ones(self.r_support + 1, dtype=complex)
-        for r in range(self.r_support + 1):
-            s = t.sphere(r)
-            a_radial[r] = sqrt_full[s.start]
-            j_radial[r] = j_full[s.start]
-        # level pairs (j, l) of the largest block; block n is its top-left corner
+    def _prepare_radial(self, j_full, sqrt_full) -> None:
+        """Per-block weighted levels and weights of the level matrices.
+
+        A weightless level is a zero row and column of ``T_n``, so each block
+        keeps only its weighted levels, as the support does.
+        """
+        spheres = self.tree.sphere_offsets[:self.r_support + 1]
+        a_radial, j_radial = sqrt_full[spheres], j_full[spheres]
+        # level pairs (j, l) of the largest block; block n reads it at its
+        # levels counted from n
         lv = np.arange(self.r_support + 1)
         self._plus_idx = np.add.outer(lv, lv) + 2
         self._minus_idx = np.abs(np.subtract.outer(lv, lv))
-        # per block n: multiplicity, level count, row and column weights,
+        # per block n: multiplicity, weighted levels counted from n (never
+        # empty: level r_support carries weight), row and column weights,
         # shaped to broadcast over a stack of level matrices
         self._levels = []
         for n in range(self.r_support + 1):
-            d = newborn_multiplicity(t.k, n)
+            d = newborn_multiplicity(self.tree.k, n)
             if d == 0:
                 continue
-            nlev = self.r_support - n + 1
-            a = a_radial[n:n + nlev]
-            jph = j_radial[n:n + nlev]
-            self._levels.append((d, nlev, (jph * a)[None, :, None], a[None, None, :]))
-        return bool(np.all(a_radial > 0))
+            held = np.flatnonzero(a_radial[n:] > 0)
+            a, jph = a_radial[n + held], j_radial[n + held]
+            self._levels.append((d, held, (jph * a)[None, :, None], a[None, None, :]))
 
     # -- spectral-point plumbing ------------------------------------------
 
@@ -218,17 +217,17 @@ class BSFactory:
         """Per-block level matrices ``(multiplicity, T_n)`` for radial data.
 
         For a 1-D sequence of ``N`` parameters each ``T_n`` is stacked to
-        shape ``(N, nlev, nlev)``.  The union of their spectra (with
-        multiplicities) equals the spectrum of the full support matrix, up to
-        exact zeros for spheres where the perturbation vanishes.
+        shape ``(N, nlev, nlev)`` over the weighted levels of block ``n``.  The
+        union of their spectra (with multiplicities) equals the spectrum of
+        the full support matrix.
         """
         if not self.radial:
             raise InvalidParameter("reduced blocks require a radial perturbation")
         plus_t, minus_t = self._tables(lams, derivative)
         g = plus_t[:, self._plus_idx] + minus_t[:, self._minus_idx]
         return [
-            (d, sign * rows * g[:, :nlev, :nlev] * cols)
-            for d, nlev, rows, cols in self._levels
+            (d, sign * rows * g[:, held[:, None], held] * cols)
+            for d, held, rows, cols in self._levels
         ]
 
     def blocks(
@@ -236,13 +235,11 @@ class BSFactory:
     ) -> list[tuple[int, np.ndarray]]:
         """The sandwich (or its derivative) as ``(multiplicity, stack)`` pairs.
 
-        The exact radial reduction when every sphere up to the support radius
-        carries weight; otherwise the full support matrix as a single block.
-        A weightless sphere (the root, when the potential cancels the degree
-        defect) would add spurious zero eigenvalues to the level matrices.
-        ``lams`` is a 1-D sequence, as for :meth:`reduced_blocks`.
+        The exact reduction for radial data; otherwise the full support matrix
+        as a single block.  ``lams`` is a 1-D sequence, as for
+        :meth:`reduced_blocks`.
         """
-        if self._reduced:
+        if self.radial:
             return self.reduced_blocks(lams, sign, derivative=derivative)
         return [(1, self._sandwich(*self._tables(lams, derivative), sign))]
 

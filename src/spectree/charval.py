@@ -122,18 +122,26 @@ def _block_list(val) -> list[tuple[int, np.ndarray]]:
     return [(1, val)] if isinstance(val, np.ndarray) else val
 
 
-def _trace_and_sv(fv, fp) -> tuple[np.ndarray, np.ndarray]:
+def _trace_and_sv(lams, fv, fp) -> tuple[np.ndarray, np.ndarray]:
     """``Tr[F^{-1} F']`` and the min singular value of ``F`` at each node of a chunk.
 
-    ``fv``/``fp`` are the stacked blocks of ``F`` and ``F'``; every block slot
-    is decomposed in one LAPACK call.  Traces add up slot by slot in block
-    order, as for a single node.
+    ``fv``/``fp`` are the stacked blocks of ``F`` and ``F'`` at the nodes
+    ``lams``; every block slot is decomposed in one LAPACK call.  The singular
+    values come first, so a node below :data:`SV_FLOOR` raises
+    :class:`SingularOnContour` before any solve.  Traces add up slot by slot
+    in block order, as for a single node.
     """
-    traces = np.zeros(fv[0][1].shape[0], dtype=complex)
-    sv = np.full(traces.shape, math.inf)
+    sv = np.full(len(lams), math.inf)
+    for _, blk in fv:
+        sv = np.minimum(sv, np.linalg.svd(blk, compute_uv=False).min(axis=-1))
+    low = np.flatnonzero(sv < SV_FLOOR)
+    if low.size:
+        raise SingularOnContour(
+            f"family singular at contour node {lams[low[0]]:.6g} (sv={sv[low[0]]:.3g})"
+        )
+    traces = np.zeros(len(lams), dtype=complex)
     for (mult, blk), (_, blkp) in zip(fv, fp):
         traces += mult * np.trace(np.linalg.solve(blk, blkp), axis1=-2, axis2=-1)
-        sv = np.minimum(sv, np.linalg.svd(blk, compute_uv=False).min(axis=-1))
     return traces, sv
 
 
@@ -188,12 +196,8 @@ def _quadrature_pass(f, fprime, contour, nodes, phase) -> IndexReport:
     min_sv = math.inf
     for start in range(0, nodes, step):
         lams = pts[start:start + step]
-        traces, svs = _trace_and_sv(_block_list(f(lams)), _block_list(fprime(lams)))
-        for node, u, tr, sv in zip(lams, unit[start:], traces, svs):
-            if sv < SV_FLOOR:
-                raise SingularOnContour(
-                    f"family singular at contour node {node:.6g} (sv={sv:.3g})"
-                )
+        traces, svs = _trace_and_sv(lams, _block_list(f(lams)), _block_list(fprime(lams)))
+        for u, tr, sv in zip(unit[start:], traces, svs):
             min_sv = min(min_sv, float(sv))
             total += u * tr
     raw = contour.radius * total / nodes

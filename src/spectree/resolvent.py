@@ -101,7 +101,7 @@ def t_plus(k: int) -> float:
     return 2.0 * math.sqrt(k) + k + 1.0
 
 
-def disk_radius(k: int, delta: float) -> float:
+def disk_radius(delta: float) -> float:
     """Working radius ``min(delta/8, 0.3)`` of the punctured edge disk."""
     return min(delta / 8.0, DEFAULT_DISK_RADIUS)
 
@@ -370,7 +370,13 @@ class ResolventKernel:
         the one-table results bit for bit (the map is accumulated elementwise
         in a fixed order, not by BLAS).
         """
-        g = np.zeros((plus.shape[0], self._minus_idx.size), dtype=complex)
+        count, keys = plus.shape[0], self._minus_idx.size
+        # the output and the two (N, keys) accumulators
+        _check_budget(
+            16 * count * (self._code.size + 2 * keys),
+            f"kernel entries of {count} x {self.rows.size} x {self.cols.size}",
+        )
+        g = np.zeros((count, keys), dtype=complex)
         minus_part = minus[:, self._minus_idx]
         for coef, p_idx in zip(self._coef, self._plus_idx):
             g += coef * (plus[:, p_idx] + minus_part)

@@ -287,17 +287,21 @@ def test_cauchy_reconstruction_of_sandwich(tree_basis, radial_spec_k2):
 
 
 def test_radial_reduction_matches_full(tree_basis, radial_spec_k2):
+    # amplitude 1 cancels the root degree defect: the blocks drop the
+    # weightless root level, as the support drops the root
     t, b = tree_basis(2, 6)
-    factory = BSFactory(t, b, radial_spec_k2)
     lam = 0.07 - 0.05j
-    full = factory.matrix(lam, +1)
-    eig_full = np.sort_complex(np.linalg.eigvals(full))
-    blocks = factory.reduced_blocks([lam], +1)
-    eig_red = np.sort_complex(
-        np.concatenate([np.repeat(np.linalg.eigvals(m[0]), d) for d, m in blocks])
-    )
-    assert eig_red.size == eig_full.size
-    assert np.abs(eig_full - eig_red).max() < 1e-12
+    for spec in (radial_spec_k2, PotentialSpec.radial_exp(1.0, 6 * LOG2)):
+        factory = BSFactory(t, b, spec)
+        for sign in (1, -1):
+            full = factory.matrix(lam, sign)
+            eig_full = np.sort_complex(np.linalg.eigvals(full))
+            blocks = factory.reduced_blocks([lam], sign)
+            eig_red = np.sort_complex(
+                np.concatenate([np.repeat(np.linalg.eigvals(m[0]), d) for d, m in blocks])
+            )
+            assert eig_red.size == eig_full.size
+            assert np.abs(eig_full - eig_red).max() < 1e-12
 
 
 @pytest.mark.parametrize("derivative", [False, True])
@@ -311,12 +315,18 @@ def test_blocks_dispatch(tree_basis, radial_spec_k2, derivative):
     assert [d for d, _ in got] == [d for d, _ in want]
     assert all(np.array_equal(g, w) for (_, g), (_, w) in zip(got, want))
 
-    # amplitude 1 cancels the root degree defect: no reduction, one full block
+    # amplitude 1 cancels the root degree defect: still reduced, and block 0
+    # holds only the weighted levels 1..r_support
     cancelled = BSFactory(t, b, PotentialSpec.radial_exp(1.0, 6 * LOG2))
     assert cancelled.radial and 0 not in cancelled.support
-    full = cancelled.derivative if derivative else cancelled.matrix
-    (mult, blk), = cancelled.blocks([lam], -1, derivative=derivative)
-    assert mult == 1 and np.array_equal(blk[0], full(lam, -1))
+    got = cancelled.blocks([lam], -1, derivative=derivative)
+    want = cancelled.reduced_blocks([lam], -1, derivative=derivative)
+    assert [d for d, _ in got] == [d for d, _ in want]
+    assert all(np.array_equal(g, w) for (_, g), (_, w) in zip(got, want))
+    assert got[0][1].shape[-1] == cancelled.r_support
+    # k=2 depth 8: blocks on levels 1..7 hold 189 entries, the support 254**2
+    deep = BSFactory(build_tree(2, 8), None, PotentialSpec.radial_exp(1.0, 6 * LOG2))
+    assert deep.block_entries == 189
 
     table = BSFactory(t, b, PotentialSpec.table([(0, 0.3 - 0.2j), (2, 0.1j)], 6 * LOG2))
     full = table.derivative if derivative else table.matrix

@@ -130,6 +130,28 @@ def test_singular_on_contour():
         contour_index(f, fp, ContourSpec(0.0, 0.1))
 
 
+def test_exactly_singular_node_takes_the_phase_nudge():
+    # F is exactly singular at nodes 7-8: the singular values are read before
+    # any solve, so the pass raises SingularOnContour rather than numpy's
+    # LinAlgError, and contour_index retries at the nudged phase
+    import spectree.charval as cv
+
+    contour = ContourSpec(0.0, 0.1, nodes=16)
+    pts = contour.points()
+
+    def f(lam):
+        return diag_stack(lam, [np.where(np.isin(lam, pts[7:9]), 0.0, 1.0), 2.0])
+
+    def fp(lam):
+        return diag_stack(lam, [0.0, 0.0])
+
+    with pytest.raises(SingularOnContour) as exc:
+        cv._quadrature_pass(f, fp, contour, 16, 0.0)
+    assert f"node {pts[7]:.6g} " in str(exc.value)
+    report = contour_index(f, fp, contour)
+    assert report.rounded == 0 and report.residual == 0.0
+
+
 def test_non_convergent_on_non_holomorphic_family():
     def f(lam):
         return diag_stack(lam, [1.0 + 0.5 * np.conj(lam) / 0.1])
@@ -428,23 +450,24 @@ def test_frobenius_screen_keeps_exact_flags():
 
 
 def test_family_paths_agree(tree_basis):
-    # radial fast path and full-matrix path produce the same index report
+    # radial fast path and full-matrix path produce the same index report;
+    # amplitude 1 leaves the root weightless
     t, b = tree_basis(2, 6)
-    spec = PotentialSpec.radial_exp(0.35j, 6 * LOG2)
-    factory = BSFactory(t, b, spec)
-    fval_r, fp_r = _family(factory, 1)
-    rep_reduced = contour_index(fval_r, fp_r, ContourSpec(0.0, 0.1, nodes=64))
+    for amplitude in (0.35j, 1.0):
+        factory = BSFactory(t, b, PotentialSpec.radial_exp(amplitude, 6 * LOG2))
+        fval_r, fp_r = _family(factory, 1)
+        rep_reduced = contour_index(fval_r, fp_r, ContourSpec(0.0, 0.1, nodes=64))
 
-    def fval_full(lams):
-        m = np.array([factory.matrix(lam, 1) for lam in lams])
-        return np.eye(m.shape[-1]) + m
+        def fval_full(lams):
+            m = np.array([factory.matrix(lam, 1) for lam in lams])
+            return np.eye(m.shape[-1]) + m
 
-    def fp_full(lams):
-        return np.array([factory.derivative(lam, 1) for lam in lams])
+        def fp_full(lams):
+            return np.array([factory.derivative(lam, 1) for lam in lams])
 
-    rep_full = contour_index(fval_full, fp_full, ContourSpec(0.0, 0.1, nodes=64))
-    assert rep_reduced.rounded == rep_full.rounded == 0
-    assert abs(rep_reduced.raw - rep_full.raw) < 1e-10
-    assert rep_reduced.min_sv_on_contour == pytest.approx(
-        rep_full.min_sv_on_contour, abs=1e-10
-    )
+        rep_full = contour_index(fval_full, fp_full, ContourSpec(0.0, 0.1, nodes=64))
+        assert rep_reduced.rounded == rep_full.rounded == 0
+        assert abs(rep_reduced.raw - rep_full.raw) < 1e-10
+        assert rep_reduced.min_sv_on_contour == pytest.approx(
+            rep_full.min_sv_on_contour, abs=1e-10
+        )

@@ -405,6 +405,16 @@ def test_budget_stops_full_kernel_and_solve_before_allocating(monkeypatch):
         direct_resolvent_block(t, z)
 
 
+def test_budget_stops_kernel_assembly_before_allocating(monkeypatch):
+    # k=2 depth 8, 511 x 9 pairs: the codes take 23 kB and pass a 50 kB
+    # budget; the complex output and its accumulators take over 73 kB
+    monkeypatch.setattr(resolvent, "memory_budget", lambda: 50_000)
+    t = build_tree(2, 8)
+    kernel = ResolventKernel(t, cols=t.sphere_offsets[:t.depth + 1])
+    with pytest.raises(CapacityExceeded, match="511 x 9 need"):
+        kernel.evaluate(from_z(2, t_minus(2) - 0.5))
+
+
 def test_branch_failure_at_degenerate_point():
     from spectree.resolvent import SpectralPoint
 
