@@ -24,6 +24,7 @@ LAPACK once per block slot per chunk.  A chunk holds at most
 results equal the per-point computation bit for bit.
 """
 
+import cmath
 import copy
 import csv
 import math
@@ -84,8 +85,10 @@ class ContourSpec:
     nodes: int = 256
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise InvalidParameter("contour radius must be positive")
+        if not cmath.isfinite(self.center):
+            raise InvalidParameter(f"contour center must be finite, got {self.center}")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise InvalidParameter(f"contour radius must be positive and finite, got {self.radius}")
         if self.nodes < 16:
             raise InvalidParameter("contour needs at least 16 nodes")
 

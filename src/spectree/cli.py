@@ -19,10 +19,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
-from scipy.sparse.linalg import eigsh
 
 from . import charval, quadrature
 from .birman_schwinger import SUPPORT_CUTOFF, BSFactory, hol_split
@@ -81,12 +81,19 @@ def _load_potential(arg: str | None) -> PotentialSpec | None:
 
 
 def _check_out(path: str | None) -> None:
-    """Fail with one ``--out`` error before any work if ``path`` cannot be written."""
+    """Fail with one ``--out`` error before any work if ``path`` cannot be written.
+
+    A file the probe creates is removed again, so a later usage error leaves
+    no empty file behind; an existing file is opened but not written.
+    """
     if path is None:
         return
     try:
+        created = not os.path.exists(path)
         with open(path, "a"):
             pass
+        if created:
+            os.remove(path)
     except OSError as exc:
         raise InvalidParameter(f"--out: cannot write {path!r}: {exc.strerror}") from None
 
@@ -193,6 +200,8 @@ def _run_validation(k: int, depth: int, spec: PotentialSpec | None):
 
 
 def _check_operators(t: TreeGraph, spec, e_m, e_p, check) -> None:
+    from scipy.sparse.linalg import eigsh
+
     k, depth = t.k, t.depth
     sizes = [t.sphere_size(r) for r in range(depth + 1)]
     check("tree sphere sizes", max(abs(s - k**r) for r, s in enumerate(sizes)), 0)
@@ -357,6 +366,8 @@ def _cmd_kernel(args) -> int:
 # -- scan ------------------------------------------------------------------------
 
 def _cmd_scan(args) -> int:
+    if not (math.isfinite(args.sv_floor) and args.sv_floor >= 0):
+        raise InvalidParameter(f"--sv-floor must be finite and non-negative, got {args.sv_floor}")
     spec = _load_potential(args.potential)
     depth = args.depth
     if depth is None:

@@ -21,12 +21,17 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import AssumptionViolated, InvalidParameter
 from .tree import TreeGraph
+
+# scipy is imported inside the sparse functions, so that the commands that
+# never solve sparsely (scan, index, spectrum) start without loading it
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 #: admissibility rule for the decay rate: delta > 0 when k = 1,
 #: delta >= 6 ln k otherwise.
@@ -49,6 +54,8 @@ def adjacency(t: TreeGraph) -> np.ndarray:
 
 def adjacency_sparse(t: TreeGraph) -> sp.csr_matrix:
     """CSR adjacency, for trees too large to hold densely."""
+    import scipy.sparse as sp
+
     v, p = _parent_indices(t)
     rows = np.concatenate([v, p])
     cols = np.concatenate([p, v])
@@ -93,6 +100,8 @@ def free_operator(t: TreeGraph) -> np.ndarray:
 
 
 def free_operator_sparse(t: TreeGraph) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     m = -adjacency_sparse(t)
     return (m + sp.identity(t.vertex_count, format="csr") * (t.k + 1.0)).tocsr()
 
@@ -113,8 +122,8 @@ def weights(t: TreeGraph, delta: float) -> tuple[np.ndarray, np.ndarray]:
     The pair multiplies to the identity; sandwiching the resolvent between
     the decaying weight on both sides is what makes it Hilbert-Schmidt.
     """
-    if delta <= 0:
-        raise InvalidParameter(f"weight rate must be positive, got {delta}")
+    if not (math.isfinite(delta) and delta > 0):
+        raise InvalidParameter(f"weight rate must be positive and finite, got {delta}")
     r = t.depths()
     e_minus = np.exp(-0.5 * delta * r)
     e_plus = np.exp(0.5 * delta * r)

@@ -36,8 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     BranchFailure,
@@ -149,10 +147,14 @@ def from_z(k: int, z: complex) -> SpectralPoint:
 
     Raises
     ------
+    InvalidParameter
+        If ``z`` is not finite.
     OnSpectrum
         If ``z`` is within ``1e-12`` of the band ``[t_minus, t_plus]``.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise InvalidParameter(f"spectral parameter z must be finite, got {z}")
     if _distance_to_band(k, z) < 1e-12:
         raise OnSpectrum(f"z={z} lies on the essential spectrum of the k={k} tree")
     u = (z + 2.0 * math.sqrt(k) - (k + 1.0)) / math.sqrt(k)
@@ -472,6 +474,9 @@ def direct_resolvent_block(
     if boundary == "exact":
         s = t.sphere(t.depth)
         diag[s.start:s.stop] -= t.k * subtree_green(t.k, z)
+
+    import scipy.sparse as sp  # loaded on first use only, see operators.py
+    import scipy.sparse.linalg as spla
 
     h = (free_operator_sparse(t).astype(complex) + sp.diags(diag)).tocsc()
     lu = spla.splu(h)

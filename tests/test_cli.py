@@ -151,16 +151,21 @@ def test_validation_rows_equal_dense_formulas(k, depth, radial):
     assert all(passed for *_, passed in got)
 
 
-def _peak_of_cli(argv):
-    """Exit code, stdout, stderr and peak RSS (KiB) of one CLI run in a child.
-
-    The wrapper's ``RUSAGE_CHILDREN`` covers only that one process.
-    """
+def _env_with_src():
+    """The environment with the checkout's ``src`` first on ``PYTHONPATH``."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    return env
+
+
+def _peak_of_cli(argv):
+    """Exit code, stdout, stderr and peak RSS (KiB) of one CLI run in a child.
+
+    The wrapper's ``RUSAGE_CHILDREN`` covers only that one process.
+    """
     wrapper = (
         "import json, resource, subprocess, sys\n"
         "proc = subprocess.run([sys.executable, '-m', 'spectree.cli'] + sys.argv[1:],\n"
@@ -168,7 +173,7 @@ def _peak_of_cli(argv):
         "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
         "print(json.dumps([proc.returncode, proc.stdout, proc.stderr, peak]))\n"
     )
-    run = subprocess.run([sys.executable, "-c", wrapper, *argv], env=env,
+    run = subprocess.run([sys.executable, "-c", wrapper, *argv], env=_env_with_src(),
                          capture_output=True, text=True, timeout=600)
     return json.loads(run.stdout)
 
@@ -528,6 +533,20 @@ BAD_INPUTS = [
     pytest.param("certificate", lambda tmp: _deep_k1_table(8000), id="certificate overflow deeper"),
     pytest.param("cap", lambda tmp: ["kernel", "--k", "2", "--depth", "40000"],
                  id="kernel depth past the cap"),
+    pytest.param("finite", lambda tmp: ["kernel", "--k", "1", "--depth", "3", "--z", "inf"],
+                 id="infinite z"),
+    pytest.param("weight rate", lambda tmp: ["kernel", "--k", "2", "--depth", "3",
+                                             "--delta", "nan"], id="nan kernel delta"),
+    pytest.param("weight rate", lambda tmp: ["kernel", "--k", "2", "--depth", "3",
+                                             "--delta", "inf"], id="infinite kernel delta"),
+    pytest.param("contour radius", lambda tmp: ["index", "--k", "2", "--radius", "nan"],
+                 id="nan radius"),
+    pytest.param("contour radius", lambda tmp: ["index", "--k", "2", "--radius", "inf"],
+                 id="infinite radius"),
+    pytest.param("contour center", lambda tmp: INDEX + ["--center", "infj"],
+                 id="infinite center"),
+    pytest.param("--sv-floor", lambda tmp: SCAN + ["--sv-floor", "nan"], id="nan sv floor"),
+    pytest.param("--sv-floor", lambda tmp: SCAN + ["--sv-floor", "-1"], id="negative sv floor"),
     pytest.param("--out", lambda tmp: SCAN + ["--grid", "4", "--out", str(tmp / "no" / "x.csv")],
                  id="scan out in missing dir"),
     pytest.param("--out", lambda tmp: ["spectrum", "--k", "2", "--depth", "3",
@@ -546,6 +565,41 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, field, argv):
     assert captured.out == ""
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert field in lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--k", "1", "--depth", "3", "--rmin", "0.02", "--rmax", "0.25", "--potential",
+     json.dumps({"kind": "table", "values": [{"v": 0, "re": 0.2}], "delta": 1.6})],
+    ["spectrum", "--k", "2", "--depth", "3", "--potential",
+     json.dumps({"kind": "radial-exp", "amplitude": 0.3, "delta": 1.0})],
+], ids=["scan annulus past the disk", "spectrum decay below the floor"])
+def test_usage_error_leaves_no_out_file(tmp_path, capsys, argv):
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_text("kept\n")
+    stamp = old.stat().st_mtime_ns
+    assert main(argv + ["--out", str(new)]) == 1
+    assert main(argv + ["--out", str(old)]) == 1
+    assert not new.exists()
+    assert old.read_text() == "kept\n" and old.stat().st_mtime_ns == stamp
+    assert capsys.readouterr().err.count("error:") == 2
+
+
+def test_scan_index_and_spectrum_never_import_scipy():
+    table = json.dumps({"kind": "table", "values": [{"v": 0, "re": 0.2}], "delta": 1.6})
+    script = (
+        "import sys\n"
+        "from spectree import cli\n"
+        f"table = {table!r}\n"
+        "cli.main(['scan', '--k', '1', '--potential', table, '--rmin', '0.02',\n"
+        "          '--rmax', '0.15', '--grid', '4', '--nodes', '16'])\n"
+        "cli.main(['index', '--k', '2', '--radius', '0.1', '--nodes', '16'])\n"
+        "cli.main(['spectrum', '--k', '2', '--depth', '3'])\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        "sys.exit(cli.main(['kernel', '--k', '2', '--depth', '4']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=_env_with_src(),
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def _auto_depth_by_resumming(k, vmax):
