@@ -18,11 +18,13 @@ closed form with ``expm1`` in the numerator, accurate up to and at the origin.
 For radial potentials the sandwich commutes with the sibling-permutation
 symmetry, so it is unitarily equivalent to a direct sum of per-block level
 matrices with known multiplicities; scans use that exact reduction, and the
-full support matrix stays available as the reference route.
+full support matrix stays available as the reference route.  Only that
+route reads the support-pair meet depths, so only it builds a kernel assembler.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -33,6 +35,8 @@ from .resolvent import (
     DEFAULT_DISK_RADIUS,
     ResolventKernel,
     SpectralPoint,
+    block_table,
+    block_table_derivative,
     checked_lambda,
     disk_radius,
     edge_xi,
@@ -118,12 +122,12 @@ def support_vertices(t: TreeGraph, m_vec: np.ndarray) -> tuple[np.ndarray, int]:
 class BSFactory:
     """Precomputed machinery for evaluating the sandwich at many parameters.
 
-    Builds the support, the polar factors and the restricted kernel assembler
-    once.  ``radial`` is set when the perturbation is constant on spheres, in
-    which case :meth:`reduced_blocks` exposes the exact per-block reduction
-    (level matrices ``T_n`` with the multiplicity of the newborn block ``n``,
-    ``1`` at ``n = 0`` and ``k**(n-1) * (k-1)`` above).  :meth:`blocks` returns
-    the reduction for radial data and the full support matrix otherwise.
+    Builds the support and the polar factors once.  ``radial`` is set when the
+    perturbation is constant on spheres, in which case :meth:`reduced_blocks`
+    exposes the exact per-block reduction (level matrices ``T_n`` with the
+    multiplicity of the newborn block ``n``, ``1`` at ``n = 0`` and
+    ``k**(n-1) * (k-1)`` above).  :meth:`blocks` returns the reduction for
+    radial data and the full support matrix, from :attr:`kernel`, otherwise.
     ``b`` is unused: the multiplicities are known in closed form, so no
     spherical basis is built; the argument stays for existing callers.
     Parameters must lie in the punctured disk ``0 < |lam| < eps0``.
@@ -136,11 +140,10 @@ class BSFactory:
         j_full, sqrt_full = polar_factors(m_vec)
         self.j_phase = j_full[self.support]
         self.sqrt_abs = sqrt_full[self.support]
+        self._sqrt_full = sqrt_full
         self.eps0 = disk_radius(spec.delta) if spec is not None else DEFAULT_DISK_RADIUS
-        self.kernel = ResolventKernel(
-            t, a_weight=sqrt_full, b_weight=sqrt_full,
-            rows=self.support, cols=self.support,
-        )
+        #: edge table length: a support pair reads up to ``w[2 r_support + 2]``
+        self.table_length = 2 * self.r_support + 3
         self.radial = spec is None or spec.kind == "radial-exp"
         if self.radial:
             self._prepare_radial(j_full, sqrt_full)
@@ -161,8 +164,8 @@ class BSFactory:
         # level pairs (j, l) of the largest block; block n reads it at its
         # levels counted from n
         lv = np.arange(self.r_support + 1)
-        self._plus_idx = np.add.outer(lv, lv) + 2
-        self._minus_idx = np.abs(np.subtract.outer(lv, lv))
+        self._sum_idx = np.add.outer(lv, lv) + 2
+        self._diff_idx = np.abs(np.subtract.outer(lv, lv))
         # per block n: multiplicity, weighted levels counted from n (never
         # empty: level r_support carries weight), row and column weights,
         # shaped to broadcast over a stack of level matrices
@@ -180,34 +183,43 @@ class BSFactory:
     def point(self, lam: complex) -> SpectralPoint:
         return from_lambda(self.tree.k, lam, eps0=self.eps0)
 
-    def _tables(self, lams, derivative: bool):
-        """Exponent (or derivative) tables at each of ``lams``, stacked to ``(N, E)``.
+    def _tables(self, lams, derivative: bool) -> np.ndarray:
+        """Edge table (or its derivative) at each of ``lams``, stacked to ``(N, E)``.
 
         Every parameter is checked against the disk, in order, before any
         table is built.
         """
         lams = [checked_lambda(one, self.eps0) for one in lams]
         if derivative:
-            return self.kernel.derivative_stack(lams)
-        return self.kernel.exponent_stack(np.array([edge_xi(one) for one in lams]))
+            return block_table_derivative(self.tree.k, lams, self.table_length)
+        return block_table(self.tree.k, np.array([edge_xi(x) for x in lams]), self.table_length)
 
     # -- full support matrices ---------------------------------------------
 
-    def _sandwich(self, plus: np.ndarray, minus: np.ndarray, sign: int) -> np.ndarray:
-        """``sign * J * kernel`` on the support for ``(N, E)`` tables."""
-        return sign * self.j_phase[:, None] * self.kernel.assemble(plus, minus)
+    @functools.cached_property
+    def kernel(self) -> ResolventKernel:
+        """Kernel assembler on the support pairs, built when a full support
+        matrix is first evaluated (never by a radial scan)."""
+        return ResolventKernel(
+            self.tree, a_weight=self._sqrt_full, b_weight=self._sqrt_full,
+            rows=self.support, cols=self.support,
+        )
+
+    def _sandwich(self, w: np.ndarray, sign: int) -> np.ndarray:
+        """``sign * J * kernel`` on the support for an ``(N, E)`` table."""
+        return sign * self.j_phase[:, None] * self.kernel.assemble(w)
 
     def matrix(self, lam: complex, sign: int = 1) -> np.ndarray:
-        return self._sandwich(*self._tables([lam], False), sign)[0]
+        return self._sandwich(self._tables([lam], False), sign)[0]
 
     def derivative(self, lam: complex, sign: int = 1) -> np.ndarray:
-        return self._sandwich(*self._tables([lam], True), sign)[0]
+        return self._sandwich(self._tables([lam], True), sign)[0]
 
     def hol_matrix(self, lam: complex) -> np.ndarray:
         """Desingularized kernel on the support (no phase factor applied)."""
-        ratios = np.array([[phase_ratio(a, lam) for a in range(self.kernel.max_exponent + 1)]])
+        ratios = np.array([[phase_ratio(a, lam) for a in range(self.table_length)]])
         scale = 1j / (2.0 * math.sqrt(self.tree.k))
-        return self.kernel.assemble(-scale * ratios, scale * ratios)[0]
+        return self.kernel.assemble(scale * ratios)[0]
 
     # -- exact radial reduction ---------------------------------------------
 
@@ -223,8 +235,8 @@ class BSFactory:
         """
         if not self.radial:
             raise InvalidParameter("reduced blocks require a radial perturbation")
-        plus_t, minus_t = self._tables(lams, derivative)
-        g = plus_t[:, self._plus_idx] + minus_t[:, self._minus_idx]
+        w = self._tables(lams, derivative)
+        g = w[:, self._diff_idx] - w[:, self._sum_idx]
         return [
             (d, sign * rows * g[:, held[:, None], held] * cols)
             for d, held, rows, cols in self._levels
@@ -241,7 +253,7 @@ class BSFactory:
         """
         if self.radial:
             return self.reduced_blocks(lams, sign, derivative=derivative)
-        return [(1, self._sandwich(*self._tables(lams, derivative), sign))]
+        return [(1, self._sandwich(self._tables(lams, derivative), sign))]
 
 
 def hol_split(

@@ -325,13 +325,19 @@ def _sphere_column_errors(t: TreeGraph, closed: np.ndarray, oracle: np.ndarray) 
     Both routes are invariant under the tree automorphisms, which act
     transitively on each sphere, so every column of sphere ``b`` is a row
     permutation of its first one: its squared norm counts ``k**b`` times and
-    the max is already attained.
+    the max is already attained.  The squares are taken after one exact
+    power-of-two scaling, so tiny entries (huge ``|z|``) do not underflow.
     """
     sizes = np.diff(t.sphere_offsets)
     diff = closed - oracle
+    scale = math.ldexp(1.0, -math.frexp(np.abs(oracle).max())[1])
 
     def weighted_sq(m):
-        return sizes @ (m.real**2 + m.imag**2).sum(axis=0)
+        # in place, so the scaled copy adds no array to the squares' peak
+        re, im = m.real * scale, m.imag * scale
+        re *= re
+        re += im * im
+        return sizes @ re.sum(axis=0)
 
     rel = math.sqrt(weighted_sq(diff)) / math.sqrt(weighted_sq(oracle))
     return float(np.abs(diff).max()), rel

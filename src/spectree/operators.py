@@ -120,13 +120,16 @@ def weights(t: TreeGraph, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """Exponential weight diagonals ``e∓ = exp(∓(delta/2)|v|)``.
 
     The pair multiplies to the identity; sandwiching the resolvent between
-    the decaying weight on both sides is what makes it Hilbert-Schmidt.
+    the decaying weight on both sides is what makes it Hilbert-Schmidt.  An
+    entry of ``e+`` that overflows is ``inf``, without a warning: the kernel
+    reads only ``e-``.
     """
     if not (math.isfinite(delta) and delta > 0):
         raise InvalidParameter(f"weight rate must be positive and finite, got {delta}")
     r = t.depths()
     e_minus = np.exp(-0.5 * delta * r)
-    e_plus = np.exp(0.5 * delta * r)
+    with np.errstate(over="ignore"):
+        e_plus = np.exp(0.5 * delta * r)
     return e_minus, e_plus
 
 

@@ -10,9 +10,10 @@ where the branch of ``phi`` is fixed so that ``|exp(i phi)| < 1`` away from
 the band (decaying boundary values).  Writing ``xi = exp(i phi)``, the
 block resolvent entries are
 
-    g(j, l) = (1 / sqrt(k)) * (i xi^{|j-l|} - i xi^{j+l+2}) / (2 sin phi),
+    g(j, l) = w[|j-l|] - w[j+l+2],   w[a] = i xi^a / (sqrt(k) 2 sin phi),
 
-and the full kernel is the sum of these blocks over their birth levels
+so one table ``w`` (:func:`block_table`) carries every entry, and the full
+kernel is the sum of these blocks over their birth levels
 ``n``.  That sum depends only on ``a = |x|``, ``b = |y|`` and the meet depth
 ``c = |x∧y|`` (Figà-Talamanca & Nebbia 1991):
 
@@ -148,9 +149,13 @@ def from_z(k: int, z: complex) -> SpectralPoint:
     Raises
     ------
     InvalidParameter
-        If ``z`` is not finite.
+        If ``z`` is not finite, or so large that ``cos(phi)**2`` overflows.
     OnSpectrum
         If ``z`` is within ``1e-12`` of the band ``[t_minus, t_plus]``.
+
+    ``exp(i phi)`` is the decaying root of ``xi**2 - 2 cos(phi) xi + 1``. It is
+    taken as the reciprocal of the growing root ``cos(phi) ± sqrt(cos(phi)**2 - 1)``,
+    whose two terms add, so no digits cancel at large ``|z|``.
     """
     z = complex(z)
     if not cmath.isfinite(z):
@@ -159,11 +164,11 @@ def from_z(k: int, z: complex) -> SpectralPoint:
         raise OnSpectrum(f"z={z} lies on the essential spectrum of the k={k} tree")
     u = (z + 2.0 * math.sqrt(k) - (k + 1.0)) / math.sqrt(k)
     w = 1.0 - u / 2.0  # cos(phi)
+    if not cmath.isfinite(w * w):
+        raise InvalidParameter(f"spectral parameter z={z} is too large: cos(phi)**2 overflows")
     root = cmath.sqrt(w * w - 1.0)
-    xi = w - root
-    if abs(xi) > 1.0:
-        xi = w + root
-    return SpectralPoint(k=k, z=z, u=u, eiphi=xi)
+    grow = w + root if abs(w + root) >= abs(w - root) else w - root
+    return SpectralPoint(k=k, z=z, u=u, eiphi=1.0 / grow)
 
 
 def checked_lambda(lam: complex, eps0: float) -> complex:
@@ -249,7 +254,7 @@ class ResolventKernel:
     """Reusable assembler for ``A (free - z)^{-1} B*`` kernels.
 
     The depth triple of every (row, col) pair and the linear map from the
-    coefficient tables to ``G`` (module docstring) are prepared once; each
+    table ``w`` to ``G`` (module docstring) are prepared once; each
     evaluation is a short accumulation over the triples that occur plus one
     gather.  ``rows``/``cols`` restrict the output to a vertex subset (used
     for compactly supported sandwiches).
@@ -305,83 +310,44 @@ class ResolventKernel:
         b, g = np.divmod(rest, n_gap)
         c = np.minimum(a, b) - g
         top = c + (g > 0)
-        # term n of G adds coef * (plus[a+b-2n+2] + minus[|a-b|]); terms past
+        # term n of G adds coef * (w[|a-b|] - w[a+b-2n+2]); terms past
         # top = min(c+1, a, b) get coefficient 0
         n = np.arange(top.max(initial=-1) + 1)[:, None]
         proj = np.where(n == 0, 1.0, np.where(n <= c, 1.0 - 1.0 / k, -1.0 / k))
         self._coef = np.where(n <= top, proj * float(k) ** (n - (a + b) / 2.0), 0.0)
-        self._plus_idx = np.where(n <= top, a + b - 2 * n + 2, 0)
-        self._minus_idx = np.abs(a - b)
+        self._sum_idx = np.where(n <= top, a + b - 2 * n + 2, 0)
+        self._diff_idx = np.abs(a - b)
         #: largest table index any pair reads: ``a + b + 2`` at ``n = 0``
         self.max_exponent = top_a + top_b + 2
 
-    def exponent_tables(self, sp_: SpectralPoint) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficient lookups: value = plus_table[j+l+2] + minus_table[|j-l|]."""
-        plus, minus = self.exponent_stack(np.array([sp_.eiphi]))
-        return plus[0], minus[0]
+    def exponent_tables(self, sp_: SpectralPoint) -> np.ndarray:
+        """:func:`block_table` at ``sp_``, as long as :meth:`assemble` reads."""
+        return block_table(self.tree.k, np.array([sp_.eiphi]), self.max_exponent + 1)[0]
 
-    def exponent_stack(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`exponent_tables` at each ``exp(i phi)`` of ``xi``, stacked to ``(N, E)``.
-
-        The per-point scalars stay Python complex arithmetic; only the powers
-        and tables broadcast over the points, so each row equals the
-        single-point table bit for bit.
-        """
-        s = np.array([_checked_two_sin_phi(complex(x)) for x in xi])[:, None]
-        powers = xi[:, None] ** np.arange(self.max_exponent + 1)
-        scale = KERNEL_PREFACTOR / math.sqrt(self.tree.k)
-        return -1j * scale * powers / s, 1j * scale * powers / s
-
-    def derivative_tables(self, sp_: SpectralPoint) -> tuple[np.ndarray, np.ndarray]:
-        """Edge-parameter derivative of :meth:`exponent_tables` (lam form only).
-
-        With ``s = lam sqrt(4 - lam^2)`` and ``phi = 2 arcsin(lam/2)``,
-        ``d/dlam [xi^a / s] = xi^a (i a phi' s - s') / s^2`` where
-        ``phi' = 2 / sqrt(4 - lam^2)`` and ``s' = (4 - 2 lam^2) / sqrt(4 - lam^2)``.
-        """
+    def derivative_tables(self, sp_: SpectralPoint) -> np.ndarray:
+        """:func:`block_table_derivative` at ``sp_`` (lam form only)."""
         if sp_.lam is None:
             raise InvalidParameter("derivative tables need an edge-parametrized point")
-        plus, minus = self.derivative_stack([sp_.lam])
-        return plus[0], minus[0]
+        return block_table_derivative(self.tree.k, [sp_.lam], self.max_exponent + 1)[0]
 
-    def derivative_stack(self, lams) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`derivative_tables` at each edge parameter, stacked to ``(N, E)``.
+    def assemble(self, w: np.ndarray) -> np.ndarray:
+        """Kernel entries ``a[x] G(|x|, |y|, |x∧y|) conj(b[y])`` from the table ``w``.
 
-        ``lams`` hold Python complex values, as :func:`checked_lambda` returns
-        them; ``xi``, ``s``, ``s'``, ``phi'`` and ``s^2`` are Python complex
-        scalars per parameter (numpy's vectorized complex multiply may round
-        differently).
+        ``G`` is the fixed linear map of the table built in :meth:`_prepare`.
+        An ``(N, E)`` table gives a ``(N, rows, cols)`` stack whose slices
+        equal the one-table results bit for bit (the map is accumulated
+        elementwise in a fixed order, not by BLAS).
         """
-        scalars = []
-        for lam in lams:
-            root = cmath.sqrt(4.0 - lam * lam)
-            s = lam * root
-            scalars.append((edge_xi(lam), s, (4.0 - 2.0 * lam * lam) / root, 2.0 / root, s * s))
-        xi, s, sprime, phiprime, s2 = (np.array(col)[:, None] for col in zip(*scalars))
-        a = np.arange(self.max_exponent + 1)
-        powers = xi ** a
-        core = powers * (1j * a * phiprime * s - sprime) / s2
-        scale = KERNEL_PREFACTOR / math.sqrt(self.tree.k)
-        return -1j * scale * core, 1j * scale * core
-
-    def assemble(self, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
-        """Kernel entries ``a[x] G(|x|, |y|, |x∧y|) conj(b[y])`` from the tables.
-
-        ``G`` is the fixed linear map of the tables built in :meth:`_prepare`.
-        ``(N, E)`` tables give a ``(N, rows, cols)`` stack whose slices equal
-        the one-table results bit for bit (the map is accumulated elementwise
-        in a fixed order, not by BLAS).
-        """
-        count, keys = plus.shape[0], self._minus_idx.size
+        count, keys = w.shape[0], self._diff_idx.size
         # the output and the two (N, keys) accumulators
         _check_budget(
             16 * count * (self._code.size + 2 * keys),
             f"kernel entries of {count} x {self.rows.size} x {self.cols.size}",
         )
         g = np.zeros((count, keys), dtype=complex)
-        minus_part = minus[:, self._minus_idx]
-        for coef, p_idx in zip(self._coef, self._plus_idx):
-            g += coef * (plus[:, p_idx] + minus_part)
+        near = w[:, self._diff_idx]
+        for coef, s_idx in zip(self._coef, self._sum_idx):
+            g += coef * (near - w[:, s_idx])
         out = g[:, self._code]
         if self.a_weight is not None:
             out *= self.a_weight[self.rows][:, None]
@@ -390,8 +356,47 @@ class ResolventKernel:
         return out
 
     def evaluate(self, sp_: SpectralPoint) -> np.ndarray:
-        plus_t, minus_t = self.exponent_tables(sp_)
-        return self.assemble(plus_t[None], minus_t[None])[0]
+        return self.assemble(self.exponent_tables(sp_)[None])[0]
+
+
+def block_table(k: int, xi: np.ndarray, length: int) -> np.ndarray:
+    """``w[a] = i xi^a / (sqrt(k) 2 sin phi)`` for ``a < length`` at each
+    ``exp(i phi)`` of ``xi``, stacked to ``(N, length)``.
+
+    The block resolvent entry is ``g(j, l) = w[|j-l|] - w[j+l+2]``.  The
+    per-point scalars stay Python complex arithmetic; only the powers and
+    tables broadcast over the points, so each row equals the single-point
+    table bit for bit.
+    """
+    s = np.array([_checked_two_sin_phi(complex(x)) for x in xi])[:, None]
+    powers = xi[:, None] ** np.arange(length)
+    scale = KERNEL_PREFACTOR / math.sqrt(k)
+    return 1j * scale * powers / s
+
+
+def block_table_derivative(k: int, lams, length: int) -> np.ndarray:
+    """Edge-parameter derivative of :func:`block_table` at each of ``lams``,
+    stacked to ``(N, length)``.
+
+    With ``s = lam sqrt(4 - lam^2)`` and ``phi = 2 arcsin(lam/2)``,
+    ``d/dlam [xi^a / s] = xi^a (i a phi' s - s') / s^2`` where
+    ``phi' = 2 / sqrt(4 - lam^2)`` and ``s' = (4 - 2 lam^2) / sqrt(4 - lam^2)``.
+    ``lams`` hold Python complex values, as :func:`checked_lambda` returns
+    them; ``xi``, ``s``, ``s'``, ``phi'`` and ``s^2`` are Python complex
+    scalars per parameter (numpy's vectorized complex multiply may round
+    differently).
+    """
+    scalars = []
+    for lam in lams:
+        root = cmath.sqrt(4.0 - lam * lam)
+        s = lam * root
+        scalars.append((edge_xi(lam), s, (4.0 - 2.0 * lam * lam) / root, 2.0 / root, s * s))
+    xi, s, sprime, phiprime, s2 = (np.array(col)[:, None] for col in zip(*scalars))
+    a = np.arange(length)
+    powers = xi ** a
+    core = powers * (1j * a * phiprime * s - sprime) / s2
+    scale = KERNEL_PREFACTOR / math.sqrt(k)
+    return 1j * scale * core
 
 
 def weighted_resolvent_kernel(

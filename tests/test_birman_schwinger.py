@@ -351,7 +351,7 @@ def test_block_multiplicities_match_basis_dims(k, depths):
 
 
 def _point_tables(sp_, size, derivative):
-    """Exponent or derivative tables of one point, by the plain per-point formulas."""
+    """Edge table or its derivative at one point, by the plain per-point formulas."""
     lam, xi = sp_.lam, sp_.eiphi
     a = np.arange(size)
     scale = 1.0 / math.sqrt(sp_.k)
@@ -359,10 +359,10 @@ def _point_tables(sp_, size, derivative):
         root = cmath.sqrt(4.0 - lam * lam)
         s = lam * root
         core = xi ** a * (1j * a * (2.0 / root) * s - (4.0 - 2.0 * lam * lam) / root) / (s * s)
-        return -1j * scale * core, 1j * scale * core
+        return 1j * scale * core
     s = -1j * (xi - 1.0 / xi)
     powers = xi ** a
-    return -1j * scale * powers / s, 1j * scale * powers / s
+    return 1j * scale * powers / s
 
 
 @pytest.mark.parametrize("derivative", [False, True])
@@ -388,18 +388,15 @@ def test_blocks_over_lambda_array(monkeypatch, tree_basis, k, depth, spec, deriv
 
     def stacked(points):
         if derivative:
-            return kernel.derivative_stack([p.lam for p in points])
-        return kernel.exponent_stack(np.array([p.eiphi for p in points]))
+            return resolvent.block_table_derivative(k, [p.lam for p in points], size)
+        return resolvent.block_table(k, np.array([p.eiphi for p in points]), size)
 
-    for p, (plus, minus) in zip(points, per_point):
-        want_plus, want_minus = _point_tables(p, size, derivative)
-        assert np.array_equal(plus, want_plus) and np.array_equal(minus, want_minus)
+    for p, w in zip(points, per_point):
+        assert np.array_equal(w, _point_tables(p, size, derivative))
     for sign in (1, -1):
         scalar = [factory.blocks([lam], sign, derivative=derivative) for lam in lams]
         for part in (slice(None), slice(0, 1), slice(2, 4)):
-            plus, minus = stacked(points[part])
-            assert np.array_equal(plus, np.array([p for p, _ in per_point[part]]))
-            assert np.array_equal(minus, np.array([m for _, m in per_point[part]]))
+            assert np.array_equal(stacked(points[part]), np.array(per_point[part]))
             got = factory.blocks(lams[part], sign, derivative=derivative)
             want = scalar[part]
             assert [d for d, _ in got] == [d for d, _ in want[0]]
@@ -449,9 +446,27 @@ def test_derivative_matches_finite_differences(tree_basis, radial_spec_k2):
 
 def test_full_support_factory_over_budget_raises(monkeypatch, radial_spec_k2):
     # 10 exp(-6 ln 2 * 8) = 3.6e-14 clears the support cutoff on the deepest
-    # sphere, so the support is all 511 vertices of the depth-8 tree
+    # sphere, so the support is all 511 vertices of the depth-8 tree; its
+    # blocks are at most 9 x 9, and only a full support matrix needs the
+    # 511 x 511 meet-depth codes
     monkeypatch.setattr(resolvent, "memory_budget", lambda: 10**6)
     t = build_tree(2, 8)
     assert BSFactory(t, None, radial_spec_k2).support.size < t.vertex_count
+    radial = BSFactory(t, None, PotentialSpec.radial_exp(10.0, 6 * LOG2))
+    assert radial.support.size == t.vertex_count
+    assert max(blk.shape[-1] for _, blk in radial.blocks([0.05j])) == 9
     with pytest.raises(CapacityExceeded, match="511 x 511"):
-        BSFactory(t, None, PotentialSpec.radial_exp(10.0, 6 * LOG2))
+        radial.matrix(0.05j)
+    table = BSFactory(t, None, PotentialSpec.table([(v, 0.1) for v in range(511)], 6 * LOG2))
+    with pytest.raises(CapacityExceeded, match="511 x 511"):
+        table.blocks([0.05j])
+
+
+def test_radial_scan_builds_no_pair_kernel(monkeypatch, radial_spec_k2):
+    def refuse(*args, **kwargs):
+        raise AssertionError("radial scan built a support-pair kernel")
+
+    monkeypatch.setattr(resolvent.ResolventKernel, "__init__", refuse)
+    t = build_tree(2, 8)
+    report = charval.absence_scan(t, None, radial_spec_k2, (0.02, 0.16), 4, "minus", nodes=32)
+    assert report.all_indices_zero and report.grid_rows.shape == (16, 4)

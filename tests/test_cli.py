@@ -272,6 +272,9 @@ def test_sphere_column_weighting_is_exact(k, depth):
     full_max, full_rel = _full_matrix_errors(a, b)
     assert max_err == full_max
     assert abs(rel - full_rel) <= 1e-13 * full_rel
+    # entries whose squares underflow give the same figure, bit for bit
+    tiny = math.ldexp(1.0, -600)
+    assert _sphere_column_errors(t, tiny * a[:, cols], tiny * b[:, cols])[1] == rel
 
 
 def test_kernel_depth_16_under_one_gib():
@@ -467,6 +470,40 @@ def test_contour_failure_is_certification_exit(monkeypatch, capsys, pot_file, er
 
 
 INDEX = ["index", "--k", "2", "--radius", "0.1", "--nodes", "32"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("z", ["-1e6", "-1e8", "-1e10", "1e8j"])
+def test_kernel_at_large_z_certifies(capsys, z):
+    # the decaying root of the closed form keeps its digits far from the band
+    code = main(["kernel", "--k", "2", "--depth", "8", f"--z={z}"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["rel_frobenius_error"] <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_kernel_with_overflowing_growing_weight(capsys):
+    # exp(+1000 |v|) overflows below the root; kernel reads only exp(-1000 |v|)
+    code = main(["kernel", "--k", "2", "--depth", "3", "--delta", "2000"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["delta"] == 2000.0 and out["rel_frobenius_error"] <= 1e-6
+
+
+def test_radial_scan_at_amplitude_1e12_under_100_mib():
+    # auto depth 15: the support holds 32,767 vertices, the blocks at most 15
+    # levels, and no support-pair kernel is built
+    pot = json.dumps({"kind": "radial-exp", "amplitude": {"re": 1e12, "im": 0.0},
+                      "delta": 6 * LOG2})
+    code, stdout, stderr, peak_kib = _peak_of_cli([
+        "scan", "--k", "2", "--potential", pot, "--rmin", "0.02", "--rmax", "0.16",
+        "--grid", "8", "--nodes", "32"])
+    assert code == 0, stderr[-2000:]
+    assert json.loads(stdout)["rows"] == 64
+    assert peak_kib < 100 * 2**10
+
+
 SCAN = ["scan", "--k", "2", "--depth", "4", "--potential", RADIAL,
         "--rmin", "0.05", "--rmax", "0.15", "--nodes", "32"]
 
@@ -535,6 +572,8 @@ BAD_INPUTS = [
                  id="kernel depth past the cap"),
     pytest.param("finite", lambda tmp: ["kernel", "--k", "1", "--depth", "3", "--z", "inf"],
                  id="infinite z"),
+    pytest.param("too large", lambda tmp: ["kernel", "--k", "2", "--depth", "3",
+                                           "--z", "1e300"], id="huge z"),
     pytest.param("weight rate", lambda tmp: ["kernel", "--k", "2", "--depth", "3",
                                              "--delta", "nan"], id="nan kernel delta"),
     pytest.param("weight rate", lambda tmp: ["kernel", "--k", "2", "--depth", "3",

@@ -9,6 +9,7 @@ import cmath
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -51,6 +52,17 @@ def z_from_u(k, u):
 
 
 # -- spectral points --------------------------------------------------------
+
+
+@pytest.mark.parametrize("z", [-1e6, -1e10, 1e10j, 1e6 - 1e6j])
+def test_from_z_decaying_root_far_from_band(z):
+    # the root of xi**2 - 2 w xi + 1 inside the unit disk, at 50 digits
+    k = 2
+    with mpmath.workdps(50):
+        w = 1 - (mpmath.mpc(z) + 2 * mpmath.sqrt(k) - (k + 1)) / (2 * mpmath.sqrt(k))
+        root = mpmath.sqrt(w * w - 1)
+        want = complex(min(w - root, w + root, key=abs))
+    assert abs(from_z(k, z).eiphi - want) <= 1e-15 * abs(want)
 
 
 def test_from_z_examples():
@@ -312,16 +324,15 @@ def test_assemble_stacked_tables_bit_for_bit(k, depth, rows):
     points = [from_lambda(k, lam) for lam in lams]
     values = np.array([assembler.evaluate(p) for p in points])
     derivatives = np.array([
-        assembler.assemble(plus[None], minus[None])[0]
-        for plus, minus in map(assembler.derivative_tables, points)
+        assembler.assemble(w[None])[0] for w in map(assembler.derivative_tables, points)
     ])
     for tables, single in (
         (assembler.exponent_tables, values),
         (assembler.derivative_tables, derivatives),
     ):
-        plus, minus = (np.array(part) for part in zip(*(tables(p) for p in points)))
+        w = np.array([tables(p) for p in points])
         for part in (slice(None), slice(3, 4), slice(1, 3)):
-            assert np.array_equal(assembler.assemble(plus[part], minus[part]), single[part])
+            assert np.array_equal(assembler.assemble(w[part]), single[part])
 
 
 @pytest.mark.parametrize("k,depth", [(1, 12), (2, 6), (3, 4)])
