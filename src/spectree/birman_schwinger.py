@@ -147,11 +147,14 @@ class BSFactory:
         self.radial = spec is None or spec.kind == "radial-exp"
         if self.radial:
             self._prepare_radial(j_full, sqrt_full)
-        #: matrix entries per parameter over all blocks :meth:`blocks` returns
-        self.block_entries = (
-            sum(held.size ** 2 for _, held, _, _ in self._levels) if self.radial
-            else self.support.size ** 2
+        sides = (
+            [held.size for _, held, _, _ in self._levels] if self.radial
+            else [self.support.size]
         )
+        #: matrix entries per parameter over all blocks :meth:`blocks` returns
+        self.block_entries = sum(n * n for n in sides)
+        #: side of the largest block :meth:`blocks` returns
+        self.block_side = max(sides)
 
     def _prepare_radial(self, j_full, sqrt_full) -> None:
         """Per-block weighted levels and weights of the level matrices.
@@ -207,7 +210,10 @@ class BSFactory:
 
     def _sandwich(self, w: np.ndarray, sign: int) -> np.ndarray:
         """``sign * J * kernel`` on the support for an ``(N, E)`` table."""
-        return sign * self.j_phase[:, None] * self.kernel.assemble(w)
+        out = self.kernel.assemble(w)
+        # this operand order keeps the bits of ``(sign * J) * kernel``
+        np.multiply(sign * self.j_phase[:, None], out, out=out)
+        return out
 
     def matrix(self, lam: complex, sign: int = 1) -> np.ndarray:
         return self._sandwich(self._tables([lam], False), sign)[0]

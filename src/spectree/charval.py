@@ -22,12 +22,24 @@ scan evaluates the sandwich on a chunk of grid points at once, then calls
 LAPACK once per block slot per chunk.  A chunk holds at most
 :data:`STACK_ENTRIES` matrix entries over all its stacked blocks, and the
 results equal the per-point computation bit for bit.
+
+A scan's grid chunks run on a thread pool with one thread per usable core
+(:func:`pool_size`): numpy releases the GIL inside a stacked LAPACK call, so
+the chunks' eigenvalue and singular-value solves overlap.  Rows reach the CSV
+in chunk order, so a failing chunk leaves exactly the rows of the chunks
+before it.  numpy keeps the GIL on small stacks (see :data:`GIL_STACK`), so a
+grid chunk holds at least enough points to release it.  The contour ladder
+stays serial: each of its chunks holds the family, its derivative and their
+solve at once, and threading them as well raised the peak memory of a scan of
+a 63-vertex table by 13% over a serial scan, against 7% for the threaded grid
+alone.
 """
 
 import cmath
 import copy
 import csv
 import math
+import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -54,6 +66,11 @@ RESONANCE_RTOL = 1e-6
 #: peak memory of a scan by several MiB
 STACK_ENTRIES = 2**14
 
+#: numpy releases the GIL inside a LAPACK call on a stack of ``N`` matrices of
+#: side ``n`` only when ``N * n`` exceeds this, so a grid chunk holds more
+#: points than ``GIL_STACK / n`` for its largest block side ``n``
+GIL_STACK = 500
+
 #: a contour count certifies when its raw value lies this close to an integer
 RESIDUAL_TOL = 0.1
 
@@ -74,6 +91,20 @@ BAND_TOL = 1e-8
 def _chunk_len(entries: int) -> int:
     """Points per chunk when one point's blocks hold ``entries`` entries."""
     return max(1, STACK_ENTRIES // entries)
+
+
+def _grid_chunk_len(factory: BSFactory) -> int:
+    """Points per grid chunk: :func:`_chunk_len`, raised until the largest
+    block's stack is long enough for numpy to release the GIL."""
+    return max(_chunk_len(factory.block_entries), GIL_STACK // factory.block_side + 1)
+
+
+def pool_size() -> int:
+    """Threads of a scan's grid pool: one per core this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -251,7 +282,10 @@ def _flags(blocks, dist: np.ndarray) -> np.ndarray:
     the rounding of both computed norms (relative errors of order
     ``n * eps``), so the flags equal the exact test.
     """
-    fro = np.max([np.linalg.norm(b, axis=(-2, -1)) for _, b in blocks], axis=0)
+    fro = np.sqrt(np.max([
+        np.einsum("nij,nij->n", b.real, b.real) + np.einsum("nij,nij->n", b.imag, b.imag)
+        for _, b in blocks
+    ], axis=0))
     flags = np.zeros(dist.shape, dtype=bool)
     for i in np.nonzero(dist < RESONANCE_RTOL * (1.0 + 1.001 * fro))[0]:
         tnorm = max(float(np.linalg.norm(b[i], 2)) for _, b in blocks)
@@ -261,16 +295,21 @@ def _flags(blocks, dist: np.ndarray) -> np.ndarray:
 
 def _grid_chunk(factory: BSFactory, lams: np.ndarray, sign):
     """Distance of the spectrum of T to ``-1``, min singular value of ``I + T``
-    and the resonance flag at each parameter of a chunk."""
+    and the resonance flag at each parameter of a chunk.
+
+    The blocks of ``T`` become ``I + T`` in place once the distances and flags
+    are read, so a chunk holds one copy of its stack.
+    """
     blocks = factory.blocks(lams, sign)
     dist = np.full(lams.shape, math.inf)
-    minsv = np.full(lams.shape, math.inf)
     for _, b in blocks:
         dist = np.minimum(dist, np.abs(np.linalg.eigvals(b) + 1.0).min(axis=-1))
-        minsv = np.minimum(minsv, np.linalg.svd(
-            np.eye(b.shape[-1]) + b, compute_uv=False
-        ).min(axis=-1))
-    return dist, minsv, _flags(blocks, dist)
+    flags = _flags(blocks, dist)
+    minsv = np.full(lams.shape, math.inf)
+    for _, b in blocks:
+        b += np.eye(b.shape[-1])
+        minsv = np.minimum(minsv, np.linalg.svd(b, compute_uv=False).min(axis=-1))
+    return dist, minsv, flags
 
 
 def _polar_grid(r_min: float, r_max: float, grid: int) -> np.ndarray:
@@ -338,10 +377,13 @@ def absence_scan(
     at ``r_max`` when the ladder falls short of it, and tabulates the
     eigenvalue distance to ``-1`` and the smallest singular value of
     ``I + T`` on a ``grid x grid`` polar grid.  The grid is evaluated in
-    chunks of points; rows stream to ``csv_path`` per completed chunk, so a
-    failure leaves the rows of the finished chunks behind.  ``b`` is unused,
-    as for :class:`BSFactory`.
+    chunks of points on :func:`pool_size` threads; rows stream to
+    ``csv_path`` in chunk order, so a failure leaves exactly the rows of the
+    chunks before the failing one.  ``b`` is unused, as for
+    :class:`BSFactory`.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     r_min, r_max = annulus
     if grid < 1:
         raise InvalidParameter(f"grid must be >= 1, got {grid}")
@@ -370,17 +412,21 @@ def absence_scan(
     ]
 
     points = _polar_grid(r_min, r_max, grid)
-    step = _chunk_len(factory.block_entries)
+    step = _grid_chunk_len(factory)
+    starts = range(0, points.size, step)
 
     chunks = []
     flagged = 0
-    with open(csv_path, "w", newline="") if csv_path else nullcontext() as sink:
+    with (
+        open(csv_path, "w", newline="") if csv_path else nullcontext() as sink,
+        ThreadPoolExecutor(pool_size()) as pool,
+    ):
         writer = csv.writer(sink) if sink else None
         if writer:
             writer.writerow(CSV_HEADER)
-        for start in range(0, points.size, step):
+        results = pool.map(lambda s: _grid_chunk(factory, points[s:s + step], sign), starts)
+        for start, (dist, minsv, flags) in zip(starts, results):
             lams = points[start:start + step]
-            dist, minsv, flags = _grid_chunk(factory, lams, sign)
             rows = np.column_stack([lams.real, lams.imag, dist, minsv])
             chunks.append(rows)
             flagged += int(flags.sum())

@@ -4,6 +4,7 @@ The independent oracle for every contour count is the winding number of the
 determinant along the same contour, computed by phase unwrapping.
 """
 import math
+import random
 
 import numpy as np
 import pytest
@@ -326,6 +327,7 @@ def test_absence_scan_partial_flush(tmp_path, monkeypatch, tree_basis, radial_sp
 
     entries = BSFactory(t, b, radial_spec_k2).block_entries
     monkeypatch.setattr(cv, "STACK_ENTRIES", 8 * entries)
+    monkeypatch.setattr(cv, "GIL_STACK", 0)
     full_path = tmp_path / "full.csv"
     absence_scan(t, b, radial_spec_k2, (0.05, 0.15), 6, nodes=32, csv_path=full_path)
     full = full_path.read_text().strip().split("\n")
@@ -333,13 +335,14 @@ def test_absence_scan_partial_flush(tmp_path, monkeypatch, tree_basis, radial_sp
 
     original = cv._grid_chunk
     for failing in (1, 3, 5):
-        calls = {"n": 0}
+        # the pool runs chunks out of order, so the failure is keyed on the
+        # chunk's first point
+        first = _polar_grid(0.05, 0.15, 6)[8 * (failing - 1)]
 
-        def flaky(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == failing:
+        def flaky(factory, lams, sign):
+            if lams[0] == first:
                 raise RuntimeError("synthetic failure")
-            return original(*args, **kwargs)
+            return original(factory, lams, sign)
 
         monkeypatch.setattr(cv, "_grid_chunk", flaky)
         csv_path = tmp_path / f"partial{failing}.csv"
@@ -368,6 +371,7 @@ def test_absence_scan_matches_per_point_reference(
     factory = BSFactory(t, b, spec)
     if small_chunks:
         monkeypatch.setattr(cv, "STACK_ENTRIES", 5 * factory.block_entries)
+        monkeypatch.setattr(cv, "GIL_STACK", 0)
     rep = absence_scan(t, b, spec, (0.05, 0.15), 6, "plus", nodes=32, factory=factory)
 
     fval, fpval = _family(factory, -1)
@@ -387,6 +391,70 @@ def test_absence_scan_matches_per_point_reference(
         flagged += int(dist < cv.RESONANCE_RTOL * (1.0 + tnorm))
     assert np.array_equal(rep.grid_rows, np.array(rows))
     assert rep.flagged == flagged
+
+
+def _sandwich_table_spec() -> PotentialSpec:
+    """Non-radial table on the 63 vertices of depth <= 5 of the binary tree:
+    ``|M(v)| = 0.3 exp(-6 ln 2 |v|)``, seeded phases, root ``0.3 - 0.2j``
+    (the potential of the benchmark's ``sandwich-table`` at seed 0)."""
+    rng = random.Random(0)
+    values = [(0, 0.3 - 0.2j)]
+    for v in range(1, 63):
+        depth = (v + 1).bit_length() - 1
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        modulus = 0.3 * math.exp(-6 * LOG2 * depth)
+        values.append((v, modulus * complex(math.cos(phase), math.sin(phase))))
+    return PotentialSpec.table(values, 6 * LOG2)
+
+
+def test_grid_chunks_reach_the_gil_release_length(tree_basis):
+    import spectree.charval as cv
+
+    t, b = tree_basis(2, 8)
+    table = BSFactory(t, b, _sandwich_table_spec())
+    assert (table.block_side, table.block_entries) == (63, 63 * 63)
+    assert cv._grid_chunk_len(table) == 8  # 2**14 // 63**2 = 4 would keep the GIL
+    radial = BSFactory(t, b, PotentialSpec.radial_exp(0.3 * (1 + 0.5j), 6 * LOG2))
+    assert cv._grid_chunk_len(radial) == cv._chunk_len(radial.block_entries) == 80
+
+
+POOL_SPECS = [
+    pytest.param(6, _sandwich_table_spec(), "minus", id="63-vertex table minus"),
+    pytest.param(6, _sandwich_table_spec(), "plus", id="63-vertex table plus"),
+    pytest.param(8, PotentialSpec.radial_exp(0.3 * (1 + 0.5j), 6 * LOG2), "minus", id="radial"),
+]
+
+
+@pytest.mark.parametrize("depth, spec, threshold", POOL_SPECS)
+def test_absence_scan_pool_of_two_matches_one(tmp_path, monkeypatch, tree_basis,
+                                              depth, spec, threshold):
+    import threading
+    import time
+
+    import spectree.charval as cv
+
+    t, b = tree_basis(2, depth)
+    factory = BSFactory(t, b, spec)
+    grid = 12  # 144 points: 18 chunks of 8 or 2 chunks of 80 (and 64)
+    original = cv._grid_chunk
+    threads = set()
+
+    def recording(factory, lams, sign):
+        threads.add(threading.get_ident())
+        time.sleep(0.01)  # keep the chunk busy while the pool starts its next thread
+        return original(factory, lams, sign)
+
+    monkeypatch.setattr(cv, "_grid_chunk", recording)
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(cv, "pool_size", lambda: workers)
+        threads.clear()
+        path = tmp_path / f"{workers}.csv"
+        rep = absence_scan(t, b, spec, (0.05, 0.15), grid, threshold, nodes=32,
+                           csv_path=path, factory=factory)
+        assert len(threads) == workers
+        outputs.append((path.read_bytes(), rep.flagged, rep.grid_rows.tobytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_contour_index_chunks_match_per_node_reference(monkeypatch):

@@ -491,6 +491,19 @@ def test_kernel_with_overflowing_growing_weight(capsys):
     assert out["delta"] == 2000.0 and out["rel_frobenius_error"] <= 1e-6
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta", [2000, 1440])
+def test_validate_with_overflowing_growing_weight(capsys, delta):
+    # exp(+delta/2 |v|) overflows below the root while exp(-delta/2 |v|) is 0
+    # (delta 2000) or subnormal at |v| = 1 (delta 1440)
+    pot = json.dumps({"kind": "radial-exp", "amplitude": 0.3, "delta": delta})
+    code = main(["validate", "--k", "2", "--depth", "3", "--potential", pot])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.strip().splitlines()[-1].split() == ["overall", "PASS"]
+    assert captured.err == ""
+
+
 def test_radial_scan_at_amplitude_1e12_under_100_mib():
     # auto depth 15: the support holds 32,767 vertices, the blocks at most 15
     # levels, and no support-pair kernel is built
