@@ -40,7 +40,6 @@ from .errors import (
     InvalidParameter,
     NonConvergent,
     NotIsolated,
-    NumericalRankFailure,
     OnSpectrum,
     OutOfDisk,
     RootHasNoParent,

@@ -385,6 +385,8 @@ def absence_scan(
     from concurrent.futures import ThreadPoolExecutor
 
     r_min, r_max = annulus
+    if r_min >= r_max:
+        raise InvalidParameter(f"annulus needs r_min < r_max, got ({r_min}, {r_max})")
     if grid < 1:
         raise InvalidParameter(f"grid must be >= 1, got {grid}")
     # the grid points, the rows kept per chunk and their concatenation

@@ -18,11 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NumericalRankFailure
+from .errors import IndexOutOfRange
 from .tree import TreeGraph
-
-#: relative singular-value threshold certifying subspace dimensions
-RANK_RTOL = 1e-8
 
 
 def helmert_complement(k: int) -> np.ndarray:
@@ -86,16 +83,11 @@ def build_spherical_basis(t: TreeGraph) -> SphericalBasis:
     disjoint supports this complement is assembled exactly from per-family
     mean-zero blocks.  Raising is ``value -> value / sqrt(k)`` copied to the
     k children, which preserves norms by construction.
-
-    Raises
-    ------
-    NumericalRankFailure
-        If the certified dimensions do not reproduce the sphere dimensions
-        (``sum over birth levels = k**r`` for every radius ``r``).
     """
     k = t.k
+    inv_sqrt_k = 1.0 / np.sqrt(k)
     chi: list[np.ndarray] = []
-    dims = np.zeros(t.depth + 1, dtype=np.int64)
+    lifted: list[list[np.ndarray]] = []
     for n in range(t.depth + 1):
         if n == 0:
             c = np.ones((1, 1))
@@ -104,46 +96,12 @@ def build_spherical_basis(t: TreeGraph) -> SphericalBasis:
         else:
             c = np.kron(np.eye(k ** (n - 1)), helmert_complement(k))
         chi.append(c)
-        dims[n] = c.shape[1]
-        _certify_block(t, n, c)
-
-    # triangular completeness: newborn dimensions fill each sphere exactly
-    for r in range(t.depth + 1):
-        filled = int(sum(dims[n] for n in range(r + 1)))
-        if filled != k**r:
-            raise NumericalRankFailure(
-                f"level {r}: certified dimensions sum to {filled}, expected {k**r}"
-            )
-
-    lifted: list[list[np.ndarray]] = []
-    inv_sqrt_k = 1.0 / np.sqrt(k)
-    for n in range(t.depth + 1):
-        cols = [chi[n]]
+        cols = [c]
         for _ in range(t.depth - n):
             cols.append(np.repeat(cols[-1], k, axis=0) * inv_sqrt_k)
         lifted.append(cols)
+    dims = np.array([c.shape[1] for c in chi], dtype=np.int64)
     return SphericalBasis(tree=t, dims=dims, chi=chi, lifted=lifted)
-
-
-def _certify_block(t: TreeGraph, n: int, c: np.ndarray) -> None:
-    """Certify orthonormality and the expected dimension of a newborn block."""
-    k = t.k
-    expected = 1 if n == 0 else k ** (n - 1) * (k - 1)
-    if c.shape != (k**n, expected):
-        raise NumericalRankFailure(
-            f"level {n}: block shape {c.shape}, expected ({k**n}, {expected})"
-        )
-    if expected == 0:
-        return
-    sv = np.linalg.svd(c, compute_uv=False)
-    if sv.min() < RANK_RTOL * sv.max() or abs(sv.max() - 1.0) > 1e-12:
-        raise NumericalRankFailure(f"level {n}: singular values outside tolerance")
-    if n >= 1:
-        # orthogonality against the raised image of the previous sphere;
-        # the raised image is constant on each sibling family
-        fam = c.reshape(k ** (n - 1), k, expected).sum(axis=1)
-        if np.abs(fam).max() > 1e-12:
-            raise NumericalRankFailure(f"level {n}: complement not orthogonal to raise")
 
 
 def projector(b: SphericalBasis, n: int) -> np.ndarray:

@@ -25,10 +25,6 @@ class AssumptionViolated(SpectreeError, ValueError):
     """Potential fails the exponential-decay admissibility check."""
 
 
-class NumericalRankFailure(SpectreeError, ArithmeticError):
-    """Orthonormalization could not certify the expected subspace dimension."""
-
-
 class OnSpectrum(SpectreeError, ValueError):
     """Spectral parameter lies (numerically) on the essential spectrum."""
 

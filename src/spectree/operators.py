@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -169,9 +170,16 @@ class PotentialSpec:
             raise InvalidParameter(f"potential field 'amplitude' is not finite: {self.amplitude!r}")
         if self.c_const is not None and not 0.0 < self.c_const < math.inf:
             raise InvalidParameter(f"potential field 'C' must be positive and finite: {self.c_const!r}")
+        # a bool or float vertex is refused, not rounded to some other vertex
+        odd = [v for v, _ in self.values if type(v) is not int]
+        if odd:
+            raise InvalidParameter(f"potential field 'values' has non-integer vertices {odd}")
         negative = [v for v, _ in self.values if v < 0]
         if negative:
             raise InvalidParameter(f"potential field 'values' has negative vertices {negative}")
+        repeated = sorted(v for v, n in Counter(v for v, _ in self.values).items() if n > 1)
+        if repeated:
+            raise InvalidParameter(f"potential field 'values' repeats vertices {repeated}")
         nonfinite = [v for v, x in self.values if not cmath.isfinite(x)]
         if nonfinite:
             raise InvalidParameter(f"potential field 'values' is not finite at vertices {nonfinite}")
@@ -266,7 +274,7 @@ class PotentialSpec:
             spec = cls(kind="radial-exp", delta=delta, amplitude=amp, c_const=c)
         elif kind == "table":
             vals = _field(obj, "values", lambda entries: tuple(
-                (int(e["v"]), complex(float(e["re"]), float(e.get("im", 0.0))))
+                (e["v"], complex(float(e["re"]), float(e.get("im", 0.0))))
                 for e in entries
             ))
             spec = cls(kind="table", delta=delta, values=vals, c_const=c)

@@ -316,8 +316,10 @@ def test_absence_scan_annulus_guard(tree_basis, radial_spec_k2):
     t, b = tree_basis(2, 6)
     with pytest.raises(OutOfDisk):
         absence_scan(t, b, radial_spec_k2, (0.05, 0.5), 4)
-    with pytest.raises(OutOfDisk):
-        absence_scan(t, b, radial_spec_k2, (0.2, 0.1), 4)
+    # a reversed or empty annulus is named as such, not as lying outside the disk
+    for annulus in [(0.2, 0.1), (0.1, 0.1)]:
+        with pytest.raises(InvalidParameter, match=r"r_min < r_max"):
+            absence_scan(t, b, radial_spec_k2, annulus, 4)
 
 
 def test_absence_scan_partial_flush(tmp_path, monkeypatch, tree_basis, radial_spec_k2):

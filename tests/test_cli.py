@@ -117,10 +117,22 @@ def _dense_validation(k, depth, spec):
         abs(resolvent.sine_projected_coefficient(j, l, sp_)
             - quadrature.sine_projected_quadrature(k, sp_.z, j, l))
         for j in range(4) for l in range(4)), 1e-10)
-    kern = weighted_resolvent_kernel(t, b, e_m, e_m, sp_)
+    kern = weighted_resolvent_kernel(t, b, e_m, e_m, sp_).entries
     oracle = e_m[:, None] * direct_resolvent_block(t, sp_.z) * e_m[None, :]
-    check("weighted kernel vs direct solve (rel)",
-          np.linalg.norm(kern.entries - oracle) / np.linalg.norm(oracle), 1e-6)
+    # the first column of each sphere weighted by the sphere size, after one
+    # power-of-two scaling; the columns are row-major copies, so each column
+    # sum adds its terms in the order the CLI's does
+    cols = t.sphere_offsets[:depth + 1]
+    closed, exact = np.ascontiguousarray(kern[:, cols]), np.ascontiguousarray(oracle[:, cols])
+    scale = 2.0 ** -math.frexp(np.abs(exact).max())[1]
+
+    def weighted_sq(m):
+        re, im = m.real * scale, m.imag * scale
+        return np.diff(t.sphere_offsets) @ (re * re + im * im).sum(axis=0)
+
+    rel = math.sqrt(weighted_sq(closed - exact)) / math.sqrt(weighted_sq(exact))
+    assert abs(rel - np.linalg.norm(kern - oracle) / np.linalg.norm(oracle)) <= 1e-15
+    check("weighted kernel vs direct solve (rel)", rel, 1e-6)
 
     if spec is not None:
         check("potential decay certificate", 0.0, 0)
@@ -149,6 +161,53 @@ def test_validation_rows_equal_dense_formulas(k, depth, radial):
     got = printed(_run_validation(k, depth, spec))
     assert got == printed(_dense_validation(k, depth, spec))
     assert all(passed for *_, passed in got)
+
+
+def _printed_row(stdout, name):
+    """The value of row ``name`` of a ``validate`` table."""
+    line = next(line for line in stdout.splitlines() if line.startswith(name))
+    return float(line.split("value=")[1].split()[0])
+
+
+@pytest.mark.parametrize("k,depth,z", [(1, 12, ["--z=-1"]), (2, 6, []), (3, 4, [])],
+                         ids=["k1", "k2", "k3"])
+@pytest.mark.parametrize("radial", [False, True], ids=["free", "radial"])
+def test_validate_kernel_row_is_the_kernel_error(capsys, k, depth, z, radial):
+    # validate's point is z = -1 at k = 1, else kernel's default t_minus(k) - 0.5;
+    # a potential sets the weight rate of both
+    spec = PotentialSpec.radial_exp(0.3 + 0.15j, max(1.0, 6 * math.log(k)))
+    pot = ["--potential", json.dumps(spec.to_json())] if radial else []
+    assert main(["validate", "--k", str(k), "--depth", str(depth)] + pot) == 0
+    row = _printed_row(capsys.readouterr().out, "weighted kernel vs direct solve (rel)")
+    assert main(["kernel", "--k", str(k), "--depth", str(depth)] + z + pot) == 0
+    assert row == json.loads(capsys.readouterr().out)["rel_frobenius_error"]
+
+
+@pytest.mark.parametrize("k,depth", [(2, 10), (3, 6), (1, 12)])
+def test_validation_stages_stay_within_the_budget_formula(monkeypatch, k, depth):
+    import tracemalloc
+
+    from spectree import cli
+
+    cli._run_validation(2, 3, None)  # loads scipy's solvers outside the measurement
+    peaks = {}
+    for name in ("_check_operators", "_check_basis", "_check_kernel", "_check_birman_schwinger"):
+        def measured(*args, _name=name, _stage=getattr(cli, name)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            _stage(*args)
+            peaks[_name] = tracemalloc.get_traced_memory()[1] - base
+        monkeypatch.setattr(cli, name, measured)
+    spec = PotentialSpec.radial_exp(0.3 + 0.15j, max(1.0, 6 * math.log(k)))
+    tracemalloc.start()
+    try:
+        rows = cli._run_validation(k, depth, spec)
+    finally:
+        tracemalloc.stop()
+    assert all(passed for *_, passed in rows)
+    assert len(peaks) == 4
+    bound = cli._validation_bytes(build_tree(k, depth).vertex_count)
+    assert max(peaks.values()) <= bound, peaks
 
 
 def _env_with_src():
@@ -557,6 +616,17 @@ BAD_INPUTS = [
     pytest.param("'values'", lambda tmp: INDEX + ["--potential", json.dumps(
         {"kind": "table", "delta": 6 * LOG2, "values": [{"v": -1, "re": 0.2}]})],
                  id="negative vertex"),
+    *[pytest.param("'values'", lambda tmp, v=v: INDEX + ["--potential", json.dumps(
+        {"kind": "table", "delta": 6 * LOG2, "values": [{"v": v, "re": 0.2}]})],
+                   id=f"{name} vertex")
+      for name, v in [("float", 1.7), ("negative float", -0.5), ("bool", True), ("string", "3")]],
+    pytest.param("'values'", lambda tmp: INDEX + ["--potential", json.dumps(
+        {"kind": "table", "delta": 6 * LOG2, "values": [{"v": 1, "re": 0.1}, {"v": 1, "re": 0.5}]})],
+                 id="repeated vertex"),
+    pytest.param("r_min < r_max", lambda tmp: SCAN + ["--rmin", "0.1", "--rmax", "0.05"],
+                 id="reversed annulus"),
+    pytest.param("r_min < r_max", lambda tmp: SCAN + ["--rmin", "0.1", "--rmax", "0.1"],
+                 id="empty annulus"),
     pytest.param("'delta'", lambda tmp: INDEX + ["--potential", json.dumps(
         {"kind": "radial-exp", "amplitude": 0.3, "delta": math.nan})], id="nan delta"),
     pytest.param("'delta'", lambda tmp: INDEX + ["--potential", json.dumps(

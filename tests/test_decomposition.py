@@ -156,16 +156,3 @@ def test_jacobi_symbol_quadrature_oracle():
                 expected = math.sqrt(k) if abs(j - l) == 1 else 0.0
                 assert abs(got - expected) < 1e-10
 
-
-def test_rank_certificate_rejects_corrupt_block():
-    import pytest as _pytest
-
-    from spectree.decomposition import _certify_block
-    from spectree.errors import NumericalRankFailure
-
-    t = build_tree(2, 3)
-    bad = np.zeros((4, 2))
-    bad[:, 0] = [0.5, 0.5, 0.5, 0.5]  # not orthogonal to the raise
-    bad[:, 1] = [0.5, -0.5, 0.5, -0.5]
-    with _pytest.raises(NumericalRankFailure):
-        _certify_block(t, 2, bad)
