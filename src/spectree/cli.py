@@ -32,11 +32,9 @@ from .decomposition import build_spherical_basis, verify_jacobi_form
 from .errors import InvalidParameter, NonConvergent, SingularOnContour, SpectreeError
 from .operators import (
     PotentialSpec,
-    adjacency,
     adjacency_sparse,
-    lowering,
     m_tilde,
-    raising,
+    raising_sparse,
     theta,
     weights,
 )
@@ -155,33 +153,37 @@ def build_parser() -> _Parser:
 
 # -- validate ------------------------------------------------------------------
 
-#: matrix entries in one row block of the edge-swap check (4 MiB complex)
-_ROW_BLOCK_ENTRIES = 2**18
-
-
 def _default_delta(k: int, spec: PotentialSpec | None) -> float:
     """Weight rate of ``validate`` and ``kernel``: the potential's decay rate,
     else ``max(1, 6 ln k)``."""
     return spec.delta if spec is not None else max(1.0, 6.0 * math.log(k))
 
 
-def _validation_bytes(v: int) -> int:
-    """Peak bytes of the largest ``validate`` stage on ``v`` vertices at k >= 2,
-    the operators stage: four V x V float arrays (adjacency, raising, lowering,
-    and its transposed source or the sum), then the adjacency and eight floats
-    per entry of one edge-swap row block.  One MiB more covers the fixed-size
-    arrays, such as the quadrature nodes.  At k = 1 the kernel's coefficient
-    map, cubic in the depth, is larger past about depth 30.
+def _validation_bytes(t: TreeGraph) -> int:
+    """Peak bytes of the largest ``validate`` stage on ``t``.
+
+    The basis stage holds the stored basis, one ``k**r x k**r`` block of
+    floats per sphere, then the last sphere's stacked columns and their
+    Gram.  The kernel stage compares ``V x (depth + 1)`` entries and holds at
+    most eight complex numbers per entry: its coefficient map, with one key
+    per entry at k = 1, then the kernel, the direct solve and their
+    difference.  It is the larger stage at k = 1, where it is ``V x V``.  One
+    MiB more covers the fixed-size arrays, such as the quadrature nodes.  The
+    Birman-Schwinger stage, run only with a potential, scales with the
+    potential's support, and its kernel and solve check the budget themselves.
     """
-    floats = 4 * v * v + 8 * min(v * v, _ROW_BLOCK_ENTRIES)
-    return np.dtype(float).itemsize * floats + 2**20
+    k, depth = t.k, t.depth
+    floats = sum(k ** (2 * r) for r in range(depth + 1)) + 2 * k ** (2 * depth)
+    basis = np.dtype(float).itemsize * floats
+    kernel = 8 * np.dtype(complex).itemsize * t.vertex_count * (depth + 1)
+    return max(basis, kernel) + 2**20
 
 
 def _run_validation(k: int, depth: int, spec: PotentialSpec | None):
     """The invariant suite as ``(name, value, tol, passed)`` rows.
 
-    Each stage builds its own V x V arrays, so they are freed when it returns
-    and the peak is that of the largest stage.
+    Each stage builds its own arrays, so they are freed when it returns and
+    the peak is that of the largest stage.
     """
     rows = []
 
@@ -189,8 +191,7 @@ def _run_validation(k: int, depth: int, spec: PotentialSpec | None):
         rows.append((name, float(value), tol, value <= tol))
 
     t = build_tree(k, depth)
-    _check_budget(_validation_bytes(t.vertex_count),
-                  f"validate's dense checks on {t.vertex_count} vertices")
+    _check_budget(_validation_bytes(t), f"validate's checks on {t.vertex_count} vertices")
     e_m, e_p = weights(t, _default_delta(k, spec))
     _check_operators(t, spec, e_m, e_p, check)
     _check_basis(t, check)
@@ -201,29 +202,29 @@ def _run_validation(k: int, depth: int, spec: PotentialSpec | None):
 
 
 def _check_operators(t: TreeGraph, spec, e_m, e_p, check) -> None:
+    import scipy.sparse as sp
     from scipy.sparse.linalg import eigsh
 
     k, depth = t.k, t.depth
     check("tree sphere sizes", max(abs(t.sphere_size(r) - k**r) for r in range(depth + 1)), 0)
-    a = adjacency(t)
+    # every figure below is an exact integer or an exact 0 on the sparse forms
+    a = adjacency_sparse(t)
     check("edge count = V - 1", abs(a.sum() / 2 - (t.vertex_count - 1)), 0)
-    pi_up, pi_dn = raising(t), lowering(t)
-    diff = pi_up + pi_dn
-    diff -= a
-    check("raising + lowering = adjacency", np.abs(diff, out=diff).max(), 0)
-    del diff
+    pi_up = raising_sparse(t)
+    pi_dn = pi_up.T
+    check("raising + lowering = adjacency", abs(pi_up + pi_dn - a).max(), 0)
     interior = t.vertex_count - t.sphere_size(depth)
     check("trace of lower.raise = k * interior",
-          abs(np.einsum("ij,ji->", pi_dn, pi_up) - k * interior), 0)
-    del pi_up, pi_dn
+          abs((pi_dn @ pi_up).diagonal().sum() - k * interior), 0)
     # ARPACK needs two vertices; the one-vertex adjacency is the zero matrix
-    radius = (abs(eigsh(adjacency_sparse(t), k=1, which="LM", return_eigenvectors=False)[0])
+    radius = (abs(eigsh(a, k=1, which="LM", return_eigenvectors=False)[0])
               if t.vertex_count > 1 else 0.0)
     check("adjacency band confinement", max(0.0, radius - 2 * math.sqrt(k)), 1e-10)
-    th = theta(t)
-    check("parity conjugation flips adjacency", np.abs(th[:, None] * a * th[None, :] + a).max(), 0)
-    check("edge-swap conjugation identity",
-          _edge_swap_deviation(a, th, m_tilde(t, spec), k + 1 - (0.37 + 0.11j)), 1e-10)
+    th = sp.diags(theta(t))
+    check("parity conjugation flips adjacency", abs(th @ a @ th + a).max(), 0)
+    # th (-a + diag(m) + c I) th = a + diag(m) + c I
+    shift = sp.diags(m_tilde(t, spec) + (k + 1 - (0.37 + 0.11j)))
+    check("edge-swap conjugation identity", abs(th @ (shift - a) @ th - (shift + a)).max(), 1e-10)
     # where e+ overflows, e- = 1/e+ lies below the reciprocal of the largest float
     finite = np.isfinite(e_p)
     deviation = np.abs(e_m[finite] * e_p[finite] - 1).max(initial=0.0)
@@ -232,35 +233,20 @@ def _check_operators(t: TreeGraph, spec, e_m, e_p, check) -> None:
     check("weight pair multiplies to identity", deviation, 1e-12)
 
 
-def _edge_swap_deviation(a: np.ndarray, th: np.ndarray, m_vec: np.ndarray, c: complex) -> float:
-    """``max |lhs - rhs|`` with ``lhs = th (-a + diag(m) + c I) th`` and
-    ``rhs = a + diag(m) + c I``, built one block of rows at a time.
-    """
-    v = a.shape[0]
-    worst = 0.0
-    step = max(1, _ROW_BLOCK_ENTRIES // v)
-    for start in range(0, v, step):
-        stop = min(start + step, v)
-        shift = np.zeros((stop - start, v), dtype=complex)  # rows of diag(m) + c I
-        np.fill_diagonal(shift[:, start:], m_vec[start:stop] + c)
-        lhs = th[start:stop, None] * (shift - a[start:stop]) * th[None, :]
-        worst = max(worst, np.abs(lhs - (shift + a[start:stop])).max())
-    return worst
-
-
 def _check_basis(t: TreeGraph, check) -> None:
     b = build_spherical_basis(t)
     check("basis count = vertex count", abs(b.total_vectors() - t.vertex_count), 0)
-    full = np.hstack([
-        b.global_vectors(n, j)
-        for n in range(t.depth + 1) if b.dims[n]
-        for j in range(b.levels(n))
-    ])
-    gram = full.T @ full
-    del full
-    gram[np.diag_indices_from(gram)] -= 1.0
-    check("basis Gram deviation", np.abs(gram).max(), 1e-10)
-    del gram
+    # columns on different spheres have disjoint support, so the Gram is block
+    # diagonal: one k**r x k**r block per sphere r
+    worst = 0.0
+    for r in range(t.depth + 1):
+        cols = np.hstack([b.lifted[n][r - n] for n in range(r + 1) if b.dims[n]])
+        gram = cols.T @ cols
+        del cols
+        gram[np.diag_indices_from(gram)] -= 1.0
+        worst = max(worst, np.abs(gram, out=gram).max())
+        del gram
+    check("basis Gram deviation", worst, 1e-10)
     jac = max((verify_jacobi_form(b, t, n) for n in range(min(t.depth, 5))), default=0.0)
     check("block Jacobi residual", jac, 1e-10)
 

@@ -3,8 +3,11 @@
 Conventions
 -----------
 * Full operators (adjacency, raising/lowering, the Laplacian) are dense
-  2-D arrays.  They are real symmetric and kept in ``float64``; mixing
-  them with complex data upcasts automatically.
+  2-D ``float64`` arrays; mixing them with complex data upcasts
+  automatically.  They are references for tests and demos: ``validate``
+  checks the sparse forms (``adjacency_sparse``, ``raising_sparse``) and
+  the direct solve uses ``free_operator_sparse``.  Only ``spectrum``, which
+  needs every eigenvalue, builds a dense operator.
 * Multiplication operators (degree terms, potentials, parity, weights)
   are represented by their diagonal as 1-D arrays.
 * The Laplacian is always formed with the *untruncated* vertex degrees
@@ -62,6 +65,14 @@ def adjacency_sparse(t: TreeGraph) -> sp.csr_matrix:
     cols = np.concatenate([p, v])
     data = np.ones(rows.size)
     return sp.csr_matrix((data, (rows, cols)), shape=(t.vertex_count, t.vertex_count))
+
+
+def raising_sparse(t: TreeGraph) -> sp.csr_matrix:
+    """CSR form of :func:`raising`; its transpose is the lowering."""
+    import scipy.sparse as sp
+
+    v, p = _parent_indices(t)
+    return sp.csr_matrix((np.ones(v.size), (v, p)), shape=(t.vertex_count, t.vertex_count))
 
 
 def raising(t: TreeGraph) -> np.ndarray:

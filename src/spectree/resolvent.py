@@ -311,8 +311,19 @@ class ResolventKernel:
         c = np.minimum(a, b) - g
         top = c + (g > 0)
         # term n of G adds coef * (w[|a-b|] - w[a+b-2n+2]); terms past
-        # top = min(c+1, a, b) get coefficient 0
-        n = np.arange(top.max(initial=-1) + 1)[:, None]
+        # top = min(c+1, a, b) get coefficient 0, and so do terms n >= 1 at
+        # k = 1, where P_n = 1 - 1/k = 0 for n <= c and top = c
+        terms = 1 if k == 1 else int(top.max(initial=-1)) + 1
+        # peak once the map is built: the codes, ``present`` and ``label``,
+        # seven int64 key arrays and two per-key temporaries, four map-sized
+        # arrays and a mask, and at most ten int64 arrays per row or column
+        _check_budget(
+            self.rows.size * self.cols.size * (small.itemsize + 2 * kind.itemsize)
+            + size * (1 + kind.itemsize) + 72 * keys.size + 33 * terms * keys.size
+            + 80 * (self.rows.size + self.cols.size),
+            f"kernel coefficient map of {keys.size} depth triples",
+        )
+        n = np.arange(terms)[:, None]
         proj = np.where(n == 0, 1.0, np.where(n <= c, 1.0 - 1.0 / k, -1.0 / k))
         self._coef = np.where(n <= top, proj * float(k) ** (n - (a + b) / 2.0), 0.0)
         self._sum_idx = np.where(n <= top, a + b - 2 * n + 2, 0)
@@ -339,9 +350,10 @@ class ResolventKernel:
         elementwise in a fixed order, not by BLAS).
         """
         count, keys = w.shape[0], self._diff_idx.size
-        # the output and the two (N, keys) accumulators
+        # the loop holds g, near and three (N, keys) temporaries; the gather
+        # holds g, near and the output
         _check_budget(
-            16 * count * (self._code.size + 2 * keys),
+            16 * count * max(5 * keys, self._code.size + 2 * keys),
             f"kernel entries of {count} x {self.rows.size} x {self.cols.size}",
         )
         g = np.zeros((count, keys), dtype=complex)

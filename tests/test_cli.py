@@ -183,7 +183,7 @@ def test_validate_kernel_row_is_the_kernel_error(capsys, k, depth, z, radial):
     assert row == json.loads(capsys.readouterr().out)["rel_frobenius_error"]
 
 
-@pytest.mark.parametrize("k,depth", [(2, 10), (3, 6), (1, 12)])
+@pytest.mark.parametrize("k,depth", [(2, 10), (3, 6), (1, 12), (2, 11), (1, 200)])
 def test_validation_stages_stay_within_the_budget_formula(monkeypatch, k, depth):
     import tracemalloc
 
@@ -206,8 +206,33 @@ def test_validation_stages_stay_within_the_budget_formula(monkeypatch, k, depth)
         tracemalloc.stop()
     assert all(passed for *_, passed in rows)
     assert len(peaks) == 4
-    bound = cli._validation_bytes(build_tree(k, depth).vertex_count)
+    bound = cli._validation_bytes(build_tree(k, depth))
     assert max(peaks.values()) <= bound, peaks
+
+
+def test_operators_stage_holds_no_dense_operator():
+    import tracemalloc
+
+    from spectree import cli
+
+    cli._run_validation(2, 3, None)  # loads scipy's solvers outside the measurement
+    t = build_tree(2, 10)
+    e_m, e_p = weights(t, 6 * LOG2)
+    rows = []
+    tracemalloc.start()
+    try:
+        cli._check_operators(t, None, e_m, e_p, lambda *row: rows.append(row))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [name for name, *_ in rows] == [
+        "tree sphere sizes", "edge count = V - 1", "raising + lowering = adjacency",
+        "trace of lower.raise = k * interior", "adjacency band confinement",
+        "parity conjugation flips adjacency", "edge-swap conjugation identity",
+        "weight pair multiplies to identity",
+    ]
+    # one dense 2047 x 2047 float operator alone would take 32 MiB
+    assert peak < 4 * 2**20
 
 
 def _env_with_src():
@@ -244,6 +269,13 @@ def test_validate_depth_10_under_400_mib():
     assert code == 0, stderr[-2000:]
     assert stdout.strip().splitlines()[-1].split() == ["overall", "PASS"]
     assert peak_kib < 400 * 2**10
+
+
+def test_validate_depth_12_under_one_gib():
+    code, stdout, stderr, peak_kib = _peak_of_cli(["validate", "--k", "2", "--depth", "12"])
+    assert code == 0, stderr[-2000:]
+    assert stdout.strip().splitlines()[-1].split() == ["overall", "PASS"]
+    assert peak_kib < 2**20
 
 
 @pytest.mark.parametrize("command", ["validate", "spectrum"])

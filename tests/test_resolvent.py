@@ -345,6 +345,20 @@ def test_first_vertex_columns_cover_every_depth_triple(k, depth):
     assert np.array_equal(seen, np.unique(code))
 
 
+def test_k1_coefficient_map_has_one_row():
+    # on a path only term n = 0 of the map is nonzero; the full map of
+    # depth 200 took 258 MiB when it kept all 201 rows
+    t = build_tree(1, 200)
+    tracemalloc.start()
+    try:
+        kernel = ResolventKernel(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kernel._coef.shape == kernel._sum_idx.shape == (1, t.vertex_count**2)
+    assert peak < 16 * 2**20
+
+
 # -- direct solve ----------------------------------------------------------------
 
 
@@ -417,13 +431,47 @@ def test_budget_stops_full_kernel_and_solve_before_allocating(monkeypatch):
 
 
 def test_budget_stops_kernel_assembly_before_allocating(monkeypatch):
-    # k=2 depth 8, 511 x 9 pairs: the codes take 23 kB and pass a 50 kB
-    # budget; the complex output and its accumulators take over 73 kB
-    monkeypatch.setattr(resolvent, "memory_budget", lambda: 50_000)
+    # k=2 depth 8, 511 x 9 pairs: the complex output and its accumulators
+    # take over 73 kB, past a 50 kB budget set once the kernel is prepared
     t = build_tree(2, 8)
     kernel = ResolventKernel(t, cols=t.sphere_offsets[:t.depth + 1])
+    monkeypatch.setattr(resolvent, "memory_budget", lambda: 50_000)
     with pytest.raises(CapacityExceeded, match="511 x 9 need"):
         kernel.evaluate(from_z(2, t_minus(2) - 0.5))
+
+
+def test_budget_stops_coefficient_map_before_allocating(monkeypatch):
+    # k=1 depth 200, 201 x 201 pairs: the codes take 364 kB and pass a 500 kB
+    # budget; the map has one key per pair, and it and its key arrays take
+    # about 4.6 MB
+    monkeypatch.setattr(resolvent, "memory_budget", lambda: 500_000)
+    with pytest.raises(CapacityExceeded, match="coefficient map of 40401 depth triples need"):
+        ResolventKernel(build_tree(1, 200))
+
+
+def test_k1_kernel_budget_checks_cover_the_measured_peaks(monkeypatch):
+    # at k=1 every pair has its own key, so the key arrays and temporaries
+    # beside the map and the accumulators (about 110 and 65 bytes per pair)
+    # dominate; a budget just under either measured peak refuses that step
+    t = build_tree(1, 200)
+    sp_ = from_z(1, t_minus(1) - 0.5)
+    ResolventKernel(build_tree(1, 3)).evaluate(from_z(1, t_minus(1) - 0.5))
+    tracemalloc.start()
+    try:
+        kernel = ResolventKernel(t)
+        prepared = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        kernel.evaluate(sp_)
+        assembled = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(resolvent, "memory_budget", lambda: prepared - 1)
+    with pytest.raises(CapacityExceeded, match="coefficient map"):
+        ResolventKernel(t)
+    monkeypatch.setattr(resolvent, "memory_budget", lambda: assembled - 1)
+    with pytest.raises(CapacityExceeded, match="kernel entries"):
+        kernel.evaluate(sp_)
 
 
 def test_branch_failure_at_degenerate_point():
