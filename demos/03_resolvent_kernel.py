@@ -2,9 +2,9 @@
 
 Route one: trapezoid quadrature on the circle for each coefficient (this is
 also what pins the bracket prefactor to 1, not the tempting sqrt(2/pi)
-variant).  Route two: a dense LU solve with the truncation boundary closed
-by the dangling-subtree self-energy, which realizes the untruncated operator
-exactly on the kept block.
+variant).  Route two: a direct solve by leaves-first elimination on the tree,
+with the truncation boundary closed by the dangling-subtree self-energy,
+which realizes the untruncated operator exactly on the kept block.
 """
 import numpy as np
 

@@ -148,24 +148,16 @@ def verify_jacobi_form(b: SphericalBasis, t: TreeGraph, n: int) -> float:
     """
     if b.dims[n] == 0:
         return 0.0
-    k = t.k
     nlev = b.levels(n)
-    d = int(b.dims[n])
     # entries with |level difference| != 1 vanish structurally (disjoint
-    # sphere supports), so only the two bands need computing
-    gram = np.zeros((nlev, d, nlev, d))
-    for j in range(nlev):
-        down, up = apply_adjacency_level(t, b.lifted[n][j], n + j)
-        if j >= 1 and down is not None:
-            gram[j, :, j - 1, :] = (b.lifted[n][j - 1].T @ down).T
-        if j + 1 < nlev and up is not None:
-            gram[j, :, j + 1, :] = (b.lifted[n][j + 1].T @ up).T
-    expected = np.zeros_like(gram)
-    eye = np.eye(d)
+    # sphere supports), so only the two bands can deviate; a band counts when
+    # both of its levels lie above the truncation level nlev - 1
+    band = np.sqrt(t.k) * np.eye(int(b.dims[n]))
+    worst = 0.0
     for j in range(nlev - 1):
-        expected[j, :, j + 1, :] = np.sqrt(k) * eye
-        expected[j + 1, :, j, :] = np.sqrt(k) * eye
-    dev = np.abs(gram - expected)
-    if nlev > 1:
-        dev = dev[: nlev - 1, :, : nlev - 1, :]  # drop the truncation boundary level
-    return float(dev.max(initial=0.0))
+        down, up = apply_adjacency_level(t, b.lifted[n][j], n + j)
+        if j >= 1:
+            worst = max(worst, np.abs((b.lifted[n][j - 1].T @ down).T - band).max())
+        if j + 2 < nlev:
+            worst = max(worst, np.abs((b.lifted[n][j + 1].T @ up).T - band).max())
+    return float(worst)

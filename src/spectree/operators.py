@@ -5,8 +5,9 @@ Conventions
 * Full operators (adjacency, raising/lowering, the Laplacian) are dense
   2-D ``float64`` arrays; mixing them with complex data upcasts
   automatically.  They are references for tests and demos: ``validate``
-  checks the sparse forms (``adjacency_sparse``, ``raising_sparse``) and
-  the direct solve uses ``free_operator_sparse``.  Only ``spectrum``, which
+  checks the sparse forms (``adjacency_sparse``, ``raising_sparse``), and
+  ``free_operator_sparse`` is kept for tests and tracing; the direct solve
+  eliminates on the tree without any matrix.  Only ``spectrum``, which
   needs every eigenvalue, builds a dense operator.
 * Multiplication operators (degree terms, potentials, parity, weights)
   are represented by their diagonal as 1-D arrays.
@@ -32,8 +33,8 @@ import numpy as np
 from .errors import AssumptionViolated, InvalidParameter
 from .tree import TreeGraph
 
-# scipy is imported inside the sparse functions, so that the commands that
-# never solve sparsely (scan, index, spectrum) start without loading it
+# scipy is imported inside the sparse functions, so that only validate, whose
+# operators stage checks the sparse forms, loads it
 if TYPE_CHECKING:
     import scipy.sparse as sp
 

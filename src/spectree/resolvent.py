@@ -28,7 +28,9 @@ Near a band edge the spectral parameter is re-parametrized by ``lam`` with
 kernel across the edge onto the second sheet.
 
 The scalar in front of the bracket is pinned by an independent quadrature
-oracle; see :data:`KERNEL_PREFACTOR`.
+oracle; see :data:`KERNEL_PREFACTOR`.  :func:`direct_resolvent_block` is the
+other reference: it solves on the tree by leaves-first elimination and shares
+no code with the closed form.
 """
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ from .errors import (
     OnSpectrum,
     OutOfDisk,
 )
-from .operators import free_operator_sparse, m_tilde
+from .operators import m_tilde
 from .tree import TreeGraph
 
 #: Scalar multiplying each closed-form bracket, relative to the quadrature
@@ -60,7 +62,7 @@ DEFAULT_DISK_RADIUS = 0.3
 #: memory budget in bytes when ``/proc/meminfo`` cannot be read
 FALLBACK_MEMORY_BUDGET = 4 * 2**30
 
-#: right-hand-side columns per sparse LU solve in :func:`direct_resolvent_block`
+#: right-hand-side columns per elimination sweep in :func:`direct_resolvent_block`
 SOLVE_CHUNK = 256
 
 
@@ -467,14 +469,28 @@ def direct_resolvent_block(
 
     The independent reference path for every closed-form kernel.  With
     ``boundary="exact"`` the deepest sphere is closed with the dangling
-    subtree self-energy ``k * subtree_green(z)``, so the LU solve reproduces
+    subtree self-energy ``k * subtree_green(z)``, so the solve reproduces
     the *untruncated* operator's resolvent block exactly; with
     ``boundary="truncated"`` it is the plain compression (boundary
     reflections and all).
+
+    The solve is Gaussian elimination leaves first, which on a tree creates
+    no fill (Parter 1961): each pivot is the inverse of the root Green
+    function of the subtree below its vertex, the recursion
+    :func:`subtree_green` iterates.  There is no pivoting, so the solve
+    fails where some subtree operator is singular at ``z`` even though the
+    whole operator is not.  A pivot that is merely small loses digits; since
+    every caller compares this block with an independent closed form, that
+    can only turn a check into a spurious FAIL, never into a false PASS.
+
+    Raises
+    ------
+    OnSpectrum
+        If a pivot is zero or not finite.
     """
     if boundary not in ("exact", "truncated"):
         raise InvalidParameter(f"unknown boundary mode {boundary!r}")
-    n = t.vertex_count
+    n, k = t.vertex_count, t.k
     rows = np.arange(n) if rows is None else np.asarray(rows)
     cols = np.arange(n) if cols is None else np.asarray(cols)
     step = SOLVE_CHUNK
@@ -485,23 +501,71 @@ def direct_resolvent_block(
         f"direct-solve columns for {cols.size} of {n} vertices",
     )
 
-    diag = np.full(n, -z, dtype=complex)
-    if spec is not None:
-        diag += m_tilde(t, spec)
-    if boundary == "exact":
-        s = t.sphere(t.depth)
-        diag[s.start:s.stop] -= t.k * subtree_green(t.k, z)
-
-    import scipy.sparse as sp  # loaded on first use only, see operators.py
-    import scipy.sparse.linalg as spla
-
-    h = (free_operator_sparse(t).astype(complex) + sp.diags(diag)).tocsc()
-    lu = spla.splu(h)
+    inv = _inverse_pivots(t, z, spec, boundary)
+    spheres = [slice(*t.sphere_offsets[r:r + 2]) for r in range(t.depth + 1)]
     out = np.empty((rows.size, cols.size), dtype=complex)
     for start in range(0, cols.size, step):
         chunk = cols[start:start + step]
-        rhs = np.zeros((n, chunk.size), dtype=complex)
-        rhs[chunk, np.arange(chunk.size)] = 1.0
-        out[:, start:start + chunk.size] = lu.solve(rhs)[rows, :]
+        x = np.zeros((n, chunk.size), dtype=complex)
+        x[chunk, np.arange(chunk.size)] = 1.0
+        # forward sweep leaves first, fused with the diagonal solve: a sphere
+        # scaled by its inverse pivots is what its parents add.  Not ``*=``:
+        # numpy rounds a one-element in-place complex product differently, so
+        # a one-column chunk would not equal the same column in a wider one
+        for r in range(t.depth, -1, -1):
+            x[spheres[r]] = x[spheres[r]] * inv[spheres[r], None]
+            if r:
+                x[spheres[r - 1]] += _child_sum(x[spheres[r]], k)
+        # back sweep from the root: each vertex adds its parent over its pivot
+        for r in range(1, t.depth + 1):
+            parents = x[spheres[r - 1]]
+            for kid, scale in zip(_children(x[spheres[r]], k), _children(inv[spheres[r]], k)):
+                kid += scale[:, None] * parents
+        out[:, start:start + chunk.size] = x[rows, :]
     return out
 
+
+def _inverse_pivots(t: TreeGraph, z: complex, spec, boundary: str) -> np.ndarray:
+    """Reciprocal pivots of the leaves-first elimination, one per vertex.
+
+    A vertex's pivot is its diagonal ``k + 1 - z``, plus ``m_tilde`` when
+    ``spec`` is given and minus the closure on the deepest sphere, minus the
+    reciprocal pivots of its children.  Each sphere is checked before its
+    reciprocals are taken.
+    """
+    k = t.k
+    inv = np.full(t.vertex_count, (k + 1.0) - z, dtype=complex)
+    if spec is not None:
+        inv += m_tilde(t, spec)
+    if boundary == "exact":
+        s = t.sphere(t.depth)
+        inv[s.start:s.stop] -= k * subtree_green(k, z)
+    for r in range(t.depth, -1, -1):
+        lo, hi = t.sphere_offsets[r:r + 2]
+        piv = inv[lo:hi]
+        bad = np.flatnonzero((piv == 0) | ~np.isfinite(piv))
+        if bad.size:
+            raise OnSpectrum(
+                f"z={z}: zero or non-finite elimination pivot at vertex "
+                f"{lo + bad[0]}; a subtree operator is singular there"
+            )
+        np.reciprocal(piv, out=piv)
+        if r:
+            inv[t.sphere_offsets[r - 1]:lo] -= _child_sum(piv, k)
+    return inv
+
+
+def _children(a: np.ndarray, k: int) -> np.ndarray:
+    """Views of a sphere's rows by child number: row ``i`` of view ``j`` is
+    child ``j`` of the ``i``-th vertex one sphere up."""
+    return a.reshape(-1, k, *a.shape[1:]).swapaxes(0, 1)
+
+
+def _child_sum(a: np.ndarray, k: int) -> np.ndarray:
+    """Sum over each vertex's children of a sphere's rows, one child at a time,
+    so every column rounds the same whatever the column count."""
+    first, *rest = _children(a, k)
+    total = first.copy()
+    for kid in rest:
+        total += kid
+    return total

@@ -749,7 +749,9 @@ def test_scan_index_and_spectrum_never_import_scipy():
         "cli.main(['index', '--k', '2', '--radius', '0.1', '--nodes', '16'])\n"
         "cli.main(['spectrum', '--k', '2', '--depth', '3'])\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
-        "sys.exit(cli.main(['kernel', '--k', '2', '--depth', '4']))\n"
+        "rc = cli.main(['kernel', '--k', '2', '--depth', '4'])\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        "sys.exit(rc)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], env=_env_with_src(),
                           capture_output=True, text=True, timeout=600)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from spectree import build_spherical_basis, build_tree, projector, verify_jacobi_form
-from spectree.decomposition import helmert_complement
+from spectree.decomposition import apply_adjacency_level, helmert_complement
 from spectree.operators import adjacency, raising
 from spectree.quadrature import jacobi_symbol_quadrature
 
@@ -144,6 +144,37 @@ def test_jacobi_form_residual(k, depth, n):
     t = build_tree(k, depth)
     b = build_spherical_basis(t)
     assert verify_jacobi_form(b, t, n) <= 1e-10
+
+
+def _dense_jacobi_deviation(b, t, n):
+    """The block-``n`` Jacobi deviation from the full ``(levels * d)**2`` Gram
+    of the adjacency against its expected form, truncation level dropped."""
+    if b.dims[n] == 0:
+        return 0.0
+    nlev, d = b.levels(n), int(b.dims[n])
+    gram = np.zeros((nlev, d, nlev, d))
+    for j in range(nlev):
+        down, up = apply_adjacency_level(t, b.lifted[n][j], n + j)
+        if j >= 1:
+            gram[j, :, j - 1, :] = (b.lifted[n][j - 1].T @ down).T
+        if j + 1 < nlev and up is not None:
+            gram[j, :, j + 1, :] = (b.lifted[n][j + 1].T @ up).T
+    expected = np.zeros_like(gram)
+    for j in range(nlev - 1):
+        expected[j, :, j + 1, :] = np.sqrt(t.k) * np.eye(d)
+        expected[j + 1, :, j, :] = np.sqrt(t.k) * np.eye(d)
+    dev = np.abs(gram - expected)
+    if nlev > 1:
+        dev = dev[: nlev - 1, :, : nlev - 1, :]
+    return float(dev.max(initial=0.0))
+
+
+@pytest.mark.parametrize("k,depth", [(1, 30), (2, 6), (2, 10), (3, 4), (4, 4)])
+def test_jacobi_bands_equal_dense_deviation(k, depth):
+    t = build_tree(k, depth)
+    b = build_spherical_basis(t)
+    for n in range(depth + 1):
+        assert verify_jacobi_form(b, t, n) == _dense_jacobi_deviation(b, t, n)
 
 
 def test_jacobi_symbol_quadrature_oracle():

@@ -2,18 +2,18 @@
 
 Oracles, in order of independence: trapezoid quadrature on the circle for
 every coefficient; the classical half-line resolvent formula for k = 1;
-dense LU solves (boundary-closed, and plain-truncated-with-padding as a
-cross-check on the closure itself) for the assembled kernel.
+direct solves (boundary-closed, and plain-truncated-with-padding as a
+cross-check on the closure itself) for the assembled kernel, and scipy's
+sparse LU for the direct solve.
 """
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from spectree import (
     build_tree,
@@ -362,31 +362,114 @@ def test_k1_coefficient_map_has_one_row():
 # -- direct solve ----------------------------------------------------------------
 
 
-def _one_shot_block(t, z, spec, rows, cols):
-    """``splu(h).solve(eye)[rows][:, cols]`` on the boundary-closed operator."""
+def _splu_block(t, z, spec, boundary):
+    """The full resolvent block by scipy's sparse LU (``splu``), the route the
+    leaves-first elimination replaced."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     diag = np.full(t.vertex_count, -z, dtype=complex)
     if spec is not None:
         diag += m_tilde(t, spec)
-    s = t.sphere(t.depth)
-    diag[s.start:s.stop] -= t.k * resolvent.subtree_green(t.k, z)
+    if boundary == "exact":
+        s = t.sphere(t.depth)
+        diag[s.start:s.stop] -= t.k * resolvent.subtree_green(t.k, z)
     h = (free_operator_sparse(t).astype(complex) + sp.diags(diag)).tocsc()
-    return spla.splu(h).solve(np.eye(t.vertex_count, dtype=complex))[rows][:, cols]
+    return spla.splu(h).solve(np.eye(t.vertex_count, dtype=complex))
+
+
+def _solve_cases():
+    """(k, depth, potential, z) over free, radial and table potentials and z
+    below the band, above it, complex inside it, far out and far up."""
+    for k, depth in [(1, 12), (2, 6), (3, 4), (4, 3)]:
+        delta = max(1.6, 6 * math.log(k))
+        specs = {
+            "free": None,
+            "radial": PotentialSpec.radial_exp(0.3 + 0.15j, delta),
+            "table": PotentialSpec.table([(0, 0.3 - 0.2j), (1, 0.1), (2, -0.15j), (4, 0.05)], delta),
+        }
+        zs = (t_minus(k) - 0.5, t_plus(k) + 0.7, k + 1.0 + 2.0j, -1e10, 1e8j)
+        for name, spec in specs.items():
+            for z in zs:
+                yield pytest.param(k, depth, spec, z, id=f"k{k}-{name}-{z:.3g}")
+
+
+@pytest.mark.parametrize("boundary", ["exact", "truncated"])
+@pytest.mark.parametrize("k,depth,spec,z", list(_solve_cases()))
+def test_elimination_agrees_with_sparse_lu(k, depth, spec, z, boundary):
+    t = build_tree(k, depth)
+    got = direct_resolvent_block(t, z, spec=spec, boundary=boundary)
+    ref = _splu_block(t, z, spec, boundary)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_free_exact_pivots_are_subtree_green_inverses(k):
+    # with the exact closure every vertex roots a copy of the infinite
+    # subtree, so every pivot is 1 / subtree_green
+    t = build_tree(k, 7 if k > 1 else 40)
+    for z in (t_minus(k) - 0.5, t_plus(k) + 0.3, k + 1.0 + 2.0j):
+        g = resolvent.subtree_green(k, z)
+        inv = resolvent._inverse_pivots(t, z, None, "exact")
+        assert np.abs(1.0 / inv - 1.0 / g).max() <= 1e-15 * abs(1.0 / g)
+
+
+def test_zero_pivot_raises_on_spectrum_without_warning():
+    # the leaf of a 3-vertex path has pivot 2 + 0.5 - 2.5 = 0 at z = -0.5,
+    # though the whole 3 x 3 operator is invertible there
+    t = build_tree(1, 2)
+    spec = PotentialSpec.table([(2, -2.5)], 1.6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OnSpectrum, match="z=-0.5.*vertex 2"):
+            direct_resolvent_block(t, -0.5, spec=spec, boundary="truncated")
 
 
 @pytest.mark.parametrize("with_spec", [False, True], ids=["free", "radial"])
 @pytest.mark.parametrize("subset", [False, True], ids=["full", "unsorted subset"])
-def test_direct_solve_chunks_equal_one_shot_solve(with_spec, subset):
-    # V = 1023: the columns fall in four 256-column chunks
+def test_direct_solve_chunks_equal_one_shot_solve(with_spec, subset, monkeypatch):
+    # V = 1023: the columns fall in four 256-column chunks; the reference
+    # solves every column in one chunk
     t = build_tree(2, 9)
     spec = PotentialSpec.radial_exp(0.3 + 0.15j, 6 * math.log(2)) if with_spec else None
     z = t_minus(2) - 0.5
     rng = np.random.default_rng(3)
-    rows = rng.permutation(t.vertex_count)[:300] if subset else np.arange(t.vertex_count)
-    cols = rng.permutation(t.vertex_count)[:700] if subset else np.arange(t.vertex_count)
-    got = direct_resolvent_block(
-        t, z, spec=spec, rows=rows if subset else None, cols=cols if subset else None,
-    )
-    assert np.array_equal(got, _one_shot_block(t, z, spec, rows, cols))
+    rows = rng.permutation(t.vertex_count)[:300] if subset else None
+    cols = rng.permutation(t.vertex_count)[:700] if subset else None
+    got = direct_resolvent_block(t, z, spec=spec, rows=rows, cols=cols)
+    monkeypatch.setattr(resolvent, "SOLVE_CHUNK", t.vertex_count)
+    assert np.array_equal(got, direct_resolvent_block(t, z, spec=spec, rows=rows, cols=cols))
+
+
+@pytest.mark.parametrize("k,depth", [(1, 30), (4, 4)])
+def test_one_column_chunks_equal_one_shot_solve(k, depth, monkeypatch):
+    # numpy rounds a lone column differently from one among many in a sum
+    # over 4 or more children and in a one-element in-place product
+    t = build_tree(k, depth)
+    z = t_minus(k) - 0.5 + 0.2j
+    whole = direct_resolvent_block(t, z)
+    monkeypatch.setattr(resolvent, "SOLVE_CHUNK", 1)
+    assert np.array_equal(direct_resolvent_block(t, z), whole)
+
+
+@pytest.mark.parametrize("k,depth,cols", [
+    (2, 9, None), (2, 11, "spheres"), (3, 6, "spheres"), (4, 5, "spheres"),
+    (1, 600, "spheres"), (2, 9, "300"),
+])
+def test_direct_solve_peak_within_its_budget_check(k, depth, cols):
+    # the check counts the rows x cols block plus three chunk-sized arrays
+    t = build_tree(k, depth)
+    n = t.vertex_count
+    cols = {None: None, "spheres": t.sphere_offsets[:depth + 1], "300": np.arange(300)}[cols]
+    width = n if cols is None else cols.size
+    counted = np.dtype(complex).itemsize * (n * width + 3 * n * min(resolvent.SOLVE_CHUNK, width))
+    tracemalloc.start()
+    try:
+        direct_resolvent_block(t, t_minus(k) - 0.5, cols=cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= counted
 
 
 def test_direct_solve_peak_under_one_and_a_half_blocks():
