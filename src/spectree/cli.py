@@ -32,9 +32,9 @@ from .decomposition import build_spherical_basis, verify_jacobi_form
 from .errors import InvalidParameter, NonConvergent, SingularOnContour, SpectreeError
 from .operators import (
     PotentialSpec,
-    adjacency_sparse,
+    _parent_indices,
+    adjacency_radius_bound,
     m_tilde,
-    raising_sparse,
     theta,
     weights,
 )
@@ -202,29 +202,27 @@ def _run_validation(k: int, depth: int, spec: PotentialSpec | None):
 
 
 def _check_operators(t: TreeGraph, spec, e_m, e_p, check) -> None:
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import eigsh
-
-    k, depth = t.k, t.depth
+    k, depth, n = t.k, t.depth, t.vertex_count
     check("tree sphere sizes", max(abs(t.sphere_size(r) - k**r) for r in range(depth + 1)), 0)
-    # every figure below is an exact integer or an exact 0 on the sparse forms
-    a = adjacency_sparse(t)
-    check("edge count = V - 1", abs(a.sum() / 2 - (t.vertex_count - 1)), 0)
-    pi_up = raising_sparse(t)
-    pi_dn = pi_up.T
-    check("raising + lowering = adjacency", abs(pi_up + pi_dn - a).max(), 0)
-    interior = t.vertex_count - t.sphere_size(depth)
+    # the edges (v, p) of the parent map p = (v - 1) // k; every figure up to
+    # the band row is an exact integer or an exact 0
+    v, p = _parent_indices(t)
+    check("edge count = V - 1", abs(v.size - (n - 1)), 0)
+    # raising and lowering are the two directions of one edge: each vertex
+    # lies in its parent's child range k p + 1 ... k p + k
+    check("raising + lowering = adjacency", np.count_nonzero((v <= k * p) | (v > k * p + k)), 0)
+    # the diagonal of lower.raise counts each vertex's children
     check("trace of lower.raise = k * interior",
-          abs((pi_dn @ pi_up).diagonal().sum() - k * interior), 0)
-    # ARPACK needs two vertices; the one-vertex adjacency is the zero matrix
-    radius = (abs(eigsh(a, k=1, which="LM", return_eigenvectors=False)[0])
-              if t.vertex_count > 1 else 0.0)
-    check("adjacency band confinement", max(0.0, radius - 2 * math.sqrt(k)), 1e-10)
-    th = sp.diags(theta(t))
-    check("parity conjugation flips adjacency", abs(th @ a @ th + a).max(), 0)
-    # th (-a + diag(m) + c I) th = a + diag(m) + c I
-    shift = sp.diags(m_tilde(t, spec) + (k + 1 - (0.37 + 0.11j)))
-    check("edge-swap conjugation identity", abs(th @ (shift - a) @ th - (shift + a)).max(), 1e-10)
+          abs(np.bincount(p).sum() - k * (n - t.sphere_size(depth))), 0)
+    check("adjacency band confinement",
+          max(0.0, adjacency_radius_bound(t) - 2 * math.sqrt(k)), 1e-10)
+    th = theta(t)
+    edge = np.abs(th[v] * th[p] + 1).max(initial=0.0)
+    check("parity conjugation flips adjacency", edge, 0)
+    # th (-a + diag(s)) th = a + diag(s) with s = m + c: the edge term above
+    # and a diagonal term
+    shift = m_tilde(t, spec) + (k + 1 - (0.37 + 0.11j))
+    check("edge-swap conjugation identity", max(edge, np.abs(th * shift * th - shift).max()), 1e-10)
     # where e+ overflows, e- = 1/e+ lies below the reciprocal of the largest float
     finite = np.isfinite(e_p)
     deviation = np.abs(e_m[finite] * e_p[finite] - 1).max(initial=0.0)

@@ -5,10 +5,12 @@ Conventions
 * Full operators (adjacency, raising/lowering, the Laplacian) are dense
   2-D ``float64`` arrays; mixing them with complex data upcasts
   automatically.  They are references for tests and demos: ``validate``
-  checks the sparse forms (``adjacency_sparse``, ``raising_sparse``), and
-  ``free_operator_sparse`` is kept for tests and tracing; the direct solve
-  eliminates on the tree without any matrix.  Only ``spectrum``, which
-  needs every eigenvalue, builds a dense operator.
+  checks the operators on the parent index itself, with the adjacency's
+  spectral radius bounded by :func:`adjacency_radius_bound`, and the direct
+  solve eliminates on the tree without any matrix.  The scipy forms
+  ``adjacency_sparse`` and ``free_operator_sparse`` are kept for tests and
+  tracing.  Only ``spectrum``, which needs every eigenvalue, builds a dense
+  operator.
 * Multiplication operators (degree terms, potentials, parity, weights)
   are represented by their diagonal as 1-D arrays.
 * The Laplacian is always formed with the *untruncated* vertex degrees
@@ -33,8 +35,8 @@ import numpy as np
 from .errors import AssumptionViolated, InvalidParameter
 from .tree import TreeGraph
 
-# scipy is imported inside the sparse functions, so that only validate, whose
-# operators stage checks the sparse forms, loads it
+# scipy is imported inside the sparse functions, which no command calls, so
+# that no command loads it
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
@@ -57,6 +59,23 @@ def adjacency(t: TreeGraph) -> np.ndarray:
     return a
 
 
+def adjacency_radius_bound(t: TreeGraph) -> float:
+    """Upper bound on the adjacency's spectral radius, from the parent index.
+
+    For ``a >= 0`` and any ``x > 0``, ``rho(a) <= max_v (a x)_v / x_v``
+    (Collatz-Wielandt).  With ``x_v = k**(-|v|/2) sin(pi (|v| + 1) / (R + 2))``
+    every ratio is ``2 sqrt(k) cos(pi / (R + 2))`` up to rounding: ``x`` is the
+    Perron vector, so the bound is the radius itself, below ``2 sqrt(k)``.
+    """
+    r = t.depths()
+    x = float(t.k) ** (-0.5 * r) * np.sin(math.pi * (r + 1) / (t.depth + 2))
+    v, p = _parent_indices(t)
+    ax = np.zeros(t.vertex_count)
+    ax[v] = x[p]
+    ax += np.bincount(p, weights=x[v], minlength=t.vertex_count)
+    return float((ax / x).max())
+
+
 def adjacency_sparse(t: TreeGraph) -> sp.csr_matrix:
     """CSR adjacency, for trees too large to hold densely."""
     import scipy.sparse as sp
@@ -66,14 +85,6 @@ def adjacency_sparse(t: TreeGraph) -> sp.csr_matrix:
     cols = np.concatenate([p, v])
     data = np.ones(rows.size)
     return sp.csr_matrix((data, (rows, cols)), shape=(t.vertex_count, t.vertex_count))
-
-
-def raising_sparse(t: TreeGraph) -> sp.csr_matrix:
-    """CSR form of :func:`raising`; its transpose is the lowering."""
-    import scipy.sparse as sp
-
-    v, p = _parent_indices(t)
-    return sp.csr_matrix((np.ones(v.size), (v, p)), shape=(t.vertex_count, t.vertex_count))
 
 
 def raising(t: TreeGraph) -> np.ndarray:

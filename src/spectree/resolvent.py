@@ -65,6 +65,11 @@ FALLBACK_MEMORY_BUDGET = 4 * 2**30
 #: right-hand-side columns per elimination sweep in :func:`direct_resolvent_block`
 SOLVE_CHUNK = 256
 
+#: bytes per vertex :func:`direct_resolvent_block` holds besides its columns:
+#: the inverse pivots, ``m_tilde``'s temporaries when given a potential and,
+#: at k = 1, one sphere slice per vertex (about 110 measured at most)
+SOLVE_VERTEX_BYTES = 160
+
 
 def memory_budget() -> int:
     """Bytes the large arrays of one kernel, direct solve, ``validate`` stage
@@ -445,13 +450,24 @@ def subtree_green(k: int, z: complex) -> complex:
     per-subtree entry satisfies ``g = 1 / (k + 1 - z - k g)``.  Iterating from
     ``g = 0`` converges to the decaying branch for ``z`` off the band; this is
     deliberately independent of the closed-form branch machinery.
+
+    The iteration stops when a step falls below :data:`SUBTREE_TOL`, or when
+    it repeats an earlier iterate.  Rounding can trap it in a cycle a few ulps
+    wide around the fixed point, whose steps stay above the tolerance for
+    good (at ``k = 2, z = 3 + 0.5j`` a 2-cycle with steps of ``2.2e-16``).  A
+    repeat is found by Brent's method, comparing with the iterate saved at
+    each power of two.  Once the iterates repeat, no later step can fall
+    below the tolerance, so every ``z`` that converged on the step alone
+    returns the same value as before.
     """
-    g = 0.0 + 0.0j
+    g, saved, span = 0.0 + 0.0j, None, 1
     base = (k + 1.0) - z
-    for _ in range(SUBTREE_MAX_ITER):
+    for i in range(1, SUBTREE_MAX_ITER + 1):
         g_next = 1.0 / (base - k * g)
-        if abs(g_next - g) < SUBTREE_TOL:
+        if abs(g_next - g) < SUBTREE_TOL or g_next == saved:
             return g_next
+        if i == span:
+            saved, span = g_next, 2 * span
         g = g_next
     raise OnSpectrum(f"subtree closure did not converge at z={z}")
 
@@ -495,9 +511,10 @@ def direct_resolvent_block(
     cols = np.arange(n) if cols is None else np.asarray(cols)
     step = SOLVE_CHUNK
     # the returned rows x cols block, plus one chunk's identity columns, their
-    # solution and its gathered rows
+    # solution and its gathered rows, plus the per-vertex arrays
     _check_budget(
-        np.dtype(complex).itemsize * (rows.size * cols.size + 3 * n * min(step, cols.size)),
+        np.dtype(complex).itemsize * (rows.size * cols.size + 3 * n * min(step, cols.size))
+        + SOLVE_VERTEX_BYTES * n,
         f"direct-solve columns for {cols.size} of {n} vertices",
     )
 

@@ -189,7 +189,7 @@ def test_validation_stages_stay_within_the_budget_formula(monkeypatch, k, depth)
 
     from spectree import cli
 
-    cli._run_validation(2, 3, None)  # loads scipy's solvers outside the measurement
+    cli._run_validation(2, 3, None)  # one-time allocations fall outside the measurement
     peaks = {}
     for name in ("_check_operators", "_check_basis", "_check_kernel", "_check_birman_schwinger"):
         def measured(*args, _name=name, _stage=getattr(cli, name)):
@@ -215,7 +215,7 @@ def test_operators_stage_holds_no_dense_operator():
 
     from spectree import cli
 
-    cli._run_validation(2, 3, None)  # loads scipy's solvers outside the measurement
+    cli._run_validation(2, 3, None)  # one-time allocations fall outside the measurement
     t = build_tree(2, 10)
     e_m, e_p = weights(t, 6 * LOG2)
     rows = []
@@ -574,6 +574,16 @@ def test_kernel_at_large_z_certifies(capsys, z):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k,z", [("2", "3+0.5j"), ("1", "2+0.3j"), ("4", "5+1j")])
+def test_kernel_where_the_subtree_closure_cycles_certifies(capsys, k, z):
+    # the direct solve's subtree_green ends in a rounding cycle at these z
+    code = main(["kernel", "--k", k, "--depth", "4", f"--z={z}"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["rel_frobenius_error"] <= 1e-14
+
+
+@pytest.mark.filterwarnings("error")
 def test_kernel_with_overflowing_growing_weight(capsys):
     # exp(+1000 |v|) overflows below the root; kernel reads only exp(-1000 |v|)
     code = main(["kernel", "--k", "2", "--depth", "3", "--delta", "2000"])
@@ -752,6 +762,21 @@ def test_scan_index_and_spectrum_never_import_scipy():
         "rc = cli.main(['kernel', '--k', '2', '--depth', '4'])\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
         "sys.exit(rc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=_env_with_src(),
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_validate_never_imports_scipy():
+    radial = json.dumps({"kind": "radial-exp", "amplitude": {"re": 0.3, "im": 0.15},
+                         "delta": 6 * LOG2})
+    script = (
+        "import sys\n"
+        "from spectree import cli\n"
+        "assert cli.main(['validate', '--k', '2', '--depth', '3']) == 0\n"
+        f"assert cli.main(['validate', '--k', '2', '--depth', '3', '--potential', {radial!r}]) == 0\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], env=_env_with_src(),
                           capture_output=True, text=True, timeout=600)

@@ -21,6 +21,7 @@ from spectree import (
     weights,
 )
 from spectree.errors import AssumptionViolated, InvalidParameter
+from spectree.operators import adjacency_radius_bound, adjacency_sparse
 
 LOG2 = math.log(2.0)
 
@@ -43,6 +44,23 @@ def test_adjacency_symmetry_and_confinement(k, depth):
     assert np.array_equal(a, a.T)
     eigs = np.linalg.eigvalsh(a)
     assert np.abs(eigs).max() <= 2.0 * math.sqrt(k) + 1e-10
+
+
+@pytest.mark.parametrize("depth", range(8))
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_adjacency_radius_bound_is_the_radius(k, depth):
+    t = build_tree(k, depth)
+    bound = adjacency_radius_bound(t)
+    assert abs(bound - 2 * math.sqrt(k) * math.cos(math.pi / (depth + 2))) <= 1e-12
+    if t.vertex_count <= 1400:
+        radius = np.abs(np.linalg.eigvalsh(adjacency(t))).max()
+    else:
+        # up to 21,845 vertices: too many to diagonalize densely
+        from scipy.sparse.linalg import eigsh
+
+        radius = abs(eigsh(adjacency_sparse(t), k=1, which="LM", return_eigenvectors=False)[0])
+    # the bound is the radius itself, so rounding may put it an ulp or two below
+    assert bound >= radius - 1e-14
 
 
 @pytest.mark.parametrize("k,depth", [(1, 6), (2, 5), (3, 4)])

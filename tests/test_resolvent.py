@@ -414,6 +414,14 @@ def test_free_exact_pivots_are_subtree_green_inverses(k):
         assert np.abs(1.0 / inv - 1.0 / g).max() <= 1e-15 * abs(1.0 / g)
 
 
+@pytest.mark.parametrize("k,z", [(2, 3 + 0.5j), (1, 2 + 0.3j), (4, 5 + 1j)])
+def test_subtree_green_stops_in_a_rounding_cycle(k, z):
+    # here the iterates cycle with steps of 1e-16 to 6e-16, never below
+    # SUBTREE_TOL; the closed form's decaying root is exp(i phi) / sqrt(k)
+    exact = from_z(k, z).eiphi / math.sqrt(k)
+    assert abs(resolvent.subtree_green(k, z) - exact) <= 1e-15 * abs(exact)
+
+
 def test_zero_pivot_raises_on_spectrum_without_warning():
     # the leaf of a 3-vertex path has pivot 2 + 0.5 - 2.5 = 0 at z = -0.5,
     # though the whole 3 x 3 operator is invertible there
@@ -470,6 +478,34 @@ def test_direct_solve_peak_within_its_budget_check(k, depth, cols):
     finally:
         tracemalloc.stop()
     assert peak <= counted
+
+
+@pytest.mark.parametrize("k,depth", [(2, 10), (1, 300), (3, 7)])
+@pytest.mark.parametrize("kind", ["radial", "table"])
+def test_direct_solve_with_a_potential_peak_within_its_budget_check(monkeypatch, k, depth, kind):
+    # one row and one column: the per-vertex arrays, m_tilde's temporaries
+    # among them, outweigh the columns
+    t = build_tree(k, depth)
+    delta = max(1.6, 6 * math.log(k))
+    spec = (PotentialSpec.radial_exp(0.3 + 0.15j, delta) if kind == "radial"
+            else PotentialSpec.table([(0, 0.3 - 0.2j), (2, -0.15j)], delta))
+    counted = []
+    check = resolvent._check_budget
+
+    def recorded(nbytes, what):
+        counted.append(nbytes)
+        check(nbytes, what)
+
+    monkeypatch.setattr(resolvent, "_check_budget", recorded)
+    one = np.array([0])
+    tracemalloc.start()
+    try:
+        direct_resolvent_block(t, t_minus(k) - 0.5, spec=spec, rows=one, cols=one)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(counted) == 1
+    assert peak <= counted[0]
 
 
 def test_direct_solve_peak_under_one_and_a_half_blocks():
