@@ -23,16 +23,26 @@ LAPACK once per block slot per chunk.  A chunk holds at most
 :data:`STACK_ENTRIES` matrix entries over all its stacked blocks, and the
 results equal the per-point computation bit for bit.
 
+Only the matrices that can set a minimum reach LAPACK.  Every eigenvalue
+``mu`` of a block ``T`` has ``|mu + 1| >= 1 - ||T||_F``, and
+``sigma_min(I + T) >= 1 - ||T||_F``; the blocks born deep in a radial family
+have small norms, so their bound already exceeds the minimum of the blocks
+before them at most points, and those points skip them
+(:func:`_screened_min`).  A skipped value could only be larger than the
+minimum, so the distances and singular values keep their bits.
+
 A scan's grid chunks run on a thread pool with one thread per usable core
 (:func:`pool_size`): numpy releases the GIL inside a stacked LAPACK call, so
-the chunks' eigenvalue and singular-value solves overlap.  Rows reach the CSV
-in chunk order, so a failing chunk leaves exactly the rows of the chunks
-before it.  numpy keeps the GIL on small stacks (see :data:`GIL_STACK`), so a
-grid chunk holds at least enough points to release it.  The contour ladder
-stays serial: each of its chunks holds the family, its derivative and their
-solve at once, and threading them as well raised the peak memory of a scan of
+the chunks' eigenvalue and singular-value solves overlap.  numpy keeps the
+GIL on small stacks (see :data:`GIL_STACK`), so a grid chunk holds at least
+enough points to release it.  The contour ladder runs on the calling thread
+while the pool works through the grid, one circle and one chunk at a time:
+each of its chunks holds the family, its derivative and their solve at once,
+and threading the ladder's chunks as well raised the peak memory of a scan of
 a 63-vertex table by 13% over a serial scan, against 7% for the threaded grid
-alone.
+alone.  Once the ladder is done, rows reach the CSV in chunk order, so a
+failing chunk leaves exactly the rows of the chunks before it; a failing
+ladder cancels the chunks that have not started and opens no CSV.
 """
 
 import cmath
@@ -65,6 +75,13 @@ RESONANCE_RTOL = 1e-6
 #: blocks (256 KiB of complex data): larger chunks save no time and raise the
 #: peak memory of a scan by several MiB
 STACK_ENTRIES = 2**14
+
+#: relative margin of the Frobenius screens, over the rounding of the computed
+#: norms and decompositions (relative errors of order ``n * eps``): a block
+#: skips LAPACK only where ``(1 - SCREEN * ||T||_F) / SCREEN`` exceeds the
+#: minimum so far, and a resonance flag needs the exact norm only where
+#: ``SCREEN * ||T||_F`` admits it
+SCREEN = 1.001
 
 #: numpy releases the GIL inside a LAPACK call on a stack of ``N`` matrices of
 #: side ``n`` only when ``N * n`` exceeds this, so a grid chunk holds more
@@ -156,18 +173,56 @@ def _block_list(val) -> list[tuple[int, np.ndarray]]:
     return [(1, val)] if isinstance(val, np.ndarray) else val
 
 
+def _fro_norms(stacks) -> np.ndarray:
+    """Frobenius norm of every matrix of every stack, shaped ``(stacks, N)``."""
+    return np.sqrt([
+        np.einsum("nij,nij->n", s.real, s.real) + np.einsum("nij,nij->n", s.imag, s.imag)
+        for s in stacks
+    ])
+
+
+def _screened_min(stacks, norms: np.ndarray, decompose) -> np.ndarray:
+    """Min over the stacks of ``decompose(stack)`` at each point, computing a
+    value only where it could set the minimum.
+
+    ``decompose`` maps a stack to one value per matrix, and ``norms[i]``
+    bounds the values of stack ``i`` from below by ``1 - norms[i]`` (an
+    eigenvalue distance ``|mu + 1| >= 1 - ||T||_F``, a singular value
+    ``sigma_min(I + T) >= 1 - ||T||_F``).  Stacks are visited in descending
+    norm, and a matrix is skipped where its bound ``(1 - SCREEN * norm) /
+    SCREEN`` exceeds the minimum so far: its value could only be larger.  A
+    matrix with a NaN norm is never skipped.  LAPACK results are per matrix
+    and ``np.minimum`` is exact, so the minima equal the unscreened ones bit
+    for bit.
+    """
+    best = np.full(norms.shape[1], math.inf)
+    for i in np.argsort(-norms.max(axis=1)):
+        need = ~((1.0 - SCREEN * norms[i]) / SCREEN > best)
+        if need.all():
+            best = np.minimum(best, decompose(stacks[i]))
+        elif need.any():
+            best[need] = np.minimum(best[need], decompose(stacks[i][need]))
+    return best
+
+
+def _sv_min(stack: np.ndarray) -> np.ndarray:
+    """Smallest singular value of each matrix of a stack."""
+    return np.linalg.svd(stack, compute_uv=False).min(axis=-1)
+
+
 def _trace_and_sv(lams, fv, fp) -> tuple[np.ndarray, np.ndarray]:
     """``Tr[F^{-1} F']`` and the min singular value of ``F`` at each node of a chunk.
 
     ``fv``/``fp`` are the stacked blocks of ``F`` and ``F'`` at the nodes
-    ``lams``; every block slot is decomposed in one LAPACK call.  The singular
-    values come first, so a node below :data:`SV_FLOOR` raises
-    :class:`SingularOnContour` before any solve.  Traces add up slot by slot
-    in block order, as for a single node.
+    ``lams``; every block slot is decomposed in one LAPACK call, screened by
+    ``||F - I||_F`` (:func:`_screened_min`).  The singular values come first,
+    so a node below :data:`SV_FLOOR` raises :class:`SingularOnContour` before
+    any solve.  Traces add up slot by slot in block order, as for a single
+    node.
     """
-    sv = np.full(len(lams), math.inf)
-    for _, blk in fv:
-        sv = np.minimum(sv, np.linalg.svd(blk, compute_uv=False).min(axis=-1))
+    stacks = [blk for _, blk in fv]
+    norms = _fro_norms(blk - np.eye(blk.shape[-1]) for blk in stacks)
+    sv = _screened_min(stacks, norms, _sv_min)
     low = np.flatnonzero(sv < SV_FLOOR)
     if low.size:
         raise SingularOnContour(
@@ -273,43 +328,45 @@ def _family(factory: BSFactory, sign: int, eps0: float | None = None):
     return fval, fpval
 
 
-def _flags(blocks, dist: np.ndarray) -> np.ndarray:
+def _flags(blocks, dist: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Resonance flags ``dist < RESONANCE_RTOL * (1 + ||T||_2)`` of a chunk.
 
-    ``||T||_2`` is the largest spectral norm over the stacked blocks.  The
-    Frobenius norm bounds it from above, so only points that pass the
-    Frobenius screen need the exact norm.  The screen's 1e-3 margin covers
-    the rounding of both computed norms (relative errors of order
-    ``n * eps``), so the flags equal the exact test.
+    ``||T||_2`` is the largest spectral norm over the stacked blocks, and
+    ``norms`` holds their Frobenius norms (:func:`_fro_norms`).  The Frobenius
+    norm bounds the spectral norm from above, so only points that pass the
+    Frobenius screen need the exact norm.  The screen's margin
+    :data:`SCREEN` covers the rounding of both computed norms, so the flags
+    equal the exact test.
     """
-    fro = np.sqrt(np.max([
-        np.einsum("nij,nij->n", b.real, b.real) + np.einsum("nij,nij->n", b.imag, b.imag)
-        for _, b in blocks
-    ], axis=0))
+    fro = norms.max(axis=0)
     flags = np.zeros(dist.shape, dtype=bool)
-    for i in np.nonzero(dist < RESONANCE_RTOL * (1.0 + 1.001 * fro))[0]:
+    for i in np.nonzero(dist < RESONANCE_RTOL * (1.0 + SCREEN * fro))[0]:
         tnorm = max(float(np.linalg.norm(b[i], 2)) for _, b in blocks)
         flags[i] = dist[i] < RESONANCE_RTOL * (1.0 + tnorm)
     return flags
+
+
+def _eig_dist(stack: np.ndarray) -> np.ndarray:
+    """Distance of the spectrum of each matrix of a stack to ``-1``."""
+    return np.abs(np.linalg.eigvals(stack) + 1.0).min(axis=-1)
 
 
 def _grid_chunk(factory: BSFactory, lams: np.ndarray, sign):
     """Distance of the spectrum of T to ``-1``, min singular value of ``I + T``
     and the resonance flag at each parameter of a chunk.
 
-    The blocks of ``T`` become ``I + T`` in place once the distances and flags
+    Both minima are screened by ``||T||_F`` (:func:`_screened_min`).  The
+    blocks of ``T`` become ``I + T`` in place once the distances and flags
     are read, so a chunk holds one copy of its stack.
     """
     blocks = factory.blocks(lams, sign)
-    dist = np.full(lams.shape, math.inf)
-    for _, b in blocks:
-        dist = np.minimum(dist, np.abs(np.linalg.eigvals(b) + 1.0).min(axis=-1))
-    flags = _flags(blocks, dist)
-    minsv = np.full(lams.shape, math.inf)
-    for _, b in blocks:
+    stacks = [b for _, b in blocks]
+    norms = _fro_norms(stacks)
+    dist = _screened_min(stacks, norms, _eig_dist)
+    flags = _flags(blocks, dist, norms)
+    for b in stacks:
         b += np.eye(b.shape[-1])
-        minsv = np.minimum(minsv, np.linalg.svd(b, compute_uv=False).min(axis=-1))
-    return dist, minsv, flags
+    return dist, _screened_min(stacks, norms, _sv_min), flags
 
 
 def _polar_grid(r_min: float, r_max: float, grid: int) -> np.ndarray:
@@ -408,32 +465,36 @@ def absence_scan(
         circles.append(circles[-1] * LADDER_FACTOR)
     if circles[-1] < r_max * (1.0 - 1e-12):
         circles.append(r_max)
-    ladder = [
-        (radius, contour_index(fval, fpval, ContourSpec(0.0, radius, nodes)))
-        for radius in circles
-    ]
+    contours = [ContourSpec(0.0, radius, nodes) for radius in circles]
 
     points = _polar_grid(r_min, r_max, grid)
     step = _grid_chunk_len(factory)
     starts = range(0, points.size, step)
+    if not factory.radial:
+        _ = factory.kernel  # built here once, not by two threads at a time
 
     chunks = []
     flagged = 0
-    with (
-        open(csv_path, "w", newline="") if csv_path else nullcontext() as sink,
-        ThreadPoolExecutor(pool_size()) as pool,
-    ):
-        writer = csv.writer(sink) if sink else None
-        if writer:
-            writer.writerow(CSV_HEADER)
-        results = pool.map(lambda s: _grid_chunk(factory, points[s:s + step], sign), starts)
-        for start, (dist, minsv, flags) in zip(starts, results):
-            lams = points[start:start + step]
-            rows = np.column_stack([lams.real, lams.imag, dist, minsv])
-            chunks.append(rows)
-            flagged += int(flags.sum())
-            if writer:
-                writer.writerows([f"{x:.17g}" for x in row] for row in rows)
+    with ThreadPoolExecutor(pool_size()) as pool:
+        futures = [pool.submit(_grid_chunk, factory, points[s:s + step], sign) for s in starts]
+        try:
+            ladder = [(c.radius, contour_index(fval, fpval, c)) for c in contours]
+            with open(csv_path, "w", newline="") if csv_path else nullcontext() as sink:
+                writer = csv.writer(sink) if sink else None
+                if writer:
+                    writer.writerow(CSV_HEADER)
+                for start, future in zip(starts, futures):
+                    dist, minsv, flags = future.result()
+                    lams = points[start:start + step]
+                    rows = np.column_stack([lams.real, lams.imag, dist, minsv])
+                    chunks.append(rows)
+                    flagged += int(flags.sum())
+                    if writer:
+                        writer.writerows([f"{x:.17g}" for x in row] for row in rows)
+        finally:
+            # a failure leaves the chunks that have not started unrun
+            for future in futures:
+                future.cancel()
 
     grid_rows = np.concatenate(chunks)
     return ScanReport(

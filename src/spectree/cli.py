@@ -207,13 +207,17 @@ def _check_operators(t: TreeGraph, spec, e_m, e_p, check) -> None:
     # the edges (v, p) of the parent map p = (v - 1) // k; every figure up to
     # the band row is an exact integer or an exact 0
     v, p = _parent_indices(t)
-    check("edge count = V - 1", abs(v.size - (n - 1)), 0)
+    # the two counts below read the edges against the sphere offsets, which
+    # do not come from the parent map: a tree edge joins consecutive spheres
+    r = t.depths()
+    check("edge count = V - 1", abs(np.count_nonzero(r[v] == r[p] + 1) - (n - 1)), 0)
     # raising and lowering are the two directions of one edge: each vertex
     # lies in its parent's child range k p + 1 ... k p + k
     check("raising + lowering = adjacency", np.count_nonzero((v <= k * p) | (v > k * p + k)), 0)
-    # the diagonal of lower.raise counts each vertex's children
+    # the diagonal of lower.raise counts each vertex's children: k above the
+    # deepest sphere and none on it, so the trace is k * interior
     check("trace of lower.raise = k * interior",
-          abs(np.bincount(p).sum() - k * (n - t.sphere_size(depth))), 0)
+          np.abs(np.bincount(p, minlength=n) - k * (r < depth)).sum(), 0)
     check("adjacency band confinement",
           max(0.0, adjacency_radius_bound(t) - 2 * math.sqrt(k)), 1e-10)
     th = theta(t)

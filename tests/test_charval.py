@@ -3,6 +3,7 @@
 The independent oracle for every contour count is the winding number of the
 determinant along the same contour, computed by phase unwrapping.
 """
+import json
 import math
 import random
 
@@ -37,6 +38,7 @@ from spectree.errors import (
 from spectree.operators import perturbed_operator
 
 LOG2 = math.log(2.0)
+RADIAL_POTENTIAL = {"kind": "radial-exp", "amplitude": {"re": 0.3, "im": 0.15}, "delta": 6 * LOG2}
 
 
 from helpers import det_winding_oracle, diag_stack, planted_family, reference_pass
@@ -492,7 +494,7 @@ def test_singular_node_is_named_across_chunks(monkeypatch):
 
 
 def test_frobenius_screen_keeps_exact_flags():
-    from spectree.charval import RESONANCE_RTOL, _flags
+    from spectree.charval import RESONANCE_RTOL, _flags, _fro_norms
 
     rng = np.random.default_rng(8)
     n_pts = 60
@@ -511,7 +513,7 @@ def test_frobenius_screen_keeps_exact_flags():
     threshold = RESONANCE_RTOL * (1.0 + tnorm)
     offsets = np.array([1 - 1e-12, 1 + 1e-12, 1 - 1e-3, 1 + 1e-3, 1e-6, 1e3])
     dist = threshold * np.resize(offsets, n_pts)
-    flags = _flags(blocks, dist)
+    flags = _flags(blocks, dist, _fro_norms(blk for _, blk in blocks))
     assert np.array_equal(flags, dist < threshold)
     assert 0 < flags.sum() < n_pts
     # the screen alone would flag points the exact norm rejects
@@ -541,3 +543,256 @@ def test_family_paths_agree(tree_basis):
         assert rep_reduced.min_sv_on_contour == pytest.approx(
             rep_full.min_sv_on_contour, abs=1e-10
         )
+
+
+# -- the norm screen and the ladder beside the grid ------------------------------
+
+def _radial_corpus():
+    from test_acceptance import SCAN_CORPUS
+
+    return [
+        pytest.param(k, spec, depth, id=name)
+        for name, k, spec, depth in SCAN_CORPUS if spec.kind == "radial-exp"
+    ]
+
+
+def _unscreened_grid_chunk(factory, lams, sign):
+    """Distance, min singular value and flag with every block decomposed at
+    every point."""
+    import spectree.charval as cv
+
+    blocks = factory.blocks(lams, sign)
+    dist = np.full(lams.shape, math.inf)
+    minsv = np.full(lams.shape, math.inf)
+    tnorm = np.zeros(lams.shape)
+    for _, b in blocks:
+        dist = np.minimum(dist, np.abs(np.linalg.eigvals(b) + 1.0).min(axis=-1))
+        eye_plus = np.eye(b.shape[-1]) + b
+        minsv = np.minimum(minsv, np.linalg.svd(eye_plus, compute_uv=False).min(axis=-1))
+        tnorm = np.maximum(tnorm, np.linalg.norm(b, 2, axis=(-2, -1)))
+    return dist, minsv, dist < cv.RESONANCE_RTOL * (1.0 + tnorm)
+
+
+def _unscreened_trace_and_sv(lams, fv, fp):
+    """Traces and min singular values with every block decomposed at every node."""
+    sv = np.full(len(lams), math.inf)
+    for _, blk in fv:
+        sv = np.minimum(sv, np.linalg.svd(blk, compute_uv=False).min(axis=-1))
+    traces = np.zeros(len(lams), dtype=complex)
+    for (mult, blk), (_, blkp) in zip(fv, fp):
+        traces += mult * np.trace(np.linalg.solve(blk, blkp), axis1=-2, axis2=-1)
+    return traces, sv
+
+
+def _same_bits(got, want):
+    return all(np.asarray(g).tobytes() == np.asarray(w).tobytes() for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("threshold", ["minus", "plus"])
+@pytest.mark.parametrize("k, spec, depth", _radial_corpus())
+def test_screened_minima_equal_the_unscreened_reference(k, spec, depth, threshold):
+    # at the upper edge dist ~ 1 - ||T_n|| on every block, so a screen whose
+    # margin points the wrong way moves rows there
+    import spectree.charval as cv
+
+    factory = BSFactory(build_tree(k, depth), None, spec)
+    sign = cv._sign_for(threshold)
+    points = _polar_grid(0.02, 0.16, 32)
+    step = cv._grid_chunk_len(factory)
+    for start in range(0, points.size, step):
+        lams = points[start:start + step]
+        assert _same_bits(cv._grid_chunk(factory, lams, sign),
+                          _unscreened_grid_chunk(factory, lams, sign))
+    fval, fpval = _family(factory, sign)
+    step = cv._chunk_len(factory.block_entries)
+    for radius in (0.02, 0.04, 0.08, 0.16):
+        pts = ContourSpec(0.0, radius, 128).points()
+        for start in range(0, pts.size, step):
+            lams = pts[start:start + step]
+            got = cv._trace_and_sv(lams, fval(lams), fpval(lams))
+            assert _same_bits(got, _unscreened_trace_and_sv(lams, fval(lams), fpval(lams)))
+
+
+def test_screen_skips_blocks_on_the_lower_edge(monkeypatch):
+    import spectree.charval as cv
+
+    t = build_tree(2, 8)
+    factory = BSFactory(t, None, PotentialSpec.radial_exp(0.3 * (1 + 0.5j), 6 * LOG2))
+    slots = len(factory.blocks([0.1]))
+    counts = {"eigvals": 0, "svd": 0}
+    for name in counts:
+        def counting(a, *args, _decompose=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[_name] += a.shape[0]
+            return _decompose(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    points = _polar_grid(0.02, 0.16, 32)
+    step = cv._grid_chunk_len(factory)
+    for start in range(0, points.size, step):
+        cv._grid_chunk(factory, points[start:start + step], 1)
+    assert 0 < counts["eigvals"] < slots * points.size
+    assert 0 < counts["svd"] < slots * points.size
+
+    counts["svd"] = 0
+    fval, fpval = _family(factory, 1)
+    pts = ContourSpec(0.0, 0.16, 128).points()
+    step = cv._chunk_len(factory.block_entries)
+    for start in range(0, pts.size, step):
+        lams = pts[start:start + step]
+        cv._trace_and_sv(lams, fval(lams), fpval(lams))
+    assert 0 < counts["svd"] < slots * pts.size
+
+
+class _Stacks:
+    """A factory stand-in whose ``blocks`` returns copies of fixed stacks."""
+
+    def __init__(self, stacks):
+        self.stacks = stacks
+
+    def blocks(self, lams, sign):
+        return [(1, s.copy()) for s in self.stacks]
+
+
+def test_a_nan_block_raises_as_without_the_screen():
+    import spectree.charval as cv
+
+    rng = np.random.default_rng(4)
+    n_pts = 12
+    lams = np.linspace(0.05, 0.1, n_pts) + 0j
+    large = 0.3 * (rng.standard_normal((n_pts, 3, 3)) + 1j * rng.standard_normal((n_pts, 3, 3)))
+    # the screen would skip this block everywhere but at its NaN
+    small = 1e-3 * (rng.standard_normal((n_pts, 2, 2)) + 0j)
+    small[5, 1, 0] = np.nan
+    stacks = [large, small]
+
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        _unscreened_grid_chunk(_Stacks(stacks), lams, 1)
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        cv._grid_chunk(_Stacks(stacks), lams, 1)
+    assert str(got.value) == str(want.value)
+
+    fv = [(1, np.eye(s.shape[-1]) + s) for s in stacks]
+    fp = [(1, s.copy()) for s in stacks]
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        _unscreened_trace_and_sv(lams, fv, fp)
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        cv._trace_and_sv(lams, fv, fp)
+    assert str(got.value) == str(want.value)
+
+
+def _pool_threads():
+    import threading
+
+    return {t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")}
+
+
+def test_ladder_failure_cancels_the_grid(tmp_path, monkeypatch, capsys):
+    import threading
+
+    import spectree.charval as cv
+    from spectree.cli import CERTIFICATION_FAILURE, main
+
+    before = _pool_threads()
+    started, ladder_failed = threading.Event(), threading.Event()
+    ran = []
+    original = cv._grid_chunk
+
+    def held(factory, lams, sign):
+        ran.append(lams[0])
+        started.set()
+        ladder_failed.wait(timeout=10)
+        return original(factory, lams, sign)
+
+    def failing(*args, **kwargs):
+        assert started.wait(timeout=10)  # a chunk is in flight
+        ladder_failed.set()
+        raise NonConvergent("synthetic ladder failure")
+
+    monkeypatch.setattr(cv, "_grid_chunk", held)
+    monkeypatch.setattr(cv, "contour_index", failing)
+    monkeypatch.setattr(cv, "GIL_STACK", 0)
+    monkeypatch.setattr(cv, "STACK_ENTRIES", 1)  # one point per chunk: 144 chunks
+    out = tmp_path / "scan.csv"
+    code = main(["scan", "--k", "2", "--depth", "6", "--rmin", "0.05", "--rmax", "0.15",
+                 "--grid", "12", "--nodes", "32", "--out", str(out),
+                 "--potential", json.dumps(RADIAL_POTENTIAL)])
+    captured = capsys.readouterr()
+    assert code == CERTIFICATION_FAILURE
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == ["error: synthetic ladder failure"]
+    assert not out.exists()
+    assert len(ran) < 144  # the chunks that had not started never ran
+    assert _pool_threads() <= before
+
+
+def test_chunk_failing_during_the_ladder_leaves_earlier_rows(tmp_path, monkeypatch,
+                                                            tree_basis, radial_spec_k2):
+    import threading
+
+    import spectree.charval as cv
+
+    t, b = tree_basis(2, 6)
+    entries = BSFactory(t, b, radial_spec_k2).block_entries
+    monkeypatch.setattr(cv, "STACK_ENTRIES", 8 * entries)
+    monkeypatch.setattr(cv, "GIL_STACK", 0)
+    full_path = tmp_path / "full.csv"
+    absence_scan(t, b, radial_spec_k2, (0.05, 0.15), 6, nodes=32, csv_path=full_path)
+    full = full_path.read_text().strip().split("\n")
+
+    failed = threading.Event()
+    first = _polar_grid(0.05, 0.15, 6)[8 * 2]  # the third chunk
+    original_chunk, original_index = cv._grid_chunk, cv.contour_index
+    certified = []
+
+    def flaky(factory, lams, sign):
+        if lams[0] == first:
+            failed.set()
+            raise RuntimeError("synthetic failure")
+        return original_chunk(factory, lams, sign)
+
+    def after_the_failure(*args, **kwargs):
+        assert failed.wait(timeout=10)
+        report = original_index(*args, **kwargs)
+        certified.append(report.certified)
+        return report
+
+    monkeypatch.setattr(cv, "_grid_chunk", flaky)
+    monkeypatch.setattr(cv, "contour_index", after_the_failure)
+    csv_path = tmp_path / "partial.csv"
+    with pytest.raises(RuntimeError, match="synthetic failure"):
+        absence_scan(t, b, radial_spec_k2, (0.05, 0.15), 6, nodes=32, csv_path=csv_path)
+    assert certified == [True] * 3  # the whole ladder ran, and certified
+    assert csv_path.read_text().strip().split("\n") == full[:1 + 8 * 2]
+
+
+def test_table_scan_beside_the_ladder_under_thread_switching(monkeypatch, tree_basis):
+    # more workers than cores and a short switch interval: the grid, the
+    # ladder and the lazy support-pair kernel share one factory
+    import sys
+
+    import spectree.birman_schwinger as bs
+    import spectree.charval as cv
+
+    t, b = tree_basis(2, 6)
+    spec = _sandwich_table_spec()
+    monkeypatch.setattr(cv, "pool_size", lambda: 1)
+    want = absence_scan(t, b, spec, (0.05, 0.15), 6, "plus", nodes=32)
+    built = []
+    original = bs.ResolventKernel
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bs, "ResolventKernel", counting)
+    monkeypatch.setattr(cv, "pool_size", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = absence_scan(t, b, spec, (0.05, 0.15), 6, "plus", nodes=32)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(built) == 1
+    assert got.ladder == want.ladder
+    assert got.grid_rows.tobytes() == want.grid_rows.tobytes()
+    assert got.flagged == want.flagged

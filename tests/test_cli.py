@@ -36,7 +36,7 @@ from spectree.cli import (
     main,
 )
 from spectree.decomposition import verify_jacobi_form
-from spectree.operators import adjacency, lowering, m_tilde, raising, theta
+from spectree.operators import _parent_indices, adjacency, lowering, m_tilde, raising, theta
 from spectree.errors import NonConvergent, OutOfDisk, SingularOnContour
 
 LOG2 = math.log(2.0)
@@ -161,6 +161,23 @@ def test_validation_rows_equal_dense_formulas(k, depth, radial):
     got = printed(_run_validation(k, depth, spec))
     assert got == printed(_dense_validation(k, depth, spec))
     assert all(passed for *_, passed in got)
+
+
+def test_corrupted_parent_map_fails_the_edge_count_and_trace_rows(monkeypatch):
+    # the deepest vertex re-hung from the root: the parent list still has
+    # V - 1 entries, but one edge skips spheres and the root has k + 1 children
+    from spectree import cli
+
+    def corrupted(t):
+        v, p = _parent_indices(t)
+        p = p.copy()
+        p[-1] = 0
+        return v, p
+
+    monkeypatch.setattr(cli, "_parent_indices", corrupted)
+    rows = {name: (value, passed) for name, value, _, passed in _run_validation(2, 3, None)}
+    assert rows["edge count = V - 1"] == (1.0, False)
+    assert rows["trace of lower.raise = k * interior"] == (2.0, False)
 
 
 def _printed_row(stdout, name):
