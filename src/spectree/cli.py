@@ -18,6 +18,7 @@ contour count that hits a singular node or never settles on an integer).
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -49,7 +50,7 @@ from .resolvent import (
     fourier_coefficient,
     t_minus,
 )
-from .tree import TreeGraph, build_tree
+from .tree import VERTEX_CAP, TreeGraph, build_tree, check_branching_factor
 
 USAGE_ERROR, CERTIFICATION_FAILURE = 1, 2
 
@@ -165,12 +166,13 @@ def _validation_bytes(t: TreeGraph) -> int:
     The basis stage holds the stored basis, one ``k**r x k**r`` block of
     floats per sphere, then the last sphere's stacked columns and their
     Gram.  The kernel stage compares ``V x (depth + 1)`` entries and holds at
-    most eight complex numbers per entry: its coefficient map, with one key
-    per entry at k = 1, then the kernel, the direct solve and their
-    difference.  It is the larger stage at k = 1, where it is ``V x V``.  One
-    MiB more covers the fixed-size arrays, such as the quadrature nodes.  The
-    Birman-Schwinger stage, run only with a potential, scales with the
-    potential's support, and its kernel and solve check the budget themselves.
+    most eight complex numbers per entry: its coefficient map over the box of
+    depth triples, one per pair at k = 1, then the kernel, the direct solve
+    and their difference.  It is the larger stage at k = 1, where it is
+    ``V x V``.  One MiB more covers the fixed-size arrays, such as the
+    quadrature nodes.  The Birman-Schwinger stage, run only with a potential,
+    scales with the potential's support, and its kernel and solve check the
+    budget themselves.
     """
     k, depth = t.k, t.depth
     floats = sum(k ** (2 * r) for r in range(depth + 1)) + 2 * k ** (2 * depth)
@@ -401,11 +403,12 @@ def _auto_depth(k: int, spec: PotentialSpec | None) -> int:
             d += 1
             count += k**d
         return max(d + 1, 4)
-    amp = abs(spec.amplitude)
-    if amp <= SUPPORT_CUTOFF:
+    if spec.amplitude == 0:
         return 4
-    span = math.log(amp / SUPPORT_CUTOFF) / spec.delta
-    return max(4, math.ceil(span))
+    # in logs, so a huge amplitude does not overflow; build_tree refuses a
+    # depth past the cap, and the clamp keeps a tiny delta's inf out of ceil
+    span = (cmath.log(spec.amplitude).real - math.log(SUPPORT_CUTOFF)) / spec.delta
+    return max(4, math.ceil(min(span, VERTEX_CAP)))
 
 
 # -- spectrum --------------------------------------------------------------------
@@ -454,6 +457,8 @@ def main(argv=None) -> int:
         "index": _cmd_index,
     }
     try:
+        # every handler does arithmetic on k before it builds a tree
+        check_branching_factor(args.k)
         return handlers[args.command](args)
     except SpectreeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -213,7 +214,9 @@ class PotentialSpec:
 
     @classmethod
     def table(cls, values, delta: float, c_const: float | None = None) -> "PotentialSpec":
-        vals = tuple((int(v), complex(x)) for v, x in values)
+        # numpy integers become ints; __post_init__ refuses a bool or float
+        vals = tuple((operator.index(v) if isinstance(v, np.integer) else v, complex(x))
+                     for v, x in values)
         return cls(kind="table", delta=delta, values=vals, c_const=c_const)
 
     def materialize(self, t: TreeGraph) -> np.ndarray:

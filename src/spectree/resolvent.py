@@ -66,9 +66,9 @@ FALLBACK_MEMORY_BUDGET = 4 * 2**30
 SOLVE_CHUNK = 256
 
 #: bytes per vertex :func:`direct_resolvent_block` holds besides its columns:
-#: the inverse pivots, ``m_tilde``'s temporaries when given a potential and,
-#: at k = 1, one sphere slice per vertex (about 110 measured at most)
-SOLVE_VERTEX_BYTES = 160
+#: the inverse pivots and, when given a potential, ``m_tilde``'s temporaries
+#: (about 93 measured at most)
+SOLVE_VERTEX_BYTES = 96
 
 
 def memory_budget() -> int:
@@ -262,9 +262,10 @@ class ResolventKernel:
 
     The depth triple of every (row, col) pair and the linear map from the
     table ``w`` to ``G`` (module docstring) are prepared once; each
-    evaluation is a short accumulation over the triples that occur plus one
-    gather.  ``rows``/``cols`` restrict the output to a vertex subset (used
-    for compactly supported sandwiches).
+    evaluation is a short accumulation over every triple up to the deepest
+    row and column, occurring or not, plus one gather.  ``rows``/``cols``
+    restrict the output to a vertex subset (used for compactly supported
+    sandwiches).
     """
 
     def __init__(
@@ -284,53 +285,43 @@ class ResolventKernel:
 
     def _prepare(self) -> None:
         t, k = self.tree, self.tree.k
-        da, db = t.depths()[self.rows], t.depths()[self.cols]
+        da = np.searchsorted(t.sphere_offsets, self.rows, side="right") - 1
+        db = np.searchsorted(t.sphere_offsets, self.cols, side="right") - 1
+        # a pair's label is its code in the box of all (|x|, |y|, gap) triples.
+        # On a path the meet is the shallower vertex, so the gap is 0; else it
+        # is at most min(|x|, |y|).  Term n of G adds coef * (w[|a-b|] -
+        # w[a+b-2n+2]), nonzero only for n <= top = min(c+1, a, b), and at
+        # k = 1 (P_n = 1 - 1/k = 0 for 1 <= n <= c = top) only for n = 0
+        top_a, top_b = int(da.max(initial=0)), int(db.max(initial=0))
+        n_gap, n_b = 1 if k == 1 else min(top_a, top_b) + 1, top_b + 1
+        size = (top_a + 1) * n_b * n_gap
+        small = np.min_scalar_type(t.depth)
+        kind = np.result_type(np.min_scalar_type(size), small)
+        # peak: the gap and two codes per pair, nine int64 arrays per triple,
+        # 33 bytes per map entry, ten int64 arrays per row or column, and
+        # numpy's buffers for three 8-byte operands of a small broadcast
+        _check_budget(
+            self.rows.size * self.cols.size * (small.itemsize + 2 * kind.itemsize)
+            + 72 * size + 33 * n_gap * size + 80 * (self.rows.size + self.cols.size)
+            + 24 * np.getbufsize(),
+            f"meet-depth codes of {self.rows.size} x {self.cols.size} vertex pairs "
+            f"and kernel coefficient map of {size} depth triples",
+        )
         # gap = min(|x|, |y|) - |x∧y|, counting down once per level r >= 1 where
         # the ancestors agree; the depth-r ancestor of index i on sphere a is
         # (i - off[a]) // k**(a - r)
         pa, pb = self.rows - t.sphere_offsets[da], self.cols - t.sphere_offsets[db]
-        small = np.min_scalar_type(t.depth)
-        # peak: gap plus two rows x cols code arrays, coded at most this wide
-        top_a, top_b = int(da.max(initial=0)), int(db.max(initial=0))
-        wide = np.min_scalar_type((top_a + 1) * (top_b + 1) * (min(top_a, top_b) + 1))
-        _check_budget(
-            self.rows.size * self.cols.size * (small.itemsize + 2 * wide.itemsize),
-            f"meet-depth codes of {self.rows.size} x {self.cols.size} vertex pairs",
-        )
         gap = np.minimum.outer(da.astype(small), db.astype(small))
         for r in range(1, min(top_a, top_b) + 1):
             up_a = np.where(da >= r, pa // k ** np.maximum(da - r, 0), -1)
             up_b = np.where(db >= r, pb // k ** np.maximum(db - r, 0), -2)
             gap -= up_a[:, None] == up_b
-        # code each pair by (|x|, |y|, gap), then relabel the codes that occur
-        n_gap, n_b = int(gap.max(initial=0)) + 1, top_b + 1
-        size = (top_a + 1) * n_b * n_gap
-        kind = np.min_scalar_type(size)
-        code = (da * n_b * n_gap).astype(kind)[:, None] + (db * n_gap).astype(kind) + gap
-        present = np.zeros(size, dtype=bool)
-        present[code] = True
-        keys = np.flatnonzero(present)
-        label = np.zeros(size, dtype=kind)
-        label[keys] = np.arange(keys.size)
-        self._code = label[code]
-        a, rest = np.divmod(keys, n_b * n_gap)
+        self._code = (da * n_b * n_gap).astype(kind)[:, None] + (db * n_gap).astype(kind) + gap
+        a, rest = np.divmod(np.arange(size), n_b * n_gap)
         b, g = np.divmod(rest, n_gap)
         c = np.minimum(a, b) - g
         top = c + (g > 0)
-        # term n of G adds coef * (w[|a-b|] - w[a+b-2n+2]); terms past
-        # top = min(c+1, a, b) get coefficient 0, and so do terms n >= 1 at
-        # k = 1, where P_n = 1 - 1/k = 0 for n <= c and top = c
-        terms = 1 if k == 1 else int(top.max(initial=-1)) + 1
-        # peak once the map is built: the codes, ``present`` and ``label``,
-        # seven int64 key arrays and two per-key temporaries, four map-sized
-        # arrays and a mask, and at most ten int64 arrays per row or column
-        _check_budget(
-            self.rows.size * self.cols.size * (small.itemsize + 2 * kind.itemsize)
-            + size * (1 + kind.itemsize) + 72 * keys.size + 33 * terms * keys.size
-            + 80 * (self.rows.size + self.cols.size),
-            f"kernel coefficient map of {keys.size} depth triples",
-        )
-        n = np.arange(terms)[:, None]
+        n = np.arange(n_gap)[:, None]
         proj = np.where(n == 0, 1.0, np.where(n <= c, 1.0 - 1.0 / k, -1.0 / k))
         self._coef = np.where(n <= top, proj * float(k) ** (n - (a + b) / 2.0), 0.0)
         self._sum_idx = np.where(n <= top, a + b - 2 * n + 2, 0)
@@ -519,7 +510,7 @@ def direct_resolvent_block(
     )
 
     inv = _inverse_pivots(t, z, spec, boundary)
-    spheres = [slice(*t.sphere_offsets[r:r + 2]) for r in range(t.depth + 1)]
+    off = t.sphere_offsets
     out = np.empty((rows.size, cols.size), dtype=complex)
     for start in range(0, cols.size, step):
         chunk = cols[start:start + step]
@@ -530,13 +521,15 @@ def direct_resolvent_block(
         # numpy rounds a one-element in-place complex product differently, so
         # a one-column chunk would not equal the same column in a wider one
         for r in range(t.depth, -1, -1):
-            x[spheres[r]] = x[spheres[r]] * inv[spheres[r], None]
+            lo, hi = off[r:r + 2]
+            x[lo:hi] = x[lo:hi] * inv[lo:hi, None]
             if r:
-                x[spheres[r - 1]] += _child_sum(x[spheres[r]], k)
+                x[off[r - 1]:lo] += _child_sum(x[lo:hi], k)
         # back sweep from the root: each vertex adds its parent over its pivot
         for r in range(1, t.depth + 1):
-            parents = x[spheres[r - 1]]
-            for kid, scale in zip(_children(x[spheres[r]], k), _children(inv[spheres[r]], k)):
+            lo, hi = off[r:r + 2]
+            parents = x[off[r - 1]:lo]
+            for kid, scale in zip(_children(x[lo:hi], k), _children(inv[lo:hi], k)):
                 kid += scale[:, None] * parents
         out[:, start:start + chunk.size] = x[rows, :]
     return out
@@ -555,8 +548,7 @@ def _inverse_pivots(t: TreeGraph, z: complex, spec, boundary: str) -> np.ndarray
     if spec is not None:
         inv += m_tilde(t, spec)
     if boundary == "exact":
-        s = t.sphere(t.depth)
-        inv[s.start:s.stop] -= k * subtree_green(k, z)
+        inv[t.sphere_offsets[t.depth]:] -= k * subtree_green(k, z)
     for r in range(t.depth, -1, -1):
         lo, hi = t.sphere_offsets[r:r + 2]
         piv = inv[lo:hi]

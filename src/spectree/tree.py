@@ -57,6 +57,12 @@ class TreeGraph:
         return out
 
 
+def check_branching_factor(k: int) -> None:
+    """Raise :class:`InvalidParameter` unless ``k >= 1``."""
+    if k < 1:
+        raise InvalidParameter(f"branching factor must be >= 1, got {k}")
+
+
 def build_tree(k: int, depth: int) -> TreeGraph:
     """Construct the depth-``depth`` truncation of the rooted k-ary tree.
 
@@ -67,8 +73,7 @@ def build_tree(k: int, depth: int) -> TreeGraph:
     CapacityExceeded
         If the vertex count would exceed :data:`VERTEX_CAP`.
     """
-    if k < 1:
-        raise InvalidParameter(f"branching factor must be >= 1, got {k}")
+    check_branching_factor(k)
     if depth < 0:
         raise InvalidParameter(f"depth must be >= 0, got {depth}")
     # the deepest sphere alone has k**depth vertices: bound it before forming

@@ -269,6 +269,23 @@ def test_planted_root_eigenvalue():
     assert out[0] == pytest.approx(-10.0 / 3.0, abs=1e-9)
 
 
+def test_complex_potential_spectrum_is_the_sorted_dense_eigvals():
+    # a complex potential takes the general eigensolver; the root defect
+    # leaves the band with an imaginary part, other eigenvalues stay within
+    # roundoff of the real axis or move off it by 1e-5 and more
+    t = build_tree(2, 5)
+    spec = PotentialSpec.table([(0, -5.0 + 0.5j), (1, 0.2j), (4, 0.05)], 6 * LOG2)
+    res = spectrum(t, spec)
+    dense = np.linalg.eigvals(perturbed_operator(t, spec))
+    expected = sorted(dense.tolist(), key=lambda e: (e.real, e.imag))
+    assert res.eigenvalues.tolist() == expected
+    lo, hi = res.t_minus, res.t_plus
+    tags = [abs(e - min(max(e.real, lo), hi)) <= 1e-8 for e in expected]
+    assert res.inside_band.tolist() == tags
+    assert 0 < sum(tags) < len(tags)
+    assert res.outside()[0] == pytest.approx(expected[0]) and expected[0].imag > 0.1
+
+
 # -- scans ------------------------------------------------------------------------
 
 

@@ -472,6 +472,23 @@ def test_spectrum_csv(tmp_path, capsys):
     assert np.all(values[:, 2] == 1.0)  # pure tree stays inside the band
 
 
+def test_spectrum_csv_on_stdout_equals_the_out_file(tmp_path, capsys):
+    pot = json.dumps({"kind": "table", "values": [{"v": 0, "re": -5.0, "im": 0.5}],
+                      "delta": 6 * LOG2})
+    argv = ["spectrum", "--k", "2", "--depth", "3", "--potential", pot]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    out = tmp_path / "eigs.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == text
+    res = charval.spectrum(build_tree(2, 3), PotentialSpec.from_json(pot))
+    assert text.splitlines() == ["re,im,inside_band"] + [
+        f"{_fmt(e.real)},{_fmt(e.imag)},{int(inside)}"
+        for e, inside in zip(res.eigenvalues, res.inside_band)
+    ]
+
+
 def test_index_json(capsys, pot_file):
     code = main(["index", "--k", "2", "--potential", pot_file,
                  "--center", "0", "--radius", "0.1", "--nodes", "64"])
@@ -712,6 +729,15 @@ BAD_INPUTS = [
     pytest.param("certificate", lambda tmp: _deep_k1_table(8000), id="certificate overflow deeper"),
     pytest.param("cap", lambda tmp: ["kernel", "--k", "2", "--depth", "40000"],
                  id="kernel depth past the cap"),
+    pytest.param("cap", lambda tmp: INDEX + ["--potential", json.dumps(
+        {"kind": "radial-exp", "amplitude": 1e300, "delta": 4.2})], id="index huge amplitude"),
+    pytest.param("cap", lambda tmp: SCAN[:3] + SCAN[7:] + ["--potential", json.dumps(
+        {"kind": "radial-exp", "amplitude": 1e300, "delta": 4.2})], id="scan huge amplitude"),
+    pytest.param("cap", lambda tmp: INDEX + ["--potential", json.dumps(
+        {"kind": "radial-exp", "amplitude": 1.0, "delta": 1e-310})], id="index tiny delta"),
+    pytest.param("cap", lambda tmp: INDEX + ["--potential", json.dumps(
+        {"kind": "radial-exp", "amplitude": {"re": 1.7e308, "im": 1.7e308}, "delta": 4.2})],
+                 id="index amplitude past the largest float"),
     pytest.param("finite", lambda tmp: ["kernel", "--k", "1", "--depth", "3", "--z", "inf"],
                  id="infinite z"),
     pytest.param("too large", lambda tmp: ["kernel", "--k", "2", "--depth", "3",
@@ -816,6 +842,29 @@ def test_auto_depth_of_a_table_equals_the_resumming_loop(k):
     for v in vertices:
         spec = PotentialSpec.table([(v, 0.1)], 1.6)
         assert _auto_depth(k, spec) == _auto_depth_by_resumming(k, v), v
+
+
+#: a table whose auto depth loops forever unless k >= 1 is checked first
+K_TABLE = json.dumps({"kind": "table", "values": [{"v": 3, "re": 0.1}], "delta": 4.2})
+
+
+@pytest.mark.parametrize("k", ["0", "-2"])
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["kernel"],
+    ["kernel", "--delta", "1"],
+    ["scan", "--rmin", "0.05", "--rmax", "0.1", "--potential", K_TABLE],
+    ["spectrum"],
+    ["index", "--radius", "0.1", "--potential", K_TABLE],
+], ids=["validate", "kernel", "kernel with delta", "scan", "spectrum", "index"])
+def test_branching_factor_below_one_is_one_quick_error_line(capsys, argv, k):
+    start = time.perf_counter()
+    code = main(argv + ["--k", k])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.splitlines() == [f"error: branching factor must be >= 1, got {k}"]
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("command", ["scan", "index"])

@@ -167,6 +167,22 @@ def test_huge_explicit_certificate_is_checked_in_log_space():
     PotentialSpec.table([(20, 0.1)], 1.6, c_const=1e300).check_assumption(build_tree(1, 20))
 
 
+@pytest.mark.parametrize("v", [1.7, 1.0, True, "1"])
+def test_table_refuses_the_vertices_json_input_refuses(v):
+    # once rounded by int(), so 1.7 and True both became vertex 1
+    with pytest.raises(InvalidParameter, match="non-integer vertices"):
+        PotentialSpec.table([(v, 0.1)], 1.6)
+    with pytest.raises(InvalidParameter, match="non-integer vertices"):
+        PotentialSpec.from_json(json.dumps(
+            {"kind": "table", "values": [{"v": v, "re": 0.1}], "delta": 1.6}))
+
+
+def test_table_takes_numpy_integer_vertices():
+    spec = PotentialSpec.table([(np.int64(3), 0.1), (np.uint8(1), 0.2j)], 1.6)
+    assert spec.values == ((3, 0.1), (1, 0.2j))
+    assert [type(v) for v, _ in spec.values] == [int, int]
+
+
 def test_json_round_trip():
     spec = PotentialSpec.from_json(
         '{"kind":"radial-exp","amplitude":{"re":0.5,"im":0.1},"delta":4.2}'

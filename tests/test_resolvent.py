@@ -568,6 +568,33 @@ def test_budget_stops_coefficient_map_before_allocating(monkeypatch):
         ResolventKernel(build_tree(1, 200))
 
 
+@pytest.mark.parametrize("k,depth", [(1, 200), (2, 8), (3, 5), (4, 5)])
+@pytest.mark.parametrize("cols", ["full", "spheres"])
+def test_kernel_prepare_peak_within_its_one_budget_check(monkeypatch, k, depth, cols):
+    # the check is made once, before the codes and the map are allocated;
+    # on small trees numpy's iteration buffers outweigh the arrays
+    t = build_tree(k, depth)
+    cols = None if cols == "full" else t.sphere_offsets[:depth + 1]
+    counted = []
+    check = resolvent._check_budget
+
+    def recorded(nbytes, what):
+        counted.append(nbytes)
+        check(nbytes, what)
+
+    monkeypatch.setattr(resolvent, "_check_budget", recorded)
+    ResolventKernel(build_tree(k, 2))
+    counted.clear()
+    tracemalloc.start()
+    try:
+        ResolventKernel(t, cols=cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(counted) == 1
+    assert peak <= counted[0]
+
+
 def test_k1_kernel_budget_checks_cover_the_measured_peaks(monkeypatch):
     # at k=1 every pair has its own key, so the key arrays and temporaries
     # beside the map and the accumulators (about 110 and 65 bytes per pair)
