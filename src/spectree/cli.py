@@ -166,9 +166,9 @@ def _validation_bytes(t: TreeGraph) -> int:
     The basis stage holds the stored basis, one ``k**r x k**r`` block of
     floats per sphere, then the last sphere's stacked columns and their
     Gram.  The kernel stage compares ``V x (depth + 1)`` entries and holds at
-    most eight complex numbers per entry: its coefficient map over the box of
-    depth triples, one per pair at k = 1, then the kernel, the direct solve
-    and their difference.  It is the larger stage at k = 1, where it is
+    most eight complex numbers per entry: its coefficient map, with one depth
+    triple per entry at k = 1, then the kernel, the direct solve and their
+    difference.  It is the larger stage at k = 1, where it is
     ``V x V``.  One MiB more covers the fixed-size arrays, such as the
     quadrature nodes.  The Birman-Schwinger stage, run only with a potential,
     scales with the potential's support, and its kernel and solve check the
@@ -406,9 +406,9 @@ def _auto_depth(k: int, spec: PotentialSpec | None) -> int:
     if spec.amplitude == 0:
         return 4
     # in logs, so a huge amplitude does not overflow; build_tree refuses a
-    # depth past the cap, and the clamp keeps a tiny delta's inf out of ceil
+    # depth past the cap, and the clamps keep a tiny delta's +-inf out of ceil
     span = (cmath.log(spec.amplitude).real - math.log(SUPPORT_CUTOFF)) / spec.delta
-    return max(4, math.ceil(min(span, VERTEX_CAP)))
+    return max(4, math.ceil(min(max(span, 0.0), VERTEX_CAP)))
 
 
 # -- spectrum --------------------------------------------------------------------

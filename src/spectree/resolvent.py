@@ -67,8 +67,8 @@ SOLVE_CHUNK = 256
 
 #: bytes per vertex :func:`direct_resolvent_block` holds besides its columns:
 #: the inverse pivots and, when given a potential, ``m_tilde``'s temporaries
-#: (about 93 measured at most)
-SOLVE_VERTEX_BYTES = 96
+#: (about 93 measured at most; the rest is headroom for other numpy versions)
+SOLVE_VERTEX_BYTES = 128
 
 
 def memory_budget() -> int:
@@ -262,10 +262,9 @@ class ResolventKernel:
 
     The depth triple of every (row, col) pair and the linear map from the
     table ``w`` to ``G`` (module docstring) are prepared once; each
-    evaluation is a short accumulation over every triple up to the deepest
-    row and column, occurring or not, plus one gather.  ``rows``/``cols``
-    restrict the output to a vertex subset (used for compactly supported
-    sandwiches).
+    evaluation is a short accumulation over the triples that occur plus one
+    gather.  ``rows``/``cols`` restrict the output to a vertex subset (used
+    for compactly supported sandwiches).
     """
 
     def __init__(
@@ -287,25 +286,26 @@ class ResolventKernel:
         t, k = self.tree, self.tree.k
         da = np.searchsorted(t.sphere_offsets, self.rows, side="right") - 1
         db = np.searchsorted(t.sphere_offsets, self.cols, side="right") - 1
-        # a pair's label is its code in the box of all (|x|, |y|, gap) triples.
-        # On a path the meet is the shallower vertex, so the gap is 0; else it
-        # is at most min(|x|, |y|).  Term n of G adds coef * (w[|a-b|] -
-        # w[a+b-2n+2]), nonzero only for n <= top = min(c+1, a, b), and at
-        # k = 1 (P_n = 1 - 1/k = 0 for 1 <= n <= c = top) only for n = 0
+        # code each pair by its (|x|, |y|, gap) triple: on a path the gap is 0,
+        # else at most min(|x|, |y|).  Term n of G adds coef * (w[|a-b|] -
+        # w[a+b-2n+2]), nonzero only for n <= top = min(c+1, a, b), and at k = 1
+        # (P_n = 1 - 1/k = 0 for 1 <= n <= c = top) only for n = 0
         top_a, top_b = int(da.max(initial=0)), int(db.max(initial=0))
         n_gap, n_b = 1 if k == 1 else min(top_a, top_b) + 1, top_b + 1
-        size = (top_a + 1) * n_b * n_gap
+        pairs, size = self.rows.size * self.cols.size, (top_a + 1) * n_b * n_gap
+        triples = min(size, pairs)
         small = np.min_scalar_type(t.depth)
         kind = np.result_type(np.min_scalar_type(size), small)
-        # peak: the gap and two codes per pair, nine int64 arrays per triple,
-        # 33 bytes per map entry, ten int64 arrays per row or column, and
-        # numpy's buffers for three 8-byte operands of a small broadcast
+        # peak: per pair the gap, the codes, np.unique's two copies of them, four
+        # intp arrays and a mask; nine int64 arrays per triple, 33 bytes per map
+        # entry, ten int64 arrays per row or column, and numpy's buffers for
+        # three 8-byte operands of a small broadcast
         _check_budget(
-            self.rows.size * self.cols.size * (small.itemsize + 2 * kind.itemsize)
-            + 72 * size + 33 * n_gap * size + 80 * (self.rows.size + self.cols.size)
+            pairs * (small.itemsize + 3 * kind.itemsize + 33)
+            + 72 * triples + 33 * n_gap * triples + 80 * (self.rows.size + self.cols.size)
             + 24 * np.getbufsize(),
             f"meet-depth codes of {self.rows.size} x {self.cols.size} vertex pairs "
-            f"and kernel coefficient map of {size} depth triples",
+            f"and kernel coefficient map of {triples} depth triples",
         )
         # gap = min(|x|, |y|) - |x∧y|, counting down once per level r >= 1 where
         # the ancestors agree; the depth-r ancestor of index i on sphere a is
@@ -316,8 +316,11 @@ class ResolventKernel:
             up_a = np.where(da >= r, pa // k ** np.maximum(da - r, 0), -1)
             up_b = np.where(db >= r, pb // k ** np.maximum(db - r, 0), -2)
             gap -= up_a[:, None] == up_b
-        self._code = (da * n_b * n_gap).astype(kind)[:, None] + (db * n_gap).astype(kind) + gap
-        a, rest = np.divmod(np.arange(size), n_b * n_gap)
+        code = (da * n_b * n_gap).astype(kind)[:, None] + (db * n_gap).astype(kind) + gap
+        # a pair's label is the rank of its code among the codes that occur
+        found, rank = np.unique(code, return_inverse=True)
+        self._code = rank.reshape(code.shape)
+        a, rest = np.divmod(found.astype(np.intp), n_b * n_gap)
         b, g = np.divmod(rest, n_gap)
         c = np.minimum(a, b) - g
         top = c + (g > 0)

@@ -38,6 +38,7 @@ from spectree.cli import (
 from spectree.decomposition import verify_jacobi_form
 from spectree.operators import _parent_indices, adjacency, lowering, m_tilde, raising, theta
 from spectree.errors import NonConvergent, OutOfDisk, SingularOnContour
+from spectree.tree import VERTEX_CAP
 
 LOG2 = math.log(2.0)
 RADIAL = json.dumps({
@@ -738,6 +739,9 @@ BAD_INPUTS = [
     pytest.param("cap", lambda tmp: INDEX + ["--potential", json.dumps(
         {"kind": "radial-exp", "amplitude": {"re": 1.7e308, "im": 1.7e308}, "delta": 4.2})],
                  id="index amplitude past the largest float"),
+    pytest.param("admissible floor", lambda tmp: INDEX + ["--potential", json.dumps(
+        {"kind": "radial-exp", "amplitude": 1e-20, "delta": 1e-310})],
+                 id="index tiny amplitude and tiny delta"),
     pytest.param("finite", lambda tmp: ["kernel", "--k", "1", "--depth", "3", "--z", "inf"],
                  id="infinite z"),
     pytest.param("too large", lambda tmp: ["kernel", "--k", "2", "--depth", "3",
@@ -833,6 +837,16 @@ def _auto_depth_by_resumming(k, vmax):
     while sum(k**r for r in range(d + 1)) <= vmax:
         d += 1
     return max(d + 1, 4)
+
+
+@pytest.mark.parametrize("amplitude,delta,depth", [
+    (1e-20, 1e-310, 4), (1e-20, 4.2, 4), (1e-14, 4.2, 4), (1.0, 4.2, 8), (1e300, 1e-310, VERTEX_CAP),
+])
+def test_auto_depth_of_a_radial_potential_is_finite(amplitude, delta, depth):
+    # below the support cutoff the span is negative, -inf once divided by a
+    # tiny delta; above it, +inf is held at the vertex cap
+    spec = PotentialSpec(kind="radial-exp", delta=delta, amplitude=amplitude)
+    assert _auto_depth(2, spec) == depth
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

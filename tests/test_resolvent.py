@@ -560,9 +560,9 @@ def test_budget_stops_kernel_assembly_before_allocating(monkeypatch):
 
 
 def test_budget_stops_coefficient_map_before_allocating(monkeypatch):
-    # k=1 depth 200, 201 x 201 pairs: the codes take 364 kB and pass a 500 kB
-    # budget; the map has one key per pair, and it and its key arrays take
-    # about 4.6 MB
+    # k=1 depth 200, 201 x 201 pairs: the one check counts the codes, their
+    # sort and a map of up to one triple per pair, about 6 MB together, past
+    # a 500 kB budget
     monkeypatch.setattr(resolvent, "memory_budget", lambda: 500_000)
     with pytest.raises(CapacityExceeded, match="coefficient map of 40401 depth triples need"):
         ResolventKernel(build_tree(1, 200))
@@ -595,9 +595,26 @@ def test_kernel_prepare_peak_within_its_one_budget_check(monkeypatch, k, depth, 
     assert peak <= counted[0]
 
 
+@pytest.mark.parametrize("k,depth,v", [(1, 3000, 3000), (2, 10, 2000)])
+def test_deep_one_vertex_support_has_one_triple(monkeypatch, k, depth, v):
+    # a table on one deep vertex: the map holds its one triple, not all
+    # (|x|, |y|, gap) up to its depth (9M at k=1 depth 3000), so the kernel is
+    # prepared and assembled on a 1 MB budget and equals the wide column
+    t = build_tree(k, depth)
+    sp_ = from_z(k, t_minus(k) - 0.5)
+    column = ResolventKernel(t, cols=[v]).evaluate(sp_)[v]
+    monkeypatch.setattr(resolvent, "memory_budget", lambda: 10**6)
+    kernel = ResolventKernel(t, rows=[v], cols=[v])
+    assert kernel._diff_idx.size == 1
+    tables = np.repeat(kernel.exponent_tables(sp_)[None], 16, axis=0)
+    out = kernel.assemble(tables)
+    assert out.shape == (16, 1, 1) and np.all(out == column)
+    assert column[0] != 0
+
+
 def test_k1_kernel_budget_checks_cover_the_measured_peaks(monkeypatch):
     # at k=1 every pair has its own key, so the key arrays and temporaries
-    # beside the map and the accumulators (about 110 and 65 bytes per pair)
+    # beside the map and the accumulators (about 105 and 65 bytes per pair)
     # dominate; a budget just under either measured peak refuses that step
     t = build_tree(1, 200)
     sp_ = from_z(1, t_minus(1) - 0.5)
