@@ -6,10 +6,12 @@ The counting tool is the operator-valued argument principle: for a family
     (1 / 2 pi i) * integral of Tr[F(lam)^{-1} F'(lam)] d lam
 
 equals the number of parameters inside the circle where ``F`` fails to be
-invertible, counted with multiplicity.  Trapezoidal quadrature on the circle
-is spectrally accurate for the analytic integrand, so the raw value lands on
-an integer to many digits whenever the circle is comfortably away from
-characteristic values; the residual after rounding is the certificate.
+invertible, counted with multiplicity.  :class:`ContourSpec` owns the
+trapezoidal rule on the circle, which is spectrally accurate for the
+analytic integrand, so the raw value lands on an integer to many digits
+whenever the circle is comfortably away from characteristic values.  A count
+certifies on its nearness to an integer and on its agreement with the rule
+on every other node of the same pass.
 
 Families are evaluated on arrays of nodes: ``f(lams)`` takes a 1-D array of
 parameters and returns the values stacked along a leading axis, either as one
@@ -51,7 +53,7 @@ import csv
 import math
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -140,10 +142,18 @@ class ContourSpec:
         if self.nodes < 16:
             raise InvalidParameter("contour needs at least 16 nodes")
 
-    def points(self, nodes: int | None = None, phase: float = 0.0) -> np.ndarray:
-        n = nodes or self.nodes
-        t = 2.0 * np.pi * np.arange(n) / n + phase
+    def points(self, phase: float = 0.0) -> np.ndarray:
+        t = 2.0 * np.pi * np.arange(self.nodes) / self.nodes + phase
         return self.center + self.radius * np.exp(1j * t)
+
+    def integrate(self, values, phase: float = 0.0):
+        """Trapezoidal ``(1 / 2 pi i) * integral`` of the function whose values
+        (scalars or arrays, any iterable) at ``points(phase)`` are ``values``."""
+        unit = (self.points(phase) - self.center) / self.radius
+        total = 0.0 + 0.0j
+        for u, v in zip(unit, values, strict=True):
+            total += u * v
+        return self.radius * total / self.nodes
 
 
 @dataclass(frozen=True)
@@ -234,14 +244,15 @@ def _trace_and_sv(lams, fv, fp) -> tuple[np.ndarray, np.ndarray]:
     return traces, sv
 
 
-def contour_index(f, fprime, contour: ContourSpec = ContourSpec(0.0, 0.1)) -> IndexReport:
+def contour_index(f, fprime, contour: ContourSpec) -> IndexReport:
     """Count characteristic values of ``f`` inside the contour.
 
     ``f(lams)`` returns the family values at a 1-D array of nodes, stacked
     along the first axis (an array or a block list, see the module
-    docstring); ``fprime`` its derivative, in the same form.  Nodes are
-    doubled up to :data:`MAX_DOUBLINGS` times until the quadrature result
-    sits within :data:`RESIDUAL_TOL` of an integer.
+    docstring); ``fprime`` its derivative, in the same form.  A pass
+    certifies when its sum lies within :data:`RESIDUAL_TOL` of an integer and
+    of the sum with half the nodes (its even-indexed ones), so both round to
+    the same integer; else the nodes double, up to :data:`MAX_DOUBLINGS` times.
 
     Raises
     ------
@@ -249,54 +260,47 @@ def contour_index(f, fprime, contour: ContourSpec = ContourSpec(0.0, 0.1)) -> In
         If the family drops below :data:`SV_FLOOR` at some node (after one
         automatic node-phase nudge).
     NonConvergent
-        If the residual never certifies.
+        If no pass certifies.
     CapacityExceeded
         If the node arrays of the last doubling would not fit the memory
         budget.
     """
-    nodes = contour.nodes
-    # the last doubling's angles, their exponentials, nodes and unit phases
-    most = nodes << MAX_DOUBLINGS
-    _check_budget(4 * np.dtype(complex).itemsize * most, f"{most} contour nodes")
+    # the last doubling's nodes, traces in chunks, joined and weighted, and
+    # the angles, exponentials, nodes and unit phases of ContourSpec.integrate
+    most = contour.nodes << MAX_DOUBLINGS
+    _check_budget(8 * np.dtype(complex).itemsize * most, f"{most} contour nodes")
     for _ in range(MAX_DOUBLINGS + 1):
-        report = None
-        for phase in (0.0, math.pi / nodes):
-            try:
-                report = _quadrature_pass(f, fprime, contour, nodes, phase)
-                break
-            except SingularOnContour:
-                if phase != 0.0:
-                    raise
-        assert report is not None
-        if report.residual < RESIDUAL_TOL:
+        try:
+            report, half = _quadrature_pass(f, fprime, contour, 0.0)
+        except SingularOnContour:
+            report, half = _quadrature_pass(f, fprime, contour, math.pi / contour.nodes)
+        gap = abs(report.raw - half)
+        if report.residual < RESIDUAL_TOL and gap < RESIDUAL_TOL:
             return report
-        nodes *= 2
-    raise NonConvergent(
-        f"index residual {report.residual:.3g} after {nodes // 2} nodes"
-    )
+        last, contour = contour.nodes, replace(contour, nodes=2 * contour.nodes)
+    raise NonConvergent(f"index residual {report.residual:.3g} and {last // 2}-node gap "
+                        f"{gap:.3g} after {last} nodes")
 
 
-def _quadrature_pass(f, fprime, contour, nodes, phase) -> IndexReport:
-    pts = contour.points(nodes, phase)
-    unit = (pts - contour.center) / contour.radius
+def _quadrature_pass(f, fprime, contour, phase) -> tuple[IndexReport, complex]:
+    """The report of one pass over ``contour.points(phase)``, and the sum of
+    the rule with half the nodes on the same traces."""
+    pts = contour.points(phase)
     # chunks are sized from the blocks of the first node
     step = _chunk_len(sum(b[0].size for _, b in _block_list(f(pts[:1]))))
-    total = 0.0 + 0.0j
-    min_sv = math.inf
-    for start in range(0, nodes, step):
+    chunks, min_sv = [], math.inf
+    for start in range(0, contour.nodes, step):
         lams = pts[start:start + step]
         traces, svs = _trace_and_sv(lams, _block_list(f(lams)), _block_list(fprime(lams)))
-        for u, tr, sv in zip(unit[start:], traces, svs):
-            min_sv = min(min_sv, float(sv))
-            total += u * tr
-    raw = contour.radius * total / nodes
+        chunks.append(traces)
+        min_sv = min(min_sv, *svs)
+    traces = np.concatenate(chunks)
+    raw = contour.integrate(traces, phase)
+    # the rule on the even-indexed nodes weighs them by 2 / nodes, the odd ones by 0
+    half = contour.integrate(traces * np.resize([2.0, 0.0], traces.size), phase)
     rounded = int(round(raw.real))
-    return IndexReport(
-        raw=complex(raw),
-        rounded=rounded,
-        residual=float(abs(raw - rounded)),
-        min_sv_on_contour=float(min_sv),
-    )
+    report = IndexReport(complex(raw), rounded, float(abs(raw - rounded)), float(min_sv))
+    return report, complex(half)
 
 
 # -- resonance machinery ---------------------------------------------------------
@@ -524,14 +528,8 @@ def riesz_multiplicity(op: np.ndarray, z0: complex, contour: ContourSpec) -> int
         raise NotIsolated(
             f"spectrum within 2x contour radius of {z0:.6g}; shrink the circle"
         )
-    n = op.shape[0]
-    pts = contour.points()
-    unit = (pts - contour.center) / contour.radius
-    proj = np.zeros((n, n), dtype=complex)
-    eye = np.eye(n)
-    for zeta, u in zip(pts, unit):
-        proj += u * np.linalg.solve(zeta * eye - op, eye)
-    proj *= contour.radius / pts.size
+    eye = np.eye(op.shape[0])
+    proj = contour.integrate(np.linalg.solve(zeta * eye - op, eye) for zeta in contour.points())
     sv = np.linalg.svd(proj, compute_uv=False)
     return int(np.sum(sv > 0.5))
 

@@ -23,7 +23,6 @@ the root degree defect.
 """
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import operator
@@ -190,8 +189,10 @@ class PotentialSpec:
             raise InvalidParameter(
                 f"potential field 'delta' must be positive and finite, got {self.delta!r}"
             )
-        if not cmath.isfinite(self.amplitude):
-            raise InvalidParameter(f"potential field 'amplitude' is not finite: {self.amplitude!r}")
+        # hypot, as abs() raises where finite parts have an overflowing modulus
+        amp = self.amplitude
+        if not math.isfinite(math.hypot(amp.real, amp.imag)):
+            raise InvalidParameter(f"potential field 'amplitude' has no finite modulus: {amp!r}")
         if self.c_const is not None and not 0.0 < self.c_const < math.inf:
             raise InvalidParameter(f"potential field 'C' must be positive and finite: {self.c_const!r}")
         # a bool or float vertex is refused, not rounded to some other vertex
@@ -204,9 +205,10 @@ class PotentialSpec:
         repeated = sorted(v for v, n in Counter(v for v, _ in self.values).items() if n > 1)
         if repeated:
             raise InvalidParameter(f"potential field 'values' repeats vertices {repeated}")
-        nonfinite = [v for v, x in self.values if not cmath.isfinite(x)]
+        nonfinite = [v for v, x in self.values if not math.isfinite(math.hypot(x.real, x.imag))]
         if nonfinite:
-            raise InvalidParameter(f"potential field 'values' is not finite at vertices {nonfinite}")
+            raise InvalidParameter(
+                f"potential field 'values' has no finite modulus at vertices {nonfinite}")
 
     @classmethod
     def radial_exp(cls, amplitude: complex, delta: float) -> "PotentialSpec":

@@ -311,8 +311,11 @@ class ResolventKernel:
         # the ancestors agree; the depth-r ancestor of index i on sphere a is
         # (i - off[a]) // k**(a - r)
         pa, pb = self.rows - t.sphere_offsets[da], self.cols - t.sphere_offsets[db]
-        gap = np.minimum.outer(da.astype(small), db.astype(small))
-        for r in range(1, min(top_a, top_b) + 1):
+        if n_gap == 1:
+            gap = np.zeros((da.size, db.size), small)
+        else:
+            gap = np.minimum.outer(da.astype(small), db.astype(small))
+        for r in range(1, n_gap):
             up_a = np.where(da >= r, pa // k ** np.maximum(da - r, 0), -1)
             up_b = np.where(db >= r, pb // k ** np.maximum(db - r, 0), -2)
             gap -= up_a[:, None] == up_b

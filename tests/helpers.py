@@ -3,6 +3,7 @@
 Families take a scalar or a 1-D array of parameters; an array of ``N``
 parameters gives the values stacked to shape ``(N, n, n)``.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from spectree.charval import IndexReport
 
 def det_winding_oracle(f, contour, nodes=4096):
     """Winding number of det F along the contour by phase unwrapping."""
-    pts = contour.points(nodes)
+    pts = dataclasses.replace(contour, nodes=nodes).points()
     phases = np.unwrap(np.angle(np.linalg.det(f(pts))))
     closing = np.angle(np.linalg.det(f(pts[0]))) - phases[-1]
     closing = (closing + np.pi) % (2 * np.pi) - np.pi

@@ -149,7 +149,7 @@ def test_exactly_singular_node_takes_the_phase_nudge():
         return diag_stack(lam, [0.0, 0.0])
 
     with pytest.raises(SingularOnContour) as exc:
-        cv._quadrature_pass(f, fp, contour, 16, 0.0)
+        cv._quadrature_pass(f, fp, contour, 0.0)
     assert f"node {pts[7]:.6g} " in str(exc.value)
     report = contour_index(f, fp, contour)
     assert report.rounded == 0 and report.residual == 0.0
@@ -165,6 +165,29 @@ def test_non_convergent_on_non_holomorphic_family():
 
     with pytest.raises(NonConvergent):
         contour_index(f, fp, ContourSpec(0.0, 0.1, nodes=16))
+
+
+def test_zero_just_outside_is_not_certified_by_one_pass():
+    # f = lam - a with a = r * 2**(1/N) outside the circle: the N-node sum is
+    # -q / (1 - q) with q = (r/a)**N = 1/2, i.e. -1 to rounding, while the
+    # N/2-node sum, -sqrt(1/2) / (1 - sqrt(1/2)), disagrees; so do the sums of
+    # every doubling up to 512 nodes
+    import spectree.charval as cv
+
+    contour = ContourSpec(0.0, 0.1, nodes=128)
+    a = 0.1 * 2.0 ** (1.0 / 128)
+
+    def f(lam):
+        return diag_stack(lam, [lam - a])
+
+    def fp(lam):
+        return diag_stack(lam, [1.0])
+
+    report, half = cv._quadrature_pass(f, fp, contour, 0.0)
+    assert report.rounded == -1 and report.residual < 1e-12
+    assert abs(half + 1.0 / (math.sqrt(2.0) - 1.0)) < 1e-12
+    with pytest.raises(NonConvergent):
+        contour_index(f, fp, contour)
 
 
 def test_contour_spec_validation():
@@ -506,7 +529,7 @@ def test_singular_node_is_named_across_chunks(monkeypatch):
         return diag_stack(lam, [np.where(np.isin(lam, pts[7:9]), 1e-12, 1.0)])
 
     with pytest.raises(SingularOnContour) as exc:
-        cv._quadrature_pass(f, lambda lam: diag_stack(lam, [0.0]), contour, 16, 0.0)
+        cv._quadrature_pass(f, lambda lam: diag_stack(lam, [0.0]), contour, 0.0)
     assert f"node {pts[7]:.6g} " in str(exc.value)
 
 

@@ -595,6 +595,20 @@ def test_contour_failure_is_certification_exit(monkeypatch, capsys, pot_file, er
     assert captured.err.strip().splitlines() == ["error: synthetic contour failure"]
 
 
+def test_index_does_not_certify_a_zero_just_outside(capsys):
+    # the root -0.6 table at k=2 has its one zero at lam* = 0.1235084061173993i,
+    # 0.54% outside this circle: the 128-node sum reads -1.00054, but the sums
+    # with half the nodes disagree at every doubling
+    pot = json.dumps({"kind": "table", "values": [{"v": 0, "re": -0.6}], "delta": 4.2})
+    code = main(["index", "--k", "2", "--depth", "10", "--nodes", "128",
+                 "--radius", "0.12284165", "--potential", pot])
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert code == 2
+    assert captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 INDEX = ["index", "--k", "2", "--radius", "0.1", "--nodes", "32"]
 
 
@@ -736,9 +750,15 @@ BAD_INPUTS = [
         {"kind": "radial-exp", "amplitude": 1e300, "delta": 4.2})], id="scan huge amplitude"),
     pytest.param("cap", lambda tmp: INDEX + ["--potential", json.dumps(
         {"kind": "radial-exp", "amplitude": 1.0, "delta": 1e-310})], id="index tiny delta"),
-    pytest.param("cap", lambda tmp: INDEX + ["--potential", json.dumps(
+    pytest.param("'amplitude'", lambda tmp: INDEX + ["--potential", json.dumps(
         {"kind": "radial-exp", "amplitude": {"re": 1.7e308, "im": 1.7e308}, "delta": 4.2})],
                  id="index amplitude past the largest float"),
+    pytest.param("'amplitude'", lambda tmp: INDEX + ["--depth", "4", "--potential", json.dumps(
+        {"kind": "radial-exp", "amplitude": {"re": 1.7e308, "im": 1.7e308}, "delta": 4.2})],
+                 id="amplitude modulus past the largest float at depth 4"),
+    pytest.param("'values'", lambda tmp: INDEX + ["--depth", "4", "--potential", json.dumps(
+        {"kind": "table", "delta": 4.2, "values": [{"v": 0, "re": 1.7e308, "im": 1.7e308}]})],
+                 id="table value modulus past the largest float"),
     pytest.param("admissible floor", lambda tmp: INDEX + ["--potential", json.dumps(
         {"kind": "radial-exp", "amplitude": 1e-20, "delta": 1e-310})],
                  id="index tiny amplitude and tiny delta"),
