@@ -15,15 +15,25 @@ on every other node of the same pass.
 
 Families are evaluated on arrays of nodes: ``f(lams)`` takes a 1-D array of
 parameters and returns the values stacked along a leading axis, either as one
-``(N, n, n)`` array or as a list of ``(multiplicity, (N, n, n) stack)`` pairs
-(the exact reduction available for radial perturbations); traces and
-singular values then accumulate blockwise.
+stack or as a list of ``(multiplicity, stack)`` pairs (the exact reduction
+available for radial perturbations); traces and singular values accumulate
+blockwise.  A stack is an ``(N, n, n)`` array of matrices or an ``(N, n)``
+array of diagonals, each row read as ``diag(row)``: its singular values are
+the moduli of its entries and its trace is ``sum F'_ii / F_ii``.
+
+The ladder of :func:`absence_scan` and the ``index`` command count on the
+diagonal pivot family of the tree's Fredholm determinant
+(:func:`_pivot_family`, :mod:`spectree.fredholm`): at most O(|C|) per node
+on the support's ancestor closure ``C``, with no LAPACK.  Its zeros are
+those of the sandwich family ``I + T`` (:func:`_family`), which stays the
+reference route; its ``min_sv`` is the smallest pivot modulus on the
+contour.
 
 Each contour pass asks the family for one chunk of nodes at a time and each
 scan evaluates the sandwich on a chunk of grid points at once, then calls
 LAPACK once per block slot per chunk.  A chunk holds at most
-:data:`STACK_ENTRIES` matrix entries over all its stacked blocks, and the
-results equal the per-point computation bit for bit.
+:data:`STACK_ENTRIES` matrix (or diagonal) entries over all its stacked
+blocks, and the results equal the per-point computation bit for bit.
 
 Only the matrices that can set a minimum reach LAPACK.  Every eigenvalue
 ``mu`` of a block ``T`` has ``|mu + 1| >= 1 - ||T||_F``, and
@@ -38,13 +48,13 @@ A scan's grid chunks run on a thread pool with one thread per usable core
 the chunks' eigenvalue and singular-value solves overlap.  numpy keeps the
 GIL on small stacks (see :data:`GIL_STACK`), so a grid chunk holds at least
 enough points to release it.  The contour ladder runs on the calling thread
-while the pool works through the grid, one circle and one chunk at a time:
-each of its chunks holds the family, its derivative and their solve at once,
-and threading the ladder's chunks as well raised the peak memory of a scan of
-a 63-vertex table by 13% over a serial scan, against 7% for the threaded grid
-alone.  Once the ladder is done, rows reach the CSV in chunk order, so a
-failing chunk leaves exactly the rows of the chunks before it; a failing
-ladder cancels the chunks that have not started and opens no CSV.
+while the pool works through the grid, one circle and one chunk at a time
+(when the ladder still solved the sandwich, threading its chunks as well
+raised the peak memory of a scan of a 63-vertex table by 13% over a serial
+scan, against 7% for the threaded grid alone).  Once the ladder is done,
+rows reach the CSV in chunk order, so a failing chunk leaves exactly the
+rows of the chunks before it; a failing ladder cancels the chunks that have
+not started and opens no CSV.
 """
 
 import cmath
@@ -65,6 +75,7 @@ from .errors import (
     OutOfDisk,
     SingularOnContour,
 )
+from .fredholm import FredholmPivots
 from .operators import PotentialSpec, perturbed_operator, m_tilde
 from .resolvent import _check_budget, t_minus, t_plus
 from .tree import TreeGraph
@@ -223,16 +234,22 @@ def _sv_min(stack: np.ndarray) -> np.ndarray:
 def _trace_and_sv(lams, fv, fp) -> tuple[np.ndarray, np.ndarray]:
     """``Tr[F^{-1} F']`` and the min singular value of ``F`` at each node of a chunk.
 
-    ``fv``/``fp`` are the stacked blocks of ``F`` and ``F'`` at the nodes
-    ``lams``; every block slot is decomposed in one LAPACK call, screened by
-    ``||F - I||_F`` (:func:`_screened_min`).  The singular values come first,
-    so a node below :data:`SV_FLOOR` raises :class:`SingularOnContour` before
-    any solve.  Traces add up slot by slot in block order, as for a single
-    node.
+    ``fv``/``fp`` are the values of ``F`` and ``F'`` at the nodes ``lams``.
+    Diagonal ``(N, n)`` stacks give the moduli of their entries as singular
+    values and ``sum F'_ii / F_ii`` as traces.  Matrix stacks are decomposed
+    one block slot per LAPACK call, screened by ``||F - I||_F``
+    (:func:`_screened_min`).  The singular values come first, so a node
+    below :data:`SV_FLOOR` raises :class:`SingularOnContour` before any
+    solve.  Traces add up slot by slot in block order, as for a single node.
     """
+    fv, fp = _block_list(fv), _block_list(fp)
     stacks = [blk for _, blk in fv]
-    norms = _fro_norms(blk - np.eye(blk.shape[-1]) for blk in stacks)
-    sv = _screened_min(stacks, norms, _sv_min)
+    diagonal = stacks[0].ndim == 2
+    if diagonal:
+        sv = np.min([np.abs(blk).min(axis=1) for blk in stacks], axis=0)
+    else:
+        norms = _fro_norms(blk - np.eye(blk.shape[-1]) for blk in stacks)
+        sv = _screened_min(stacks, norms, _sv_min)
     low = np.flatnonzero(sv < SV_FLOOR)
     if low.size:
         raise SingularOnContour(
@@ -240,7 +257,10 @@ def _trace_and_sv(lams, fv, fp) -> tuple[np.ndarray, np.ndarray]:
         )
     traces = np.zeros(len(lams), dtype=complex)
     for (mult, blk), (_, blkp) in zip(fv, fp):
-        traces += mult * np.trace(np.linalg.solve(blk, blkp), axis1=-2, axis2=-1)
+        if diagonal:
+            traces += mult * (blkp / blk).sum(axis=1)
+        else:
+            traces += mult * np.trace(np.linalg.solve(blk, blkp), axis1=-2, axis2=-1)
     return traces, sv
 
 
@@ -291,7 +311,7 @@ def _quadrature_pass(f, fprime, contour, phase) -> tuple[IndexReport, complex]:
     chunks, min_sv = [], math.inf
     for start in range(0, contour.nodes, step):
         lams = pts[start:start + step]
-        traces, svs = _trace_and_sv(lams, _block_list(f(lams)), _block_list(fprime(lams)))
+        traces, svs = _trace_and_sv(lams, f(lams), fprime(lams))
         chunks.append(traces)
         min_sv = min(min_sv, *svs)
     traces = np.concatenate(chunks)
@@ -313,7 +333,8 @@ def _sign_for(threshold: str) -> int:
 
 
 def _family(factory: BSFactory, sign: int, eps0: float | None = None):
-    """Evaluators for F = I + T and F' = T' as block lists.
+    """Evaluators for F = I + T and F' = T' as block lists: the sandwich
+    family, the reference route for the counts of :func:`_pivot_family`.
 
     Both take a 1-D array of parameters, as :meth:`BSFactory.blocks`.  A given
     ``eps0`` replaces the factory's working disk radius for these evaluators
@@ -330,6 +351,16 @@ def _family(factory: BSFactory, sign: int, eps0: float | None = None):
         return factory.blocks(lams, sign, derivative=True)
 
     return fval, fpval
+
+
+def _pivot_family(factory: BSFactory, sign: int):
+    """Evaluators for the pivots of ``det(I + T)`` on the support's ancestor
+    closure ``C`` and their derivatives, as ``(multiplicity, (N, n))``
+    diagonal pairs (:class:`~spectree.fredholm.FredholmPivots`): the family
+    the ladder and ``index`` count on.  Its zeros are those of
+    :func:`_family`, with multiplicity, at O(|C|) per parameter or less."""
+    m = factory.j_phase * factory.sqrt_abs**2
+    return FredholmPivots(factory.tree.k, factory.support, m, factory.eps0).family(sign)
 
 
 def _flags(blocks, dist: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -433,7 +464,8 @@ def absence_scan(
 ) -> ScanReport:
     """Certify the absence of edge resonances on an annulus.
 
-    Runs the argument-principle counter on the geometric ladder of circles
+    Runs the argument-principle counter on the pivot family
+    (:func:`_pivot_family`) on the geometric ladder of circles
     ``r_min * LADDER_FACTOR**m`` inside ``[r_min, r_max]``, closed by a circle
     at ``r_max`` when the ladder falls short of it, and tabulates the
     eigenvalue distance to ``-1`` and the smallest singular value of
@@ -462,7 +494,7 @@ def absence_scan(
             f"annulus ({r_min}, {r_max}) must sit inside the working disk (0, {eps0:.3g})"
         )
     sign = _sign_for(threshold)
-    fval, fpval = _family(factory, sign)
+    fval, fpval = _pivot_family(factory, sign)
 
     circles = [r_min]
     while circles[-1] * LADDER_FACTOR <= r_max * (1.0 + 1e-12):

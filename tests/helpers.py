@@ -5,10 +5,12 @@ parameters gives the values stacked to shape ``(N, n, n)``.
 """
 import dataclasses
 import math
+import random
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
+from spectree import PotentialSpec
 from spectree.charval import IndexReport
 
 
@@ -21,13 +23,20 @@ def det_winding_oracle(f, contour, nodes=4096):
     return round((phases[-1] + closing - phases[0]) / (2 * np.pi))
 
 
+def diag_rows(lam, diagonal):
+    """The diagonal at each parameter; entries are scalars or arrays like ``lam``.
+
+    A 1-D array ``lam`` gives an ``(N, n)`` array, the diagonal form of a family.
+    """
+    return np.stack(np.broadcast_arrays(*diagonal, lam)[:-1], axis=-1)
+
+
 def diag_stack(lam, diagonal):
-    """``diag(diagonal)`` at each parameter; entries are scalars or arrays like ``lam``.
+    """``diag(diagonal)`` at each parameter, as :func:`diag_rows`.
 
     A scalar ``lam`` gives one ``(n, n)`` matrix, a 1-D array an ``(N, n, n)`` stack.
     """
-    d = np.stack(np.broadcast_arrays(*diagonal, lam)[:-1], axis=-1)
-    return d[..., :, None] * np.eye(len(diagonal))
+    return diag_rows(lam, diagonal)[..., :, None] * np.eye(len(diagonal))
 
 
 def planted_family(rng, n, zeros, decoys=()):
@@ -57,7 +66,11 @@ def planted_family(rng, n, zeros, decoys=()):
 
 
 def reference_pass(f, fprime, contour):
-    """One trapezoidal pass evaluated one node per call, without chunking."""
+    """One trapezoidal pass evaluated one node per call, without chunking.
+
+    A family value is a list of ``(multiplicity, stack)`` pairs; a 2-D
+    ``(1, n)`` stack is the diagonal matrix ``diag(row)``.
+    """
     pts = contour.points()
     unit = (pts - contour.center) / contour.radius
     total = 0.0 + 0.0j
@@ -66,10 +79,29 @@ def reference_pass(f, fprime, contour):
         tr = 0.0 + 0.0j
         sv = math.inf
         for (mult, blk), (_, blkp) in zip(f([lam]), fprime([lam])):
-            tr += mult * np.trace(np.linalg.solve(blk[0], blkp[0]))
-            sv = min(sv, float(np.linalg.svd(blk[0], compute_uv=False).min()))
+            if blk.ndim == 2:
+                tr += mult * np.sum(blkp[0] / blk[0])
+                sv = min(sv, float(np.abs(blk[0]).min()))
+            else:
+                tr += mult * np.trace(np.linalg.solve(blk[0], blkp[0]))
+                sv = min(sv, float(np.linalg.svd(blk[0], compute_uv=False).min()))
         min_sv = min(min_sv, sv)
         total += u * tr
     raw = contour.radius * total / contour.nodes
     rounded = int(round(raw.real))
     return IndexReport(complex(raw), rounded, float(abs(raw - rounded)), float(min_sv))
+
+
+def sandwich_table_spec(seed=0):
+    """Non-radial table on the 63 vertices of depth <= 5 of the binary tree:
+    ``|M(v)| = 0.3 exp(-6 ln 2 |v|)``, phases drawn from the seed, root
+    ``0.3 - 0.2j`` (the potential of the benchmark's ``sandwich-table``)."""
+    rng = random.Random(seed)
+    delta = 6 * math.log(2.0)
+    values = [(0, 0.3 - 0.2j)]
+    for v in range(1, 63):
+        depth = (v + 1).bit_length() - 1
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        modulus = 0.3 * math.exp(-delta * depth)
+        values.append((v, modulus * complex(math.cos(phase), math.sin(phase))))
+    return PotentialSpec.table(values, delta)

@@ -5,7 +5,6 @@ determinant along the same contour, computed by phase unwrapping.
 """
 import json
 import math
-import random
 
 import numpy as np
 import pytest
@@ -26,6 +25,7 @@ from spectree.charval import (
     IndexReport,
     contour_index,
     _family,
+    _pivot_family,
     _polar_grid,
 )
 from spectree.errors import (
@@ -41,7 +41,14 @@ LOG2 = math.log(2.0)
 RADIAL_POTENTIAL = {"kind": "radial-exp", "amplitude": {"re": 0.3, "im": 0.15}, "delta": 6 * LOG2}
 
 
-from helpers import det_winding_oracle, diag_stack, planted_family, reference_pass
+from helpers import (
+    det_winding_oracle,
+    diag_rows,
+    diag_stack,
+    planted_family,
+    reference_pass,
+    sandwich_table_spec,
+)
 
 
 def test_constant_identity_has_index_zero():
@@ -54,14 +61,12 @@ def test_constant_identity_has_index_zero():
 
 
 def test_scalar_winding():
-    def f(lam):
-        return diag_stack(lam, [lam - 0.05, 1.0, 1.0])
-
-    def fp(lam):
-        return diag_stack(lam, [1.0, 0.0, 0.0])
-
-    rep = contour_index(f, fp, ContourSpec(0.0, 0.1))
-    assert rep.rounded == 1 and rep.residual < 1e-12
+    for form in (diag_stack, diag_rows):  # matrices, and (N, n) diagonals
+        rep = contour_index(lambda lam: form(lam, [lam - 0.05, 1.0, 1.0]),
+                            lambda lam: form(lam, [1.0, 0.0, 0.0]),
+                            ContourSpec(0.0, 0.1))
+        assert rep.rounded == 1 and rep.residual < 1e-12
+        assert rep.min_sv_on_contour == pytest.approx(0.05)
 
 
 def test_rank_one_double_zero_with_determinant_oracle():
@@ -418,9 +423,15 @@ def test_absence_scan_matches_per_point_reference(
         monkeypatch.setattr(cv, "GIL_STACK", 0)
     rep = absence_scan(t, b, spec, (0.05, 0.15), 6, "plus", nodes=32, factory=factory)
 
-    fval, fpval = _family(factory, -1)
+    # the ladder counts on the pivot family, bit for bit, and agrees with the
+    # sandwich family, its reference route, to roundoff
+    pivots, sandwich = _pivot_family(factory, -1), _family(factory, -1)
     for radius, index in rep.ladder:
-        assert index == reference_pass(fval, fpval, ContourSpec(0.0, radius, 32))
+        contour = ContourSpec(0.0, radius, 32)
+        assert index == reference_pass(*pivots, contour)
+        want = reference_pass(*sandwich, contour)
+        assert index.rounded == want.rounded
+        assert abs(index.raw - want.raw) <= 1e-12
 
     rows, flagged = [], 0
     for lam in rep.grid_rows[:, 0] + 1j * rep.grid_rows[:, 1]:
@@ -437,25 +448,11 @@ def test_absence_scan_matches_per_point_reference(
     assert rep.flagged == flagged
 
 
-def _sandwich_table_spec() -> PotentialSpec:
-    """Non-radial table on the 63 vertices of depth <= 5 of the binary tree:
-    ``|M(v)| = 0.3 exp(-6 ln 2 |v|)``, seeded phases, root ``0.3 - 0.2j``
-    (the potential of the benchmark's ``sandwich-table`` at seed 0)."""
-    rng = random.Random(0)
-    values = [(0, 0.3 - 0.2j)]
-    for v in range(1, 63):
-        depth = (v + 1).bit_length() - 1
-        phase = rng.uniform(0.0, 2.0 * math.pi)
-        modulus = 0.3 * math.exp(-6 * LOG2 * depth)
-        values.append((v, modulus * complex(math.cos(phase), math.sin(phase))))
-    return PotentialSpec.table(values, 6 * LOG2)
-
-
 def test_grid_chunks_reach_the_gil_release_length(tree_basis):
     import spectree.charval as cv
 
     t, b = tree_basis(2, 8)
-    table = BSFactory(t, b, _sandwich_table_spec())
+    table = BSFactory(t, b, sandwich_table_spec())
     assert (table.block_side, table.block_entries) == (63, 63 * 63)
     assert cv._grid_chunk_len(table) == 8  # 2**14 // 63**2 = 4 would keep the GIL
     radial = BSFactory(t, b, PotentialSpec.radial_exp(0.3 * (1 + 0.5j), 6 * LOG2))
@@ -463,8 +460,8 @@ def test_grid_chunks_reach_the_gil_release_length(tree_basis):
 
 
 POOL_SPECS = [
-    pytest.param(6, _sandwich_table_spec(), "minus", id="63-vertex table minus"),
-    pytest.param(6, _sandwich_table_spec(), "plus", id="63-vertex table plus"),
+    pytest.param(6, sandwich_table_spec(), "minus", id="63-vertex table minus"),
+    pytest.param(6, sandwich_table_spec(), "plus", id="63-vertex table plus"),
     pytest.param(8, PotentialSpec.radial_exp(0.3 * (1 + 0.5j), 6 * LOG2), "minus", id="radial"),
 ]
 
@@ -525,12 +522,13 @@ def test_singular_node_is_named_across_chunks(monkeypatch):
     contour = ContourSpec(0.0, 0.1, nodes=16)
     pts = contour.points()
 
-    def f(lam):
-        return diag_stack(lam, [np.where(np.isin(lam, pts[7:9]), 1e-12, 1.0)])
+    for form in (diag_stack, diag_rows):  # matrices, and (N, n) diagonals
+        def f(lam):
+            return form(lam, [np.where(np.isin(lam, pts[7:9]), 1e-12, 1.0)])
 
-    with pytest.raises(SingularOnContour) as exc:
-        cv._quadrature_pass(f, lambda lam: diag_stack(lam, [0.0]), contour, 0.0)
-    assert f"node {pts[7]:.6g} " in str(exc.value)
+        with pytest.raises(SingularOnContour) as exc:
+            cv._quadrature_pass(f, lambda lam: form(lam, [0.0]), contour, 0.0)
+        assert f"node {pts[7]:.6g} " in str(exc.value)
 
 
 def test_frobenius_screen_keeps_exact_flags():
@@ -814,7 +812,7 @@ def test_table_scan_beside_the_ladder_under_thread_switching(monkeypatch, tree_b
     import spectree.charval as cv
 
     t, b = tree_basis(2, 6)
-    spec = _sandwich_table_spec()
+    spec = sandwich_table_spec()
     monkeypatch.setattr(cv, "pool_size", lambda: 1)
     want = absence_scan(t, b, spec, (0.05, 0.15), 6, "plus", nodes=32)
     built = []

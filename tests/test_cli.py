@@ -519,10 +519,16 @@ def test_index_matches_node_by_node_reference(capsys, potential, extra):
     args = build_parser().parse_args(["index", "--k", "2", "--potential", potential] + extra)
     spec = PotentialSpec.from_json(potential)
     factory = BSFactory(build_tree(2, _auto_depth(2, spec)), None, spec)
-    fval, fpval = charval._family(factory, charval._sign_for(args.threshold))
-    want = reference_pass(fval, fpval, ContourSpec(complex(args.center), args.radius, args.nodes))
+    sign = charval._sign_for(args.threshold)
+    contour = ContourSpec(complex(args.center), args.radius, args.nodes)
+    # index counts on the pivot family, bit for bit, and agrees with the
+    # sandwich family, its reference route, to roundoff
+    want = reference_pass(*charval._pivot_family(factory, sign), contour)
+    sandwich = reference_pass(*charval._family(factory, sign), contour)
     assert code == 0 and want.certified
     assert out == want.to_json()
+    assert out["rounded"] == sandwich.rounded
+    assert abs(want.raw - sandwich.raw) <= 1e-12
 
 
 def test_index_contour_leaving_the_disk(capsys):
@@ -597,16 +603,18 @@ def test_contour_failure_is_certification_exit(monkeypatch, capsys, pot_file, er
 
 def test_index_does_not_certify_a_zero_just_outside(capsys):
     # the root -0.6 table at k=2 has its one zero at lam* = 0.1235084061173993i,
-    # 0.54% outside this circle: the 128-node sum reads -1.00054, but the sums
-    # with half the nodes disagree at every doubling
+    # 0.54% outside the first circle: the 128-node sum reads -1.00054, but the
+    # sums with half the nodes disagree at every doubling.  On the second
+    # circle lam* is node 32: the pass nudged off it straddles the zero
     pot = json.dumps({"kind": "table", "values": [{"v": 0, "re": -0.6}], "delta": 4.2})
-    code = main(["index", "--k", "2", "--depth", "10", "--nodes", "128",
-                 "--radius", "0.12284165", "--potential", pot])
-    captured = capsys.readouterr()
-    lines = captured.err.strip().splitlines()
-    assert code == 2
-    assert captured.out == ""
-    assert len(lines) == 1 and lines[0].startswith("error:")
+    for radius in ("0.12284165", "0.1235084061173993"):
+        code = main(["index", "--k", "2", "--depth", "10", "--nodes", "128",
+                     "--radius", radius, "--potential", pot])
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert code == 2
+        assert captured.out == ""
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 INDEX = ["index", "--k", "2", "--radius", "0.1", "--nodes", "32"]
@@ -665,6 +673,31 @@ def test_radial_scan_at_amplitude_1e12_under_100_mib():
     assert code == 0, stderr[-2000:]
     assert json.loads(stdout)["rows"] == 64
     assert peak_kib < 100 * 2**10
+
+
+def _full_ball_table(path, depth):
+    """A non-radial table on every vertex of the binary tree to ``depth``,
+    ``|M(v)| = 0.3 exp(-2 |v|)`` with seeded phases, written to ``path``."""
+    rng = np.random.default_rng(0)
+    v = np.arange(2 ** (depth + 1) - 1)
+    values = 0.3 * np.exp(-2.0 * np.floor(np.log2(v + 1)) + 2j * np.pi * rng.uniform(size=v.size))
+    path.write_text(json.dumps({"kind": "table", "delta": 6 * LOG2, "values": [
+        {"v": int(i), "re": float(x.real), "im": float(x.imag)} for i, x in zip(v, values)]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("threshold", ["minus", "plus"])
+def test_index_counts_a_32767_vertex_table_under_200_mib(tmp_path, threshold):
+    # a support x support sandwich would need 40 GiB here; the pivots of the
+    # determinant take O(|C|) per node
+    pot = _full_ball_table(tmp_path / "ball.json", 14)
+    code, stdout, stderr, peak_kib = _peak_of_cli([
+        "index", "--k", "2", "--depth", "14", "--radius", "0.1", "--nodes", "128",
+        "--threshold", threshold, "--potential", pot])
+    assert code == 0, stderr[-2000:]
+    out = json.loads(stdout)
+    assert out["rounded"] == 0 and out["residual"] < 1e-6
+    assert peak_kib < 200 * 2**10
 
 
 SCAN = ["scan", "--k", "2", "--depth", "4", "--potential", RADIAL,
@@ -776,6 +809,8 @@ BAD_INPUTS = [
                  id="infinite radius"),
     pytest.param("contour center", lambda tmp: INDEX + ["--center", "infj"],
                  id="infinite center"),
+    pytest.param("|lam|=0.5 outside the punctured disk", lambda tmp: INDEX + ["--radius", "0.5"],
+                 id="radius past the disk"),
     pytest.param("--sv-floor", lambda tmp: SCAN + ["--sv-floor", "nan"], id="nan sv floor"),
     pytest.param("--sv-floor", lambda tmp: SCAN + ["--sv-floor", "-1"], id="negative sv floor"),
     pytest.param("--out", lambda tmp: SCAN + ["--grid", "4", "--out", str(tmp / "no" / "x.csv")],
