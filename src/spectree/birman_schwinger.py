@@ -147,14 +147,6 @@ class BSFactory:
         self.radial = spec is None or spec.kind == "radial-exp"
         if self.radial:
             self._prepare_radial(j_full, sqrt_full)
-        sides = (
-            [held.size for _, held, _, _ in self._levels] if self.radial
-            else [self.support.size]
-        )
-        #: matrix entries per parameter over all blocks :meth:`blocks` returns
-        self.block_entries = sum(n * n for n in sides)
-        #: side of the largest block :meth:`blocks` returns
-        self.block_side = max(sides)
 
     def _prepare_radial(self, j_full, sqrt_full) -> None:
         """Per-block weighted levels and weights of the level matrices.

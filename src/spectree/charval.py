@@ -31,30 +31,31 @@ contour.
 
 Each contour pass asks the family for one chunk of nodes at a time and each
 scan evaluates the sandwich on a chunk of grid points at once, then calls
-LAPACK once per block slot per chunk.  A chunk holds at most
-:data:`STACK_ENTRIES` matrix (or diagonal) entries over all its stacked
-blocks, and the results equal the per-point computation bit for bit.
+LAPACK (on matrix stacks) once per block slot per chunk.  Both size their
+chunks by one rule (:func:`_chunk_len`), read from the blocks of the chunk's
+first point: a chunk holds at most :data:`STACK_ENTRIES` matrix (or
+diagonal) entries over all its stacked blocks, and the results equal the
+per-point computation bit for bit.
 
-Only the matrices that can set a minimum reach LAPACK.  Every eigenvalue
-``mu`` of a block ``T`` has ``|mu + 1| >= 1 - ||T||_F``, and
+On the grid, only the matrices that can set a minimum reach LAPACK.  Every
+eigenvalue ``mu`` of a block ``T`` has ``|mu + 1| >= 1 - ||T||_F``, and
 ``sigma_min(I + T) >= 1 - ||T||_F``; the blocks born deep in a radial family
 have small norms, so their bound already exceeds the minimum of the blocks
 before them at most points, and those points skip them
 (:func:`_screened_min`).  A skipped value could only be larger than the
-minimum, so the distances and singular values keep their bits.
+minimum, so the distances and singular values keep their bits.  The contour
+takes the singular values of every block: no production pass hands it
+matrices, only the reference route and test families.
 
 A scan's grid chunks run on a thread pool with one thread per usable core
 (:func:`pool_size`): numpy releases the GIL inside a stacked LAPACK call, so
 the chunks' eigenvalue and singular-value solves overlap.  numpy keeps the
 GIL on small stacks (see :data:`GIL_STACK`), so a grid chunk holds at least
 enough points to release it.  The contour ladder runs on the calling thread
-while the pool works through the grid, one circle and one chunk at a time
-(when the ladder still solved the sandwich, threading its chunks as well
-raised the peak memory of a scan of a 63-vertex table by 13% over a serial
-scan, against 7% for the threaded grid alone).  Once the ladder is done,
-rows reach the CSV in chunk order, so a failing chunk leaves exactly the
-rows of the chunks before it; a failing ladder cancels the chunks that have
-not started and opens no CSV.
+while the pool works through the grid, one circle and one chunk at a time.
+Once the ladder is done, rows reach the CSV in chunk order, so a failing
+chunk leaves exactly the rows of the chunks before it; a failing ladder
+cancels the chunks that have not started and opens no CSV.
 """
 
 import cmath
@@ -118,15 +119,18 @@ LADDER_FACTOR = 2.0
 BAND_TOL = 1e-8
 
 
-def _chunk_len(entries: int) -> int:
-    """Points per chunk when one point's blocks hold ``entries`` entries."""
+def _chunk_len(value) -> int:
+    """Points per chunk, from one point's family value (a stack or a block
+    list): at most :data:`STACK_ENTRIES` entries over its stacked blocks."""
+    entries = sum(blk[0].size for _, blk in _block_list(value))
     return max(1, STACK_ENTRIES // entries)
 
 
-def _grid_chunk_len(factory: BSFactory) -> int:
-    """Points per grid chunk: :func:`_chunk_len`, raised until the largest
-    block's stack is long enough for numpy to release the GIL."""
-    return max(_chunk_len(factory.block_entries), GIL_STACK // factory.block_side + 1)
+def _grid_chunk_len(blocks) -> int:
+    """Points per grid chunk from one point's sandwich blocks: :func:`_chunk_len`,
+    raised until the largest block's stack is long enough for numpy to
+    release the GIL."""
+    return max(_chunk_len(blocks), GIL_STACK // max(blk.shape[-1] for _, blk in blocks) + 1)
 
 
 def pool_size() -> int:
@@ -236,20 +240,16 @@ def _trace_and_sv(lams, fv, fp) -> tuple[np.ndarray, np.ndarray]:
 
     ``fv``/``fp`` are the values of ``F`` and ``F'`` at the nodes ``lams``.
     Diagonal ``(N, n)`` stacks give the moduli of their entries as singular
-    values and ``sum F'_ii / F_ii`` as traces.  Matrix stacks are decomposed
-    one block slot per LAPACK call, screened by ``||F - I||_F``
-    (:func:`_screened_min`).  The singular values come first, so a node
-    below :data:`SV_FLOOR` raises :class:`SingularOnContour` before any
-    solve.  Traces add up slot by slot in block order, as for a single node.
+    values and ``sum F'_ii / F_ii`` as traces.  Matrix stacks (the sandwich
+    of the reference route) are decomposed one block slot per LAPACK call,
+    every block: the norm screen is the grid's alone.  The singular values
+    come first, so a node below :data:`SV_FLOOR` raises
+    :class:`SingularOnContour` before any solve.  Traces add up slot by slot
+    in block order, as for a single node.
     """
     fv, fp = _block_list(fv), _block_list(fp)
-    stacks = [blk for _, blk in fv]
-    diagonal = stacks[0].ndim == 2
-    if diagonal:
-        sv = np.min([np.abs(blk).min(axis=1) for blk in stacks], axis=0)
-    else:
-        norms = _fro_norms(blk - np.eye(blk.shape[-1]) for blk in stacks)
-        sv = _screened_min(stacks, norms, _sv_min)
+    diagonal = fv[0][1].ndim == 2
+    sv = np.min([np.abs(blk).min(axis=1) if diagonal else _sv_min(blk) for _, blk in fv], axis=0)
     low = np.flatnonzero(sv < SV_FLOOR)
     if low.size:
         raise SingularOnContour(
@@ -307,7 +307,7 @@ def _quadrature_pass(f, fprime, contour, phase) -> tuple[IndexReport, complex]:
     the rule with half the nodes on the same traces."""
     pts = contour.points(phase)
     # chunks are sized from the blocks of the first node
-    step = _chunk_len(sum(b[0].size for _, b in _block_list(f(pts[:1]))))
+    step = _chunk_len(f(pts[:1]))
     chunks, min_sv = [], math.inf
     for start in range(0, contour.nodes, step):
         lams = pts[start:start + step]
@@ -504,10 +504,10 @@ def absence_scan(
     contours = [ContourSpec(0.0, radius, nodes) for radius in circles]
 
     points = _polar_grid(r_min, r_max, grid)
-    step = _grid_chunk_len(factory)
+    # the probe builds a table's kernel here, once: cached_property has no
+    # lock from Python 3.12 on, so two pool threads could each build it
+    step = _grid_chunk_len(factory.blocks(points[:1], sign))
     starts = range(0, points.size, step)
-    if not factory.radial:
-        _ = factory.kernel  # built here once, not by two threads at a time
 
     chunks = []
     flagged = 0

@@ -69,7 +69,9 @@ class FredholmPivots:
     one pivot.  Each such class is kept once, with its multiplicity (its
     number of vertices): one class per vertex of a table without symmetry,
     one per sphere on radial data, whose closure is a full ball.  Columns
-    are the classes in ascending multiplicity, split into :attr:`runs`.
+    are the classes in sweep order (the deepest sphere first, each sphere's
+    classes by their first vertex); :attr:`runs` gathers them by
+    multiplicity.
     """
 
     def __init__(self, k: int, support, m, eps0: float):
@@ -78,10 +80,11 @@ class FredholmPivots:
         m = np.asarray(m, dtype=complex)
         depth = _depths(k, support)
         bounds = np.searchsorted(depth, np.arange(depth[-1] + 2))
-        # per sphere, deepest first: m of its classes, their children outside
-        # C, their child entries (the class below of each child in C, grouped
-        # by parent class), the classes with children and their groups' starts
-        spheres, mults = [], []
+        # per sphere, deepest first: its columns, m of its classes, their
+        # children outside C, their child entries (the class below of each
+        # child in C, grouped by parent class), the classes with children and
+        # their groups' starts
+        self._spheres, mults, stop = [], [], 0
         below = below_class = np.empty(0, dtype=np.int64)
         for r in range(depth[-1], -1, -1):
             held, up = support[bounds[r]:bounds[r + 1]], (below - 1) // k
@@ -109,26 +112,18 @@ class FredholmPivots:
             entries = keys[first, 2:]
             children = (entries >= 0).sum(axis=1)
             heads = np.flatnonzero(children)
-            spheres.append((m_here[first], k - children.astype(float),
-                            _as_slice(entries[entries >= 0]), _as_slice(heads),
-                            np.cumsum(children[heads]) - children[heads]))
+            self._spheres.append((slice(stop, stop + first.size), m_here[first],
+                                  k - children.astype(float),
+                                  _as_slice(entries[entries >= 0]), _as_slice(heads),
+                                  np.cumsum(children[heads]) - children[heads]))
             mults.append(count)
+            stop += first.size
             below, below_class = verts, label[cls.reshape(-1)]
         mults = np.concatenate(mults)
-        order = np.argsort(mults, kind="stable")
-        column = np.empty_like(order)
-        column[order] = np.arange(order.size)
         #: vertices of the closure, and the pivot classes kept for them
         self.size, self.classes = int(mults.sum()), int(mults.size)
         #: ``(multiplicity, columns)`` of the classes, by ascending multiplicity
-        sorted_mults = mults[order]
-        edges = np.flatnonzero(np.diff(sorted_mults, prepend=0, append=0))
-        self.runs = [(int(sorted_mults[a]), slice(int(a), int(b)))
-                     for a, b in zip(edges[:-1], edges[1:])]
-        self._spheres, stop = [], 0
-        for sphere in spheres:
-            self._spheres.append((_as_slice(column[stop:stop + sphere[0].size]), *sphere))
-            stop += sphere[0].size
+        self.runs = [(int(d), _as_slice(np.flatnonzero(mults == d))) for d in np.unique(mults)]
 
     def pivots(self, lams, sign: int, derivative: bool = False) -> np.ndarray:
         """The pivots ``p_v g`` (or their derivatives ``q_v g + p_v g'``) of
@@ -167,6 +162,7 @@ class FredholmPivots:
         diagonal pairs, one per run."""
         def blocks(lams, derivative=False):
             out = self.pivots(lams, sign, derivative)
-            return [(d, out[:, cols]) for d, cols in self.runs]
+            # C order keeps the bits of the traces' row sums
+            return [(d, np.ascontiguousarray(out[:, cols])) for d, cols in self.runs]
 
         return blocks, lambda lams: blocks(lams, derivative=True)

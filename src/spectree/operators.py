@@ -222,14 +222,23 @@ class PotentialSpec:
         return cls(kind="table", delta=delta, values=vals, c_const=c_const)
 
     def materialize(self, t: TreeGraph) -> np.ndarray:
-        """Potential values on every vertex of the truncation."""
+        """Potential values on every vertex of the truncation.
+
+        Raises :class:`InvalidParameter` for a table vertex beyond it, which
+        would otherwise drop out of everything computed on ``t``.
+        """
         m = np.zeros(t.vertex_count, dtype=complex)
         if self.kind == "radial-exp":
             m[:] = self.amplitude * np.exp(-self.delta * t.depths())
         else:
+            deepest = max((v for v, _ in self.values), default=0)
+            if deepest >= t.vertex_count:
+                raise InvalidParameter(
+                    f"table vertex {deepest} lies beyond depth {t.depth}, "
+                    f"whose last vertex is {t.vertex_count - 1}"
+                )
             for v, x in self.values:
-                if v < t.vertex_count:
-                    m[v] = x
+                m[v] = x
         return m
 
     def _log_weighted(self, t: TreeGraph) -> np.ndarray:

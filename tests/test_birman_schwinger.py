@@ -326,7 +326,7 @@ def test_blocks_dispatch(tree_basis, radial_spec_k2, derivative):
     assert got[0][1].shape[-1] == cancelled.r_support
     # k=2 depth 8: blocks on levels 1..7 hold 189 entries, the support 254**2
     deep = BSFactory(build_tree(2, 8), None, PotentialSpec.radial_exp(1.0, 6 * LOG2))
-    assert deep.block_entries == 189
+    assert sum(blk[0].size for _, blk in deep.blocks([0.1j])) == 189
 
     table = BSFactory(t, b, PotentialSpec.table([(0, 0.3 - 0.2j), (2, 0.1j)], 6 * LOG2))
     full = table.derivative if derivative else table.matrix
@@ -400,7 +400,6 @@ def test_blocks_over_lambda_array(monkeypatch, tree_basis, k, depth, spec, deriv
             got = factory.blocks(lams[part], sign, derivative=derivative)
             want = scalar[part]
             assert [d for d, _ in got] == [d for d, _ in want[0]]
-            assert sum(blk[0].size for _, blk in got) == factory.block_entries
             for slot, (_, blk) in enumerate(got):
                 assert blk.shape[0] == len(want)
                 assert np.array_equal(blk, np.array([w[slot][1][0] for w in want]))
@@ -410,7 +409,8 @@ def test_blocks_over_lambda_array(monkeypatch, tree_basis, k, depth, spec, deriv
     outside = lams.copy()
     outside[[3, 6]] = (0.31 + 0.02j, 0.4j)
     contour = ContourSpec(0.16j, 0.15, nodes=16)
-    monkeypatch.setattr(charval, "STACK_ENTRIES", 16 * factory.block_entries)
+    entries = sum(blk[0].size for _, blk in factory.blocks(lams[:1]))
+    monkeypatch.setattr(charval, "STACK_ENTRIES", 16 * entries)
 
     def first_error(points):
         for lam in points:

@@ -374,7 +374,7 @@ def test_absence_scan_partial_flush(tmp_path, monkeypatch, tree_basis, radial_sp
     t, b = tree_basis(2, 6)
     import spectree.charval as cv
 
-    entries = BSFactory(t, b, radial_spec_k2).block_entries
+    entries = sum(blk[0].size for _, blk in BSFactory(t, b, radial_spec_k2).blocks([0.05]))
     monkeypatch.setattr(cv, "STACK_ENTRIES", 8 * entries)
     monkeypatch.setattr(cv, "GIL_STACK", 0)
     full_path = tmp_path / "full.csv"
@@ -419,7 +419,8 @@ def test_absence_scan_matches_per_point_reference(
     t, b = tree_basis(2, depth)
     factory = BSFactory(t, b, spec)
     if small_chunks:
-        monkeypatch.setattr(cv, "STACK_ENTRIES", 5 * factory.block_entries)
+        entries = sum(blk[0].size for _, blk in factory.blocks([0.05], -1))
+        monkeypatch.setattr(cv, "STACK_ENTRIES", 5 * entries)
         monkeypatch.setattr(cv, "GIL_STACK", 0)
     rep = absence_scan(t, b, spec, (0.05, 0.15), 6, "plus", nodes=32, factory=factory)
 
@@ -452,11 +453,11 @@ def test_grid_chunks_reach_the_gil_release_length(tree_basis):
     import spectree.charval as cv
 
     t, b = tree_basis(2, 8)
-    table = BSFactory(t, b, sandwich_table_spec())
-    assert (table.block_side, table.block_entries) == (63, 63 * 63)
+    table = BSFactory(t, b, sandwich_table_spec()).blocks([0.05])
+    assert [blk.shape for _, blk in table] == [(1, 63, 63)]
     assert cv._grid_chunk_len(table) == 8  # 2**14 // 63**2 = 4 would keep the GIL
-    radial = BSFactory(t, b, PotentialSpec.radial_exp(0.3 * (1 + 0.5j), 6 * LOG2))
-    assert cv._grid_chunk_len(radial) == cv._chunk_len(radial.block_entries) == 80
+    radial = BSFactory(t, b, PotentialSpec.radial_exp(0.3 * (1 + 0.5j), 6 * LOG2)).blocks([0.05])
+    assert cv._grid_chunk_len(radial) == cv._chunk_len(radial) == 80
 
 
 POOL_SPECS = [
@@ -636,15 +637,15 @@ def test_screened_minima_equal_the_unscreened_reference(k, spec, depth, threshol
     factory = BSFactory(build_tree(k, depth), None, spec)
     sign = cv._sign_for(threshold)
     points = _polar_grid(0.02, 0.16, 32)
-    step = cv._grid_chunk_len(factory)
+    step = cv._grid_chunk_len(factory.blocks(points[:1], sign))
     for start in range(0, points.size, step):
         lams = points[start:start + step]
         assert _same_bits(cv._grid_chunk(factory, lams, sign),
                           _unscreened_grid_chunk(factory, lams, sign))
     fval, fpval = _family(factory, sign)
-    step = cv._chunk_len(factory.block_entries)
     for radius in (0.02, 0.04, 0.08, 0.16):
         pts = ContourSpec(0.0, radius, 128).points()
+        step = cv._chunk_len(fval(pts[:1]))
         for start in range(0, pts.size, step):
             lams = pts[start:start + step]
             got = cv._trace_and_sv(lams, fval(lams), fpval(lams))
@@ -665,20 +666,11 @@ def test_screen_skips_blocks_on_the_lower_edge(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counting)
     points = _polar_grid(0.02, 0.16, 32)
-    step = cv._grid_chunk_len(factory)
+    step = cv._grid_chunk_len(factory.blocks(points[:1], 1))
     for start in range(0, points.size, step):
         cv._grid_chunk(factory, points[start:start + step], 1)
     assert 0 < counts["eigvals"] < slots * points.size
     assert 0 < counts["svd"] < slots * points.size
-
-    counts["svd"] = 0
-    fval, fpval = _family(factory, 1)
-    pts = ContourSpec(0.0, 0.16, 128).points()
-    step = cv._chunk_len(factory.block_entries)
-    for start in range(0, pts.size, step):
-        lams = pts[start:start + step]
-        cv._trace_and_sv(lams, fval(lams), fpval(lams))
-    assert 0 < counts["svd"] < slots * pts.size
 
 
 class _Stacks:
@@ -770,7 +762,7 @@ def test_chunk_failing_during_the_ladder_leaves_earlier_rows(tmp_path, monkeypat
     import spectree.charval as cv
 
     t, b = tree_basis(2, 6)
-    entries = BSFactory(t, b, radial_spec_k2).block_entries
+    entries = sum(blk[0].size for _, blk in BSFactory(t, b, radial_spec_k2).blocks([0.05]))
     monkeypatch.setattr(cv, "STACK_ENTRIES", 8 * entries)
     monkeypatch.setattr(cv, "GIL_STACK", 0)
     full_path = tmp_path / "full.csv"

@@ -711,6 +711,11 @@ def _deep_k1_table(vertex, **fields):
         {"kind": "table", "values": [{"v": vertex, "re": 0.1}], "delta": 1.6, **fields})]
 
 
+#: a table whose vertex 3 lies on sphere 2, beyond a depth-1 truncation
+BEYOND_DEPTH_1 = json.dumps({"kind": "table", "delta": 4.2, "values": [
+    {"v": 0, "re": -1.5}, {"v": 1, "re": -1.5}, {"v": 3, "re": -1.5}]})
+
+
 def _file(tmp_path, text):
     p = tmp_path / "pot.json"
     p.write_text(text)
@@ -818,6 +823,11 @@ BAD_INPUTS = [
     pytest.param("--out", lambda tmp: ["spectrum", "--k", "2", "--depth", "3",
                                        "--out", str(tmp / "no" / "x.csv")],
                  id="spectrum out in missing dir"),
+] + [
+    pytest.param("table vertex 3 lies beyond depth 1", lambda tmp, cmd=cmd: cmd + [
+        "--k", "2", "--depth", "1", "--potential", BEYOND_DEPTH_1], id=f"{cmd[0]} vertex past depth")
+    for cmd in (["scan", "--rmin", "0.02", "--rmax", "0.25", "--grid", "8", "--nodes", "64"],
+                ["index", "--radius", "0.25"], ["validate"], ["spectrum"])
 ]
 
 

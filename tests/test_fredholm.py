@@ -77,20 +77,41 @@ def test_pivot_counts_keep_their_bits_at_every_chunk_length(monkeypatch, spec):
             assert contour_index(f, fp, contour) == want
 
 
+#: a radial potential on the full ball to depth 4 of the ternary tree, 121 vertices
+TERNARY_RADIAL = PotentialSpec.radial_exp(0.3 + 0.1j, 6 * math.log(3))
+
+
+def _ternary_leaf_scaled():
+    """:data:`TERNARY_RADIAL` as a table on the ball, its last leaf scaled by 1.5."""
+    values = TERNARY_RADIAL.materialize(build_tree(3, 4))
+    values[-1] *= 1.5
+    return PotentialSpec.table(enumerate(values), TERNARY_RADIAL.delta)
+
+
+@pytest.mark.parametrize("k, spec, depth", [
+    pytest.param(k, spec, depth, id=name) for name, k, spec, depth in SCAN_CORPUS
+] + [pytest.param(3, _ternary_leaf_scaled(), 4, id="ternary one leaf scaled")])
+def test_pivot_stacks_are_c_contiguous(k, spec, depth):
+    # the traces sum each stack's rows, and a column-major stack (a gather of
+    # scattered columns) sums them in another order, moving the last bits
+    factory = BSFactory(build_tree(k, depth), None, spec)
+    for sign in (1, -1):
+        for evaluate in _pivot_family(factory, sign):
+            for _, stack in evaluate(_lams(k, count=5)):
+                assert stack.flags.c_contiguous
+
+
 def test_radial_closure_keeps_one_pivot_class_per_sphere():
-    # the full ball to depth 4 of the ternary tree, 121 vertices
     t = build_tree(3, 4)
-    radial = PotentialSpec.radial_exp(0.3 + 0.1j, 6 * math.log(3))
-    factory = BSFactory(t, None, radial)
+    factory = BSFactory(t, None, TERNARY_RADIAL)
     m = factory.j_phase * factory.sqrt_abs**2
     pivots = FredholmPivots(3, factory.support, m, factory.eps0)
     assert (pivots.size, pivots.classes) == (121, 5)
-    assert pivots.runs == [(3**r, slice(r, r + 1)) for r in range(5)]
+    # columns in sweep order, the deepest sphere first: the root is the last
+    assert pivots.runs == [(3**r, slice(4 - r, 5 - r)) for r in range(5)]
     # the same values as a table, one leaf scaled: the leaf's path splits
     # off, one vertex per sphere, and the rest of each sphere stays one class
-    values = radial.materialize(t)
-    values[-1] *= 1.5
-    table = BSFactory(t, None, PotentialSpec.table(enumerate(values), radial.delta))
+    table = BSFactory(t, None, _ternary_leaf_scaled())
     f, _ = _pivot_family(table, 1)
     split = FredholmPivots(3, table.support, table.j_phase * table.sqrt_abs**2, table.eps0)
     assert (split.size, split.classes) == (121, 9)
