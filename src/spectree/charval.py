@@ -19,15 +19,20 @@ stack or as a list of ``(multiplicity, stack)`` pairs (the exact reduction
 available for radial perturbations); traces and singular values accumulate
 blockwise.  A stack is an ``(N, n, n)`` array of matrices or an ``(N, n)``
 array of diagonals, each row read as ``diag(row)``: its singular values are
-the moduli of its entries and its trace is ``sum F'_ii / F_ii``.
+the moduli of its entries and its trace is ``sum F'_ii / F_ii``.  A family
+is handed to :func:`contour_index` as two evaluators ``f`` and ``fprime``, or
+as one ``f`` returning the pair ``(F, F')`` with ``fprime=None``.
 
 The ladder of :func:`absence_scan` and the ``index`` command count on the
 diagonal pivot family of the tree's Fredholm determinant
-(:func:`_pivot_family`, :mod:`spectree.fredholm`): at most O(|C|) per node
-on the support's ancestor closure ``C``, with no LAPACK.  Its zeros are
-those of the sandwich family ``I + T`` (:func:`_family`), which stays the
-reference route; its ``min_sv`` is the smallest pivot modulus on the
-contour.
+(:func:`_pivot_family`, :mod:`spectree.fredholm`): one evaluator whose single
+sweep gives the pivots and their derivatives, at most O(|C|) per node on the
+support's ancestor closure ``C``, with no LAPACK.  Its zeros are those of
+the sandwich family ``I + T`` (:func:`_family`), which stays the reference
+route; its ``min_sv`` is the smallest pivot modulus on the contour.  The
+unnudged nodes of a doubled pass include every node of the pass before,
+bit for bit (the nested trapezoidal rules), so a doubling keeps their traces
+and evaluates only its odd nodes.
 
 Each contour pass asks the family for one chunk of nodes at a time and each
 scan evaluates the sandwich on a chunk of grid points at once, then calls
@@ -49,18 +54,19 @@ matrices, only the reference route and test families.
 
 A scan's grid chunks run on a thread pool with one thread per usable core
 (:func:`pool_size`): numpy releases the GIL inside a stacked LAPACK call, so
-the chunks' eigenvalue and singular-value solves overlap.  numpy keeps the
-GIL on small stacks (see :data:`GIL_STACK`), so a grid chunk holds at least
-enough points to release it.  The contour ladder runs on the calling thread
-while the pool works through the grid, one circle and one chunk at a time.
-Once the ladder is done, rows reach the CSV in chunk order, so a failing
+the chunks' eigenvalue and singular-value solves overlap.  A grid that would
+fit one chunk is shared evenly between the threads, but numpy keeps the GIL
+on small stacks (see :data:`GIL_STACK`), so a grid chunk holds at least
+enough points to release it (:func:`_grid_chunk_len`).  The pivots are set
+up, and the contour ladder runs, on the calling thread while the pool works
+through the grid, one circle and one chunk at a time.  Once the ladder is
+done, rows reach the CSV in chunk order, one write per chunk, so a failing
 chunk leaves exactly the rows of the chunks before it; a failing ladder
 cancels the chunks that have not started and opens no CSV.
 """
 
 import cmath
 import copy
-import csv
 import math
 import os
 from contextlib import nullcontext
@@ -126,11 +132,14 @@ def _chunk_len(value) -> int:
     return max(1, STACK_ENTRIES // entries)
 
 
-def _grid_chunk_len(blocks) -> int:
-    """Points per grid chunk from one point's sandwich blocks: :func:`_chunk_len`,
-    raised until the largest block's stack is long enough for numpy to
-    release the GIL."""
-    return max(_chunk_len(blocks), GIL_STACK // max(blk.shape[-1] for _, blk in blocks) + 1)
+def _grid_chunk_len(blocks, points: int) -> int:
+    """Points per chunk of a ``points``-point grid, from one point's sandwich
+    blocks: :func:`_chunk_len`, capped at an even share of the pool's
+    threads so that a small grid feeds them all, then raised until the
+    largest block's stack is long enough for numpy to release the GIL."""
+    share = -(-points // pool_size())
+    return max(min(_chunk_len(blocks), share),
+               GIL_STACK // max(blk.shape[-1] for _, blk in blocks) + 1)
 
 
 def pool_size() -> int:
@@ -269,13 +278,19 @@ def contour_index(f, fprime, contour: ContourSpec) -> IndexReport:
 
     ``f(lams)`` returns the family values at a 1-D array of nodes, stacked
     along the first axis (an array or a block list, see the module
-    docstring); ``fprime`` its derivative, in the same form.  A pass
-    certifies when its sum lies within :data:`RESIDUAL_TOL` of an integer and
-    of the sum with half the nodes (its even-indexed ones), so both round to
-    the same integer; else the nodes double, up to :data:`MAX_DOUBLINGS` times.
+    docstring); ``fprime`` its derivative, in the same form.  With
+    ``fprime=None``, ``f(lams)`` returns the pair ``(F, F')`` from one
+    evaluation.  A pass certifies when its sum lies within
+    :data:`RESIDUAL_TOL` of an integer and of the sum with half the nodes (its
+    even-indexed ones), so both round to the same integer; else the nodes
+    double, up to :data:`MAX_DOUBLINGS` times.  A doubled pass on the
+    unnudged phase keeps the traces of the pass before, whose nodes are its
+    even-indexed ones bit for bit, and evaluates only its odd nodes.
 
     Raises
     ------
+    InvalidParameter
+        If the node count is odd: the half rule needs equispaced nodes.
     SingularOnContour
         If the family drops below :data:`SV_FLOOR` at some node (after one
         automatic node-phase nudge).
@@ -285,15 +300,18 @@ def contour_index(f, fprime, contour: ContourSpec) -> IndexReport:
         If the node arrays of the last doubling would not fit the memory
         budget.
     """
+    if contour.nodes % 2:
+        raise InvalidParameter(f"contour needs an even node count, got {contour.nodes}")
     # the last doubling's nodes, traces in chunks, joined and weighted, and
     # the angles, exponentials, nodes and unit phases of ContourSpec.integrate
     most = contour.nodes << MAX_DOUBLINGS
     _check_budget(8 * np.dtype(complex).itemsize * most, f"{most} contour nodes")
+    kept = None
     for _ in range(MAX_DOUBLINGS + 1):
         try:
-            report, half = _quadrature_pass(f, fprime, contour, 0.0)
+            report, half, kept = _quadrature_pass(f, fprime, contour, 0.0, kept)
         except SingularOnContour:
-            report, half = _quadrature_pass(f, fprime, contour, math.pi / contour.nodes)
+            report, half, kept = _quadrature_pass(f, fprime, contour, math.pi / contour.nodes)
         gap = abs(report.raw - half)
         if report.residual < RESIDUAL_TOL and gap < RESIDUAL_TOL:
             return report
@@ -302,25 +320,37 @@ def contour_index(f, fprime, contour: ContourSpec) -> IndexReport:
                         f"{gap:.3g} after {last} nodes")
 
 
-def _quadrature_pass(f, fprime, contour, phase) -> tuple[IndexReport, complex]:
-    """The report of one pass over ``contour.points(phase)``, and the sum of
-    the rule with half the nodes on the same traces."""
+def _quadrature_pass(f, fprime, contour, phase, kept=None):
+    """The report of one pass over ``contour.points(phase)``, the sum of the
+    rule with half the nodes on the same traces, and the nodes, traces and
+    smallest singular value of the pass.
+
+    ``f`` and ``fprime`` are as for :func:`contour_index`.  ``kept`` holds the
+    nodes, traces and smallest singular value of an earlier pass; when its
+    nodes are the even-indexed ones of this pass, bit for bit, only the odd
+    ones are evaluated.
+    """
+    evaluate = f if fprime is None else (lambda lams: (f(lams), fprime(lams)))
     pts = contour.points(phase)
+    reuse = kept is not None and np.array_equal(pts[::2], kept[0])
+    todo = pts[1::2] if reuse else pts
     # chunks are sized from the blocks of the first node
-    step = _chunk_len(f(pts[:1]))
-    chunks, min_sv = [], math.inf
-    for start in range(0, contour.nodes, step):
-        lams = pts[start:start + step]
-        traces, svs = _trace_and_sv(lams, f(lams), fprime(lams))
+    step = _chunk_len(evaluate(pts[:1])[0])
+    chunks, min_sv = [], kept[2] if reuse else math.inf
+    for start in range(0, todo.size, step):
+        lams = todo[start:start + step]
+        traces, svs = _trace_and_sv(lams, *evaluate(lams))
         chunks.append(traces)
         min_sv = min(min_sv, *svs)
     traces = np.concatenate(chunks)
+    if reuse:
+        traces = np.column_stack([kept[1], traces]).ravel()
     raw = contour.integrate(traces, phase)
     # the rule on the even-indexed nodes weighs them by 2 / nodes, the odd ones by 0
     half = contour.integrate(traces * np.resize([2.0, 0.0], traces.size), phase)
     rounded = int(round(raw.real))
     report = IndexReport(complex(raw), rounded, float(abs(raw - rounded)), float(min_sv))
-    return report, complex(half)
+    return report, complex(half), (pts, traces, min_sv)
 
 
 # -- resonance machinery ---------------------------------------------------------
@@ -354,10 +384,11 @@ def _family(factory: BSFactory, sign: int, eps0: float | None = None):
 
 
 def _pivot_family(factory: BSFactory, sign: int):
-    """Evaluators for the pivots of ``det(I + T)`` on the support's ancestor
-    closure ``C`` and their derivatives, as ``(multiplicity, (N, n))``
-    diagonal pairs (:class:`~spectree.fredholm.FredholmPivots`): the family
-    the ladder and ``index`` count on.  Its zeros are those of
+    """The evaluator ``f(lams) -> (F, F')`` of the pivots of ``det(I + T)``
+    on the support's ancestor closure ``C`` and their derivatives, from one
+    sweep, each as ``(multiplicity, (N, n))`` diagonal pairs
+    (:class:`~spectree.fredholm.FredholmPivots`): the family the ladder and
+    ``index`` count on, with ``fprime=None``.  Its zeros are those of
     :func:`_family`, with multiplicity, at O(|C|) per parameter or less."""
     m = factory.j_phase * factory.sqrt_abs**2
     return FredholmPivots(factory.tree.k, factory.support, m, factory.eps0).family(sign)
@@ -449,6 +480,9 @@ class ScanReport:
 
 CSV_HEADER = ["re_lambda", "im_lambda", "dist_minus_one", "min_sv"]
 
+#: one CSV row of 17-digit fields, as ``csv.writer`` (excel dialect) writes it
+ROW = "%.17g,%.17g,%.17g,%.17g\r\n"
+
 
 def absence_scan(
     t: TreeGraph,
@@ -494,7 +528,6 @@ def absence_scan(
             f"annulus ({r_min}, {r_max}) must sit inside the working disk (0, {eps0:.3g})"
         )
     sign = _sign_for(threshold)
-    fval, fpval = _pivot_family(factory, sign)
 
     circles = [r_min]
     while circles[-1] * LADDER_FACTOR <= r_max * (1.0 + 1e-12):
@@ -506,7 +539,7 @@ def absence_scan(
     points = _polar_grid(r_min, r_max, grid)
     # the probe builds a table's kernel here, once: cached_property has no
     # lock from Python 3.12 on, so two pool threads could each build it
-    step = _grid_chunk_len(factory.blocks(points[:1], sign))
+    step = _grid_chunk_len(factory.blocks(points[:1], sign), points.size)
     starts = range(0, points.size, step)
 
     chunks = []
@@ -514,19 +547,20 @@ def absence_scan(
     with ThreadPoolExecutor(pool_size()) as pool:
         futures = [pool.submit(_grid_chunk, factory, points[s:s + step], sign) for s in starts]
         try:
-            ladder = [(c.radius, contour_index(fval, fpval, c)) for c in contours]
+            # the pivots are set up while the pool works through the grid
+            f = _pivot_family(factory, sign)
+            ladder = [(c.radius, contour_index(f, None, c)) for c in contours]
             with open(csv_path, "w", newline="") if csv_path else nullcontext() as sink:
-                writer = csv.writer(sink) if sink else None
-                if writer:
-                    writer.writerow(CSV_HEADER)
+                if sink:
+                    sink.write(",".join(CSV_HEADER) + "\r\n")
                 for start, future in zip(starts, futures):
                     dist, minsv, flags = future.result()
                     lams = points[start:start + step]
                     rows = np.column_stack([lams.real, lams.imag, dist, minsv])
                     chunks.append(rows)
                     flagged += int(flags.sum())
-                    if writer:
-                        writer.writerows([f"{x:.17g}" for x in row] for row in rows)
+                    if sink:
+                        sink.write("".join(ROW % tuple(r) for r in rows.tolist()))
         finally:
             # a failure leaves the chunks that have not started unrun
             for future in futures:

@@ -439,10 +439,8 @@ def _cmd_index(args) -> int:
     depth = args.depth if args.depth is not None else _auto_depth(args.k, spec)
     t = build_tree(args.k, depth)
     factory = BSFactory(t, None, spec)
-    fval, fpval = charval._pivot_family(factory, charval._sign_for(args.threshold))
-    report = charval.contour_index(
-        fval, fpval, ContourSpec(center, args.radius, args.nodes)
-    )
+    f = charval._pivot_family(factory, charval._sign_for(args.threshold))
+    report = charval.contour_index(f, None, ContourSpec(center, args.radius, args.nodes))
     print(json.dumps(report.to_json()))
     return 0 if report.certified else CERTIFICATION_FAILURE
 

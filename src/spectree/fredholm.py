@@ -125,9 +125,10 @@ class FredholmPivots:
         #: ``(multiplicity, columns)`` of the classes, by ascending multiplicity
         self.runs = [(int(d), _as_slice(np.flatnonzero(mults == d))) for d in np.unique(mults)]
 
-    def pivots(self, lams, sign: int, derivative: bool = False) -> np.ndarray:
-        """The pivots ``p_v g`` (or their derivatives ``q_v g + p_v g'``) of
-        the classes at each parameter, shaped ``(N, classes)``.
+    def pivots(self, lams, sign: int) -> tuple[np.ndarray, np.ndarray]:
+        """The pivots ``p_v g`` of the classes at each parameter and their
+        derivatives ``q_v g + p_v g'``, both shaped ``(N, classes)``, from
+        one sweep: ``q`` needs ``p`` sphere by sphere.
 
         Every parameter is checked against the disk, in order, before any
         arithmetic.
@@ -140,29 +141,27 @@ class FredholmPivots:
         dg = (1j * xi / np.sqrt(1.0 - 0.25 * lams * lams) / rk)[:, None]
         dz = (2.0 * rk * lams)[:, None]
         out = np.empty((lams.size, self.classes), dtype=complex)
+        dout = np.empty_like(out)
         inv = q_inv2 = None
         for cols, m, free, kids, heads, groups in self._spheres:
             p = (self.k + 1.0 + sign * m) - z - free * g
+            q = -dz - free * dg
             if groups.size:
                 p[:, heads] -= np.add.reduceat(inv[:, kids], groups, axis=1)
+                q[:, heads] += np.add.reduceat(q_inv2[:, kids], groups, axis=1)
             inv = 1.0 / p
-            if derivative:
-                q = -dz - free * dg
-                if groups.size:
-                    q[:, heads] += np.add.reduceat(q_inv2[:, kids], groups, axis=1)
-                q_inv2 = q * inv * inv
-                out[:, cols] = q * g + p * dg
-            else:
-                out[:, cols] = p * g
-        return out
+            q_inv2 = q * inv * inv
+            out[:, cols] = p * g
+            dout[:, cols] = q * g + p * dg
+        return out, dout
 
     def family(self, sign: int):
-        """Evaluators of the pivots and their derivatives for
-        :func:`charval.contour_index`, as ``(multiplicity, (N, n))``
-        diagonal pairs, one per run."""
-        def blocks(lams, derivative=False):
-            out = self.pivots(lams, sign, derivative)
+        """The evaluator ``f(lams) -> (F, F')`` of the pivots and their
+        derivatives for :func:`charval.contour_index` (with ``fprime=None``),
+        each as ``(multiplicity, (N, n))`` diagonal pairs, one per run."""
+        def evaluate(lams):
             # C order keeps the bits of the traces' row sums
-            return [(d, np.ascontiguousarray(out[:, cols])) for d, cols in self.runs]
+            return tuple([(d, np.ascontiguousarray(a[:, cols])) for d, cols in self.runs]
+                         for a in self.pivots(lams, sign))
 
-        return blocks, lambda lams: blocks(lams, derivative=True)
+        return evaluate

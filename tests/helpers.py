@@ -69,8 +69,11 @@ def reference_pass(f, fprime, contour):
     """One trapezoidal pass evaluated one node per call, without chunking.
 
     A family value is a list of ``(multiplicity, stack)`` pairs; a 2-D
-    ``(1, n)`` stack is the diagonal matrix ``diag(row)``.
+    ``(1, n)`` stack is the diagonal matrix ``diag(row)``.  With
+    ``fprime=None``, ``f`` returns the pair ``(F, F')``.
     """
+    if fprime is None:
+        return reference_pass(lambda lam: f(lam)[0], lambda lam: f(lam)[1], contour)
     pts = contour.points()
     unit = (pts - contour.center) / contour.radius
     total = 0.0 + 0.0j

@@ -188,7 +188,7 @@ def test_zero_just_outside_is_not_certified_by_one_pass():
     def fp(lam):
         return diag_stack(lam, [1.0])
 
-    report, half = cv._quadrature_pass(f, fp, contour, 0.0)
+    report, half, _ = cv._quadrature_pass(f, fp, contour, 0.0)
     assert report.rounded == -1 and report.residual < 1e-12
     assert abs(half + 1.0 / (math.sqrt(2.0) - 1.0)) < 1e-12
     with pytest.raises(NonConvergent):
@@ -200,6 +200,82 @@ def test_contour_spec_validation():
         ContourSpec(0.0, -1.0)
     with pytest.raises(InvalidParameter):
         ContourSpec(0.0, 0.1, nodes=4)
+
+
+def test_odd_node_count_is_refused_before_any_evaluation():
+    # with 17 nodes the even-indexed ones are not an equispaced rule, so the
+    # half sum could not check the count
+    calls = []
+
+    def f(lam):
+        calls.append(lam)
+        return diag_rows(lam, [lam - 0.03])
+
+    with pytest.raises(InvalidParameter, match="even node count, got 17"):
+        contour_index(f, lambda lam: diag_rows(lam, [1.0]), ContourSpec(0.0, 0.1, nodes=17))
+    assert calls == []
+
+
+def _counting(f, sizes):
+    """``f``, recording the number of nodes of every call."""
+    def counted(lams):
+        sizes.append(len(lams))
+        return f(lams)
+
+    return counted
+
+
+def test_doubled_passes_evaluate_only_their_odd_nodes():
+    # the count doubles twice: 128 + 128 + 256 nodes instead of 128 + 256 + 512,
+    # beside the one-node probe that sizes each pass's chunks
+    spec = PotentialSpec.table([(0, -0.6)], 4.2)
+    f = _pivot_family(BSFactory(build_tree(2, 10), None, spec), 1)
+    sizes = []
+    with pytest.raises(NonConvergent, match=r"^index residual 0\.0667 and 256-node gap "
+                                            r"0\.267 after 512 nodes$"):
+        contour_index(_counting(f, sizes), None, ContourSpec(0.0, 0.12284165, 128))
+    assert sizes == [1, 128, 1, 128, 1, 256]
+
+
+def test_one_doubling_equals_a_fresh_pass():
+    # a decoy at r * 4**(1/16) outside the 32-node circle: the 16-node sum
+    # misses by 1/3, the 32-node one by 1/15, so the count needs 64 nodes
+    import spectree.charval as cv
+
+    f, fp = planted_family(np.random.default_rng(5), 4, ((0.03 + 0.01j, 1),),
+                           ((0.1 * 4 ** (1 / 16), 1),))
+    sizes = []
+    report = contour_index(_counting(f, sizes), fp, ContourSpec(0.0, 0.1, 32))
+    assert sizes == [1, 32, 1, 32]
+    fresh, _, _ = cv._quadrature_pass(f, fp, ContourSpec(0.0, 0.1, 64), 0.0)
+    assert report == fresh and report.rounded == 1 and report.certified
+
+
+def test_nudged_passes_reuse_nothing():
+    # F is singular exactly at node 0 of every unnudged circle, and a decoy
+    # outside needs one doubling: both nudged passes evaluate all their nodes
+    import spectree.charval as cv
+
+    contour = ContourSpec(0.0, 0.1, 16)
+    node0 = contour.points()[0]
+    decoy = 0.1 * 4 ** (1 / 8)
+
+    def f(lam):
+        return diag_rows(lam, [np.where(lam == node0, 0.0, lam - decoy)])
+
+    def fp(lam):
+        return diag_rows(lam, [1.0])
+
+    sizes = []
+    report = contour_index(_counting(f, sizes), fp, contour)
+    assert sizes == [1, 16, 1, 16, 1, 32, 1, 32]
+    fresh, _, _ = cv._quadrature_pass(f, fp, ContourSpec(0.0, 0.1, 32), math.pi / 32)
+    assert report == fresh and report.rounded == 0 and report.certified
+    # nodes kept from an unnudged pass do not serve a nudged one either
+    _, _, kept = cv._quadrature_pass(f, fp, ContourSpec(0.0, 0.2, 16), 0.0)
+    sizes.clear()
+    cv._quadrature_pass(_counting(f, sizes), fp, ContourSpec(0.0, 0.2, 32), math.pi / 32, kept)
+    assert sizes == [1, 32]
 
 
 def test_index_report_json_keys():
@@ -377,6 +453,8 @@ def test_absence_scan_partial_flush(tmp_path, monkeypatch, tree_basis, radial_sp
     entries = sum(blk[0].size for _, blk in BSFactory(t, b, radial_spec_k2).blocks([0.05]))
     monkeypatch.setattr(cv, "STACK_ENTRIES", 8 * entries)
     monkeypatch.setattr(cv, "GIL_STACK", 0)
+    # two threads share the 36 points 18 + 18, so the chunks stay at 8 points
+    monkeypatch.setattr(cv, "pool_size", lambda: 2)
     full_path = tmp_path / "full.csv"
     absence_scan(t, b, radial_spec_k2, (0.05, 0.15), 6, nodes=32, csv_path=full_path)
     full = full_path.read_text().strip().split("\n")
@@ -429,7 +507,7 @@ def test_absence_scan_matches_per_point_reference(
     pivots, sandwich = _pivot_family(factory, -1), _family(factory, -1)
     for radius, index in rep.ladder:
         contour = ContourSpec(0.0, radius, 32)
-        assert index == reference_pass(*pivots, contour)
+        assert index == reference_pass(pivots, None, contour)
         want = reference_pass(*sandwich, contour)
         assert index.rounded == want.rounded
         assert abs(index.raw - want.raw) <= 1e-12
@@ -449,15 +527,21 @@ def test_absence_scan_matches_per_point_reference(
     assert rep.flagged == flagged
 
 
-def test_grid_chunks_reach_the_gil_release_length(tree_basis):
+def test_grid_chunks_reach_the_gil_release_length(monkeypatch, tree_basis):
     import spectree.charval as cv
 
+    monkeypatch.setattr(cv, "pool_size", lambda: 2)
     t, b = tree_basis(2, 8)
     table = BSFactory(t, b, sandwich_table_spec()).blocks([0.05])
     assert [blk.shape for _, blk in table] == [(1, 63, 63)]
-    assert cv._grid_chunk_len(table) == 8  # 2**14 // 63**2 = 4 would keep the GIL
+    # 2**14 // 63**2 = 4 would keep the GIL, on a grid of any size
+    assert cv._grid_chunk_len(table, 1024) == cv._grid_chunk_len(table, 10) == 8
     radial = BSFactory(t, b, PotentialSpec.radial_exp(0.3 * (1 + 0.5j), 6 * LOG2)).blocks([0.05])
-    assert cv._grid_chunk_len(radial) == cv._chunk_len(radial) == 80
+    assert cv._grid_chunk_len(radial, 1024) == cv._chunk_len(radial) == 80
+    # a grid that fits one chunk is shared between the threads, down to the
+    # GIL release length of the largest side (8): 500 // 8 + 1 = 63
+    assert cv._grid_chunk_len(radial, 144) == 72
+    assert cv._grid_chunk_len(radial, 100) == 63
 
 
 POOL_SPECS = [
@@ -497,6 +581,61 @@ def test_absence_scan_pool_of_two_matches_one(tmp_path, monkeypatch, tree_basis,
         assert len(threads) == workers
         outputs.append((path.read_bytes(), rep.flagged, rep.grid_rows.tobytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_small_grid_is_split_across_the_pool(tmp_path, monkeypatch):
+    # k2 table complex fits its 1024 grid points in one chunk of 4 x 4 blocks
+    import spectree.charval as cv
+    from test_acceptance import SCAN_CORPUS
+
+    _, k, spec, depth = next(row for row in SCAN_CORPUS if row[0] == "k2 table complex")
+    t = build_tree(k, depth)
+    original = cv._grid_chunk
+    lengths = []
+
+    def recording(factory, lams, sign):
+        lengths.append(lams.size)
+        return original(factory, lams, sign)
+
+    monkeypatch.setattr(cv, "_grid_chunk", recording)
+    for threshold in ("minus", "plus"):
+        outputs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(cv, "pool_size", lambda: workers)
+            lengths.clear()
+            path = tmp_path / f"{threshold}{workers}.csv"
+            rep = absence_scan(t, None, spec, (0.02, 0.16), 32, threshold, nodes=128,
+                               csv_path=path)
+            outputs.append((path.read_bytes(), rep.flagged, rep.grid_rows.tobytes()))
+            assert lengths == [1024 // workers] * workers
+        assert outputs[0] == outputs[1]
+        side = max(blk.shape[-1] for _, blk in BSFactory(t, None, spec).blocks([0.05]))
+        assert min(lengths) > cv.GIL_STACK // side
+
+
+def test_csv_rows_are_written_as_csv_writer_writes_them(tmp_path, monkeypatch, tree_basis,
+                                                         radial_spec_k2):
+    import csv
+    import io
+
+    import spectree.charval as cv
+
+    special = np.array([-0.0, 5e-324, 1e300, 1.0])
+
+    def fixed(factory, lams, sign):
+        values = np.resize(special, lams.size)
+        return values, values[::-1].copy(), np.zeros(lams.size, dtype=bool)
+
+    monkeypatch.setattr(cv, "_grid_chunk", fixed)
+    t, b = tree_basis(2, 6)
+    path = tmp_path / "scan.csv"
+    rep = absence_scan(t, b, radial_spec_k2, (0.05, 0.15), 6, nodes=32, csv_path=path)
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow(CSV_HEADER)
+    writer.writerows([f"{x:.17g}" for x in row] for row in rep.grid_rows)
+    assert path.read_bytes() == want.getvalue().encode()
+    assert set(rep.grid_rows[:, 2]) == set(special)
 
 
 def test_contour_index_chunks_match_per_node_reference(monkeypatch):
@@ -637,7 +776,7 @@ def test_screened_minima_equal_the_unscreened_reference(k, spec, depth, threshol
     factory = BSFactory(build_tree(k, depth), None, spec)
     sign = cv._sign_for(threshold)
     points = _polar_grid(0.02, 0.16, 32)
-    step = cv._grid_chunk_len(factory.blocks(points[:1], sign))
+    step = cv._grid_chunk_len(factory.blocks(points[:1], sign), points.size)
     for start in range(0, points.size, step):
         lams = points[start:start + step]
         assert _same_bits(cv._grid_chunk(factory, lams, sign),
@@ -666,7 +805,7 @@ def test_screen_skips_blocks_on_the_lower_edge(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counting)
     points = _polar_grid(0.02, 0.16, 32)
-    step = cv._grid_chunk_len(factory.blocks(points[:1], 1))
+    step = cv._grid_chunk_len(factory.blocks(points[:1], 1), points.size)
     for start in range(0, points.size, step):
         cv._grid_chunk(factory, points[start:start + step], 1)
     assert 0 < counts["eigvals"] < slots * points.size
@@ -765,6 +904,8 @@ def test_chunk_failing_during_the_ladder_leaves_earlier_rows(tmp_path, monkeypat
     entries = sum(blk[0].size for _, blk in BSFactory(t, b, radial_spec_k2).blocks([0.05]))
     monkeypatch.setattr(cv, "STACK_ENTRIES", 8 * entries)
     monkeypatch.setattr(cv, "GIL_STACK", 0)
+    # two threads share the 36 points 18 + 18, so the chunks stay at 8 points
+    monkeypatch.setattr(cv, "pool_size", lambda: 2)
     full_path = tmp_path / "full.csv"
     absence_scan(t, b, radial_spec_k2, (0.05, 0.15), 6, nodes=32, csv_path=full_path)
     full = full_path.read_text().strip().split("\n")

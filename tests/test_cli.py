@@ -523,7 +523,7 @@ def test_index_matches_node_by_node_reference(capsys, potential, extra):
     contour = ContourSpec(complex(args.center), args.radius, args.nodes)
     # index counts on the pivot family, bit for bit, and agrees with the
     # sandwich family, its reference route, to roundoff
-    want = reference_pass(*charval._pivot_family(factory, sign), contour)
+    want = reference_pass(charval._pivot_family(factory, sign), None, contour)
     sandwich = reference_pass(*charval._family(factory, sign), contour)
     assert code == 0 and want.certified
     assert out == want.to_json()
@@ -816,6 +816,10 @@ BAD_INPUTS = [
                  id="infinite center"),
     pytest.param("|lam|=0.5 outside the punctured disk", lambda tmp: INDEX + ["--radius", "0.5"],
                  id="radius past the disk"),
+    pytest.param("even node count, got 17", lambda tmp: INDEX + ["--nodes", "17"],
+                 id="index odd node count"),
+    pytest.param("even node count, got 17", lambda tmp: SCAN + ["--grid", "4", "--nodes", "17"],
+                 id="scan odd node count"),
     pytest.param("--sv-floor", lambda tmp: SCAN + ["--sv-floor", "nan"], id="nan sv floor"),
     pytest.param("--sv-floor", lambda tmp: SCAN + ["--sv-floor", "-1"], id="negative sv floor"),
     pytest.param("--out", lambda tmp: SCAN + ["--grid", "4", "--out", str(tmp / "no" / "x.csv")],
