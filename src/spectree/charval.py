@@ -29,10 +29,7 @@ diagonal pivot family of the tree's Fredholm determinant
 sweep gives the pivots and their derivatives, at most O(|C|) per node on the
 support's ancestor closure ``C``, with no LAPACK.  Its zeros are those of
 the sandwich family ``I + T`` (:func:`_family`), which stays the reference
-route; its ``min_sv`` is the smallest pivot modulus on the contour.  The
-unnudged nodes of a doubled pass include every node of the pass before,
-bit for bit (the nested trapezoidal rules), so a doubling keeps their traces
-and evaluates only its odd nodes.
+route; its ``min_sv`` is the smallest pivot modulus on the contour.
 
 Each contour pass asks the family for one chunk of nodes at a time and each
 scan evaluates the sandwich on a chunk of grid points at once, then calls
@@ -283,9 +280,7 @@ def contour_index(f, fprime, contour: ContourSpec) -> IndexReport:
     evaluation.  A pass certifies when its sum lies within
     :data:`RESIDUAL_TOL` of an integer and of the sum with half the nodes (its
     even-indexed ones), so both round to the same integer; else the nodes
-    double, up to :data:`MAX_DOUBLINGS` times.  A doubled pass on the
-    unnudged phase keeps the traces of the pass before, whose nodes are its
-    even-indexed ones bit for bit, and evaluates only its odd nodes.
+    double, up to :data:`MAX_DOUBLINGS` times.
 
     Raises
     ------
@@ -300,18 +295,16 @@ def contour_index(f, fprime, contour: ContourSpec) -> IndexReport:
         If the node arrays of the last doubling would not fit the memory
         budget.
     """
-    if contour.nodes % 2:
-        raise InvalidParameter(f"contour needs an even node count, got {contour.nodes}")
+    _check_even_nodes(contour.nodes)
     # the last doubling's nodes, traces in chunks, joined and weighted, and
     # the angles, exponentials, nodes and unit phases of ContourSpec.integrate
     most = contour.nodes << MAX_DOUBLINGS
     _check_budget(8 * np.dtype(complex).itemsize * most, f"{most} contour nodes")
-    kept = None
     for _ in range(MAX_DOUBLINGS + 1):
         try:
-            report, half, kept = _quadrature_pass(f, fprime, contour, 0.0, kept)
+            report, half = _quadrature_pass(f, fprime, contour, 0.0)
         except SingularOnContour:
-            report, half, kept = _quadrature_pass(f, fprime, contour, math.pi / contour.nodes)
+            report, half = _quadrature_pass(f, fprime, contour, math.pi / contour.nodes)
         gap = abs(report.raw - half)
         if report.residual < RESIDUAL_TOL and gap < RESIDUAL_TOL:
             return report
@@ -320,37 +313,35 @@ def contour_index(f, fprime, contour: ContourSpec) -> IndexReport:
                         f"{gap:.3g} after {last} nodes")
 
 
-def _quadrature_pass(f, fprime, contour, phase, kept=None):
-    """The report of one pass over ``contour.points(phase)``, the sum of the
-    rule with half the nodes on the same traces, and the nodes, traces and
-    smallest singular value of the pass.
+def _check_even_nodes(nodes: int) -> None:
+    """Refuse an odd node count: the even-indexed nodes of an odd rule are not
+    equispaced, so the half sum of :func:`contour_index` could not check it."""
+    if nodes % 2:
+        raise InvalidParameter(f"contour needs an even node count, got {nodes}")
 
-    ``f`` and ``fprime`` are as for :func:`contour_index`.  ``kept`` holds the
-    nodes, traces and smallest singular value of an earlier pass; when its
-    nodes are the even-indexed ones of this pass, bit for bit, only the odd
-    ones are evaluated.
-    """
-    evaluate = f if fprime is None else (lambda lams: (f(lams), fprime(lams)))
+
+def _quadrature_pass(f, fprime, contour, phase) -> tuple[IndexReport, complex]:
+    """The report of one pass over ``contour.points(phase)``, and the sum of
+    the rule with half the nodes on the same traces; ``f`` and ``fprime`` are
+    as for :func:`contour_index`."""
     pts = contour.points(phase)
-    reuse = kept is not None and np.array_equal(pts[::2], kept[0])
-    todo = pts[1::2] if reuse else pts
-    # chunks are sized from the blocks of the first node
-    step = _chunk_len(evaluate(pts[:1])[0])
-    chunks, min_sv = [], kept[2] if reuse else math.inf
-    for start in range(0, todo.size, step):
-        lams = todo[start:start + step]
-        traces, svs = _trace_and_sv(lams, *evaluate(lams))
+    # chunks are sized from the blocks of the first node's F
+    probe = f(pts[:1])
+    step = _chunk_len(probe[0] if fprime is None else probe)
+    chunks, min_sv = [], math.inf
+    for start in range(0, contour.nodes, step):
+        lams = pts[start:start + step]
+        pair = f(lams) if fprime is None else (f(lams), fprime(lams))
+        traces, svs = _trace_and_sv(lams, *pair)
         chunks.append(traces)
         min_sv = min(min_sv, *svs)
     traces = np.concatenate(chunks)
-    if reuse:
-        traces = np.column_stack([kept[1], traces]).ravel()
     raw = contour.integrate(traces, phase)
     # the rule on the even-indexed nodes weighs them by 2 / nodes, the odd ones by 0
     half = contour.integrate(traces * np.resize([2.0, 0.0], traces.size), phase)
     rounded = int(round(raw.real))
     report = IndexReport(complex(raw), rounded, float(abs(raw - rounded)), float(min_sv))
-    return report, complex(half), (pts, traces, min_sv)
+    return report, complex(half)
 
 
 # -- resonance machinery ---------------------------------------------------------
@@ -535,6 +526,7 @@ def absence_scan(
     if circles[-1] < r_max * (1.0 - 1e-12):
         circles.append(r_max)
     contours = [ContourSpec(0.0, radius, nodes) for radius in circles]
+    _check_even_nodes(nodes)
 
     points = _polar_grid(r_min, r_max, grid)
     # the probe builds a table's kernel here, once: cached_property has no

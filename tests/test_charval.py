@@ -188,7 +188,7 @@ def test_zero_just_outside_is_not_certified_by_one_pass():
     def fp(lam):
         return diag_stack(lam, [1.0])
 
-    report, half, _ = cv._quadrature_pass(f, fp, contour, 0.0)
+    report, half = cv._quadrature_pass(f, fp, contour, 0.0)
     assert report.rounded == -1 and report.residual < 1e-12
     assert abs(half + 1.0 / (math.sqrt(2.0) - 1.0)) < 1e-12
     with pytest.raises(NonConvergent):
@@ -225,57 +225,22 @@ def _counting(f, sizes):
     return counted
 
 
-def test_doubled_passes_evaluate_only_their_odd_nodes():
-    # the count doubles twice: 128 + 128 + 256 nodes instead of 128 + 256 + 512,
-    # beside the one-node probe that sizes each pass's chunks
-    spec = PotentialSpec.table([(0, -0.6)], 4.2)
-    f = _pivot_family(BSFactory(build_tree(2, 10), None, spec), 1)
-    sizes = []
-    with pytest.raises(NonConvergent, match=r"^index residual 0\.0667 and 256-node gap "
-                                            r"0\.267 after 512 nodes$"):
-        contour_index(_counting(f, sizes), None, ContourSpec(0.0, 0.12284165, 128))
-    assert sizes == [1, 128, 1, 128, 1, 256]
-
-
-def test_one_doubling_equals_a_fresh_pass():
-    # a decoy at r * 4**(1/16) outside the 32-node circle: the 16-node sum
-    # misses by 1/3, the 32-node one by 1/15, so the count needs 64 nodes
-    import spectree.charval as cv
-
-    f, fp = planted_family(np.random.default_rng(5), 4, ((0.03 + 0.01j, 1),),
-                           ((0.1 * 4 ** (1 / 16), 1),))
-    sizes = []
-    report = contour_index(_counting(f, sizes), fp, ContourSpec(0.0, 0.1, 32))
-    assert sizes == [1, 32, 1, 32]
-    fresh, _, _ = cv._quadrature_pass(f, fp, ContourSpec(0.0, 0.1, 64), 0.0)
-    assert report == fresh and report.rounded == 1 and report.certified
-
-
-def test_nudged_passes_reuse_nothing():
-    # F is singular exactly at node 0 of every unnudged circle, and a decoy
-    # outside needs one doubling: both nudged passes evaluate all their nodes
-    import spectree.charval as cv
-
-    contour = ContourSpec(0.0, 0.1, 16)
-    node0 = contour.points()[0]
-    decoy = 0.1 * 4 ** (1 / 8)
-
+def test_probe_evaluates_f_alone():
+    # the one-node probe that sizes the chunks asks for F only; F' is
+    # evaluated on the chunks, and a fused evaluator is asked once per chunk
     def f(lam):
-        return diag_rows(lam, [np.where(lam == node0, 0.0, lam - decoy)])
+        return diag_rows(lam, [lam - 0.03])
 
     def fp(lam):
         return diag_rows(lam, [1.0])
 
-    sizes = []
-    report = contour_index(_counting(f, sizes), fp, contour)
-    assert sizes == [1, 16, 1, 16, 1, 32, 1, 32]
-    fresh, _, _ = cv._quadrature_pass(f, fp, ContourSpec(0.0, 0.1, 32), math.pi / 32)
-    assert report == fresh and report.rounded == 0 and report.certified
-    # nodes kept from an unnudged pass do not serve a nudged one either
-    _, _, kept = cv._quadrature_pass(f, fp, ContourSpec(0.0, 0.2, 16), 0.0)
-    sizes.clear()
-    cv._quadrature_pass(_counting(f, sizes), fp, ContourSpec(0.0, 0.2, 32), math.pi / 32, kept)
-    assert sizes == [1, 32]
+    f_sizes, fp_sizes, pair_sizes = [], [], []
+    split = contour_index(_counting(f, f_sizes), _counting(fp, fp_sizes), ContourSpec(0.0, 0.1, 16))
+    assert f_sizes == [1, 16] and fp_sizes == [16]
+    fused = contour_index(_counting(lambda lam: (f(lam), fp(lam)), pair_sizes), None,
+                          ContourSpec(0.0, 0.1, 16))
+    assert pair_sizes == [1, 16]
+    assert fused == split and split.rounded == 1
 
 
 def test_index_report_json_keys():
@@ -443,6 +408,17 @@ def test_absence_scan_annulus_guard(tree_basis, radial_spec_k2):
     for annulus in [(0.2, 0.1), (0.1, 0.1)]:
         with pytest.raises(InvalidParameter, match=r"r_min < r_max"):
             absence_scan(t, b, radial_spec_k2, annulus, 4)
+
+
+def test_absence_scan_refuses_odd_nodes_before_the_grid(monkeypatch, tree_basis, radial_spec_k2):
+    import spectree.charval as cv
+
+    t, b = tree_basis(2, 6)
+    chunks = []
+    monkeypatch.setattr(cv, "_grid_chunk", lambda *args: chunks.append(args))
+    with pytest.raises(InvalidParameter, match="even node count, got 17"):
+        absence_scan(t, b, radial_spec_k2, (0.05, 0.15), 4, nodes=17)
+    assert chunks == []
 
 
 def test_absence_scan_partial_flush(tmp_path, monkeypatch, tree_basis, radial_spec_k2):
