@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -109,7 +110,10 @@ def _default_jobs(value) -> int:
     return charval.pool_size()
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built on the first call and shared after it;
+    parsing leaves it unchanged."""
     p = _Parser(prog="spectree", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -124,8 +128,9 @@ def build_parser() -> _Parser:
 
     kcmd = sub.add_parser("kernel", help="closed form vs direct solve")
     common(kcmd)
-    kcmd.add_argument("--z", default=None, help="spectral parameter (complex literal)")
-    kcmd.add_argument("--lam", default=None, help="edge parameter (complex literal)")
+    point = kcmd.add_mutually_exclusive_group()
+    point.add_argument("--z", default=None, help="spectral parameter (complex literal)")
+    point.add_argument("--lam", default=None, help="edge parameter (complex literal)")
     kcmd.add_argument("--delta", type=float, default=None, help="weight decay rate")
 
     s = sub.add_parser("scan", help="absence-of-resonances certification")

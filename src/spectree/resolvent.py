@@ -286,50 +286,76 @@ class ResolventKernel:
         t, k = self.tree, self.tree.k
         da = np.searchsorted(t.sphere_offsets, self.rows, side="right") - 1
         db = np.searchsorted(t.sphere_offsets, self.cols, side="right") - 1
-        # code each pair by its (|x|, |y|, gap) triple: on a path the gap is 0,
-        # else at most min(|x|, |y|).  Term n of G adds coef * (w[|a-b|] -
-        # w[a+b-2n+2]), nonzero only for n <= top = min(c+1, a, b), and at k = 1
-        # (P_n = 1 - 1/k = 0 for 1 <= n <= c = top) only for n = 0
+        # code each pair by its (|x|, |y|, gap) triple in the box of the row
+        # and column depths that occur: on a path the gap is 0, else at most
+        # min(|x|, |y|).  Term n of G adds coef * (w[|a-b|] - w[a+b-2n+2]),
+        # nonzero only for n <= top = min(c+1, a, b), and at k = 1 (P_n = 1 -
+        # 1/k = 0 for 1 <= n <= c = top) only for n = 0
         top_a, top_b = int(da.max(initial=0)), int(db.max(initial=0))
-        n_gap, n_b = 1 if k == 1 else min(top_a, top_b) + 1, top_b + 1
-        pairs, size = self.rows.size * self.cols.size, (top_a + 1) * n_b * n_gap
-        triples = min(size, pairs)
+        n_gap = 1 if k == 1 else min(top_a, top_b) + 1
+        # the box has a side per depth that occurs, so at most one per row or column
+        pairs = self.rows.size * self.cols.size
+        box = min(top_a + 1, self.rows.size) * min(top_b + 1, self.cols.size) * n_gap
+        triples = min(box, pairs)
         small = np.min_scalar_type(t.depth)
-        kind = np.result_type(np.min_scalar_type(size), small)
-        # peak: per pair the gap, the codes, np.unique's two copies of them, four
-        # intp arrays and a mask; nine int64 arrays per triple, 33 bytes per map
-        # entry, ten int64 arrays per row or column, and numpy's buffers for
-        # three 8-byte operands of a small broadcast
+        # peak: per pair the codes and the gaps, beside the larger of two
+        # stages: the labels (per box entry a count, per triple its code) or
+        # the map (per triple five intp arrays, per map entry three of 8 bytes
+        # and a mask); per depth a count, ten intp arrays per row or column,
+        # and numpy's buffers for three 8-byte operands of a small broadcast
         _check_budget(
-            pairs * (small.itemsize + 3 * kind.itemsize + 33)
-            + 72 * triples + 33 * n_gap * triples + 80 * (self.rows.size + self.cols.size)
+            pairs * (8 + small.itemsize) + max(8 * (box + triples), (40 + 25 * n_gap) * triples)
+            + 8 * (top_a + top_b + 2) + 80 * (self.rows.size + self.cols.size)
             + 24 * np.getbufsize(),
             f"meet-depth codes of {self.rows.size} x {self.cols.size} vertex pairs "
             f"and kernel coefficient map of {triples} depth triples",
         )
-        # gap = min(|x|, |y|) - |x∧y|, counting down once per level r >= 1 where
-        # the ancestors agree; the depth-r ancestor of index i on sphere a is
-        # (i - off[a]) // k**(a - r)
-        pa, pb = self.rows - t.sphere_offsets[da], self.cols - t.sphere_offsets[db]
+        # each rank table is read and dropped before the next is made
+        depth_a, rank_a = _ranks(da, top_a + 1, np.min_scalar_type(top_a + 1))
+        rank_a = rank_a[da].astype(np.intp)
+        depth_b, rank_b = _ranks(db, top_b + 1, np.min_scalar_type(top_b + 1))
+        rank_b = rank_b[db].astype(np.intp)
+        n_b = depth_b.size * n_gap
+        # gap = min(|x|, |y|) - |x∧y|, one less for each level r >= 1 where the
+        # ancestors agree.  Each side starts at its ancestor on the deepest
+        # level (index i on sphere a: (i - off[a]) // k**(a - r)) and takes
+        # one parent step per level below
         if n_gap == 1:
             gap = np.zeros((da.size, db.size), small)
         else:
             gap = np.minimum.outer(da.astype(small), db.astype(small))
-        for r in range(1, n_gap):
-            up_a = np.where(da >= r, pa // k ** np.maximum(da - r, 0), -1)
-            up_b = np.where(db >= r, pb // k ** np.maximum(db - r, 0), -2)
-            gap -= up_a[:, None] == up_b
-        code = (da * n_b * n_gap).astype(kind)[:, None] + (db * n_gap).astype(kind) + gap
-        # a pair's label is the rank of its code among the codes that occur
-        found, rank = np.unique(code, return_inverse=True)
-        self._code = rank.reshape(code.shape)
-        a, rest = np.divmod(found.astype(np.intp), n_b * n_gap)
+        deepest = n_gap - 1
+        ca = (self.rows - t.sphere_offsets[da]) // k ** np.maximum(da - deepest, 0)
+        cb = (self.cols - t.sphere_offsets[db]) // k ** np.maximum(db - deepest, 0)
+        for r in range(deepest, 0, -1):
+            on_a, on_b = da >= r, db >= r
+            gap -= np.where(on_a, ca, -1)[:, None] == np.where(on_b, cb, -2)
+            ca = np.where(on_a, ca // k, ca)
+            cb = np.where(on_b, cb // k, cb)
+        code = np.add.outer(rank_a * n_b, rank_b * n_gap)
+        code += gap
+        del gap
+        # a pair's label is the rank of its code among the codes that occur.
+        # The gathers write in place (each index is read before its slot is
+        # written); "clip" keeps numpy from buffering the output
+        found, labels = _ranks(code, depth_a.size * n_b, np.intp)
+        self._code = np.take(labels, code, out=code, mode="clip")
+        del labels, code
+        a, rest = np.divmod(found, n_b)
+        del found
         b, g = np.divmod(rest, n_gap)
-        c = np.minimum(a, b) - g
+        del rest
+        a = np.take(depth_a, a, out=a, mode="clip")
+        b = np.take(depth_b, b, out=b, mode="clip")
+        c = np.minimum(a, b)
+        c -= g
         top = c + (g > 0)
+        del g
         n = np.arange(n_gap)[:, None]
         proj = np.where(n == 0, 1.0, np.where(n <= c, 1.0 - 1.0 / k, -1.0 / k))
+        del c
         self._coef = np.where(n <= top, proj * float(k) ** (n - (a + b) / 2.0), 0.0)
+        del proj
         self._sum_idx = np.where(n <= top, a + b - 2 * n + 2, 0)
         self._diff_idx = np.abs(a - b)
         #: largest table index any pair reads: ``a + b + 2`` at ``n = 0``
@@ -373,6 +399,21 @@ class ResolventKernel:
 
     def evaluate(self, sp_: SpectralPoint) -> np.ndarray:
         return self.assemble(self.exponent_tables(sp_)[None])[0]
+
+
+def _ranks(keys: np.ndarray, size: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The values that occur in ``keys`` (all below ``size``), ascending, and
+    a ``size`` table of ``dtype`` that holds each one's rank among them.
+
+    Counted, not sorted: the values are marked, then the marks are summed in
+    place.
+    """
+    seen = np.zeros(size, dtype)
+    seen[keys] = 1
+    found = np.flatnonzero(seen)
+    np.cumsum(seen, dtype=dtype, out=seen)
+    seen -= 1
+    return found, seen
 
 
 def block_table(k: int, xi: np.ndarray, length: int) -> np.ndarray:

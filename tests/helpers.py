@@ -108,3 +108,46 @@ def sandwich_table_spec(seed=0):
         modulus = 0.3 * math.exp(-delta * depth)
         values.append((v, modulus * complex(math.cos(phase), math.sin(phase))))
     return PotentialSpec.table(values, delta)
+
+
+def sorted_kernel_labels(t, rows, cols):
+    """The depth-triple labels and coefficient map of ``ResolventKernel`` built
+    by sorting, as the reference for its counting.
+
+    Each pair is coded by ``(|x|, |y|, gap)`` in the box of all depths up to
+    the deepest, its meet depth is found by taking every ancestor afresh at
+    each level, and its label is the rank of its code under ``np.unique``.
+    Returns the ``_code``, ``_coef``, ``_sum_idx`` and ``_diff_idx`` arrays
+    and ``max_exponent``.
+    """
+    k = t.k
+    da = np.searchsorted(t.sphere_offsets, rows, side="right") - 1
+    db = np.searchsorted(t.sphere_offsets, cols, side="right") - 1
+    top_a, top_b = int(da.max(initial=0)), int(db.max(initial=0))
+    n_gap, n_b = 1 if k == 1 else min(top_a, top_b) + 1, top_b + 1
+    small = np.min_scalar_type(t.depth)
+    kind = np.result_type(np.min_scalar_type((top_a + 1) * n_b * n_gap), small)
+    pa, pb = rows - t.sphere_offsets[da], cols - t.sphere_offsets[db]
+    if n_gap == 1:
+        gap = np.zeros((da.size, db.size), small)
+    else:
+        gap = np.minimum.outer(da.astype(small), db.astype(small))
+    for r in range(1, n_gap):
+        up_a = np.where(da >= r, pa // k ** np.maximum(da - r, 0), -1)
+        up_b = np.where(db >= r, pb // k ** np.maximum(db - r, 0), -2)
+        gap -= up_a[:, None] == up_b
+    code = (da * n_b * n_gap).astype(kind)[:, None] + (db * n_gap).astype(kind) + gap
+    found, rank = np.unique(code, return_inverse=True)
+    a, rest = np.divmod(found.astype(np.intp), n_b * n_gap)
+    b, g = np.divmod(rest, n_gap)
+    c = np.minimum(a, b) - g
+    top = c + (g > 0)
+    n = np.arange(n_gap)[:, None]
+    proj = np.where(n == 0, 1.0, np.where(n <= c, 1.0 - 1.0 / k, -1.0 / k))
+    return {
+        "_code": rank.reshape(code.shape),
+        "_coef": np.where(n <= top, proj * float(k) ** (n - (a + b) / 2.0), 0.0),
+        "_sum_idx": np.where(n <= top, a + b - 2 * n + 2, 0),
+        "_diff_idx": np.abs(a - b),
+        "max_exponent": top_a + top_b + 2,
+    }

@@ -569,6 +569,44 @@ def test_usage_error_exit_code(capsys):
         assert exc.value.code == 1
 
 
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_commands_in_one_process_print_what_they_print_alone():
+    # the shared parser and every module keep no state from one main call to
+    # the next: each command's exit code and stdout equal those of its own process
+    commands = [
+        ["kernel", "--k", "2", "--depth", "3", "--lam", "0.1j", "--z=-5"],
+        ["kernel", "--k", "2", "--depth", "4", "--lam", "0.05+0.02j"],
+        SCAN + ["--grid", "4"],
+        INDEX,
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from spectree.cli import main\n"
+        "results = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        try:\n"
+        "            code = main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "    results.append([code, out.getvalue()])\n"
+        "print(json.dumps(results))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                         env=_env_with_src(), capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr[-2000:]
+    together = json.loads(run.stdout)
+    for argv, (code, out) in zip(commands, together):
+        alone = subprocess.run([sys.executable, "-m", "spectree.cli", *argv], env=_env_with_src(),
+                               capture_output=True, text=True, timeout=600)
+        assert (code, out) == (alone.returncode, alone.stdout), argv
+    assert [code for code, _ in together] == [1, 0, 0, 0]
+
+
 def test_unknown_command_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -739,6 +777,8 @@ BAD_INPUTS = [
                  id="bad z"),
     pytest.param("--lam", lambda tmp: ["kernel", "--k", "2", "--depth", "3", "--lam", "0.1jj"],
                  id="bad lam"),
+    pytest.param("argument --z: not allowed with argument --lam", lambda tmp: [
+        "kernel", "--k", "2", "--depth", "3", "--lam", "0.1j", "--z=-5"], id="z with lam"),
     pytest.param("--center", lambda tmp: INDEX + ["--center", "1+"], id="bad center"),
     pytest.param("grid", lambda tmp: SCAN + ["--grid", "0"], id="zero grid"),
     pytest.param("grid", lambda tmp: SCAN + ["--grid", "-3"], id="negative grid"),
@@ -838,9 +878,21 @@ BAD_INPUTS = [
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("field, argv", BAD_INPUTS)
 def test_bad_input_is_one_error_line(tmp_path, capsys, field, argv):
-    code = main(argv(tmp_path))
+    args = argv(tmp_path)
+    # argparse's refusals exit at once and print the command's usage first
+    refused = field.startswith("argument ")
+    if refused:
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        code = exc.value.code
+    else:
+        code = main(args)
     captured = capsys.readouterr()
     lines = captured.err.strip().splitlines()
+    if refused:
+        assert lines[0].startswith(f"usage: spectree {args[0]} ")
+        assert not any(line.startswith("error:") for line in lines[:-1])
+        lines = lines[-1:]
     assert code == 1
     assert captured.out == ""
     assert len(lines) == 1 and lines[0].startswith("error:")

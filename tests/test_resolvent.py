@@ -15,6 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from helpers import sorted_kernel_labels
 from spectree import (
     build_tree,
     build_spherical_basis,
@@ -345,10 +346,45 @@ def test_first_vertex_columns_cover_every_depth_triple(k, depth):
     assert np.array_equal(seen, np.unique(code))
 
 
+@pytest.mark.parametrize("k,depth,rows,cols", [
+    *[(k, depth, None, None) for k, depth in [(1, 40), (2, 7), (3, 5), (4, 4)]],
+    *[(k, depth, None, "spheres") for k, depth in [(1, 40), (2, 9), (3, 5), (4, 4)]],
+    (1, 3000, [3000], [3000]),
+    (2, 10, [2000], [2000]),
+    (2, 9, "ends", "ends"),
+    (3, 5, "ends", None),
+    (1, 40, "ends", "spheres"),
+    (2, 10, "sparse", "sparse"),
+    (3, 6, "sparse", "spheres"),
+    (2, 8, [300, 7, 7, 0], [5, 500, 2]),
+])
+def test_counted_labels_equal_the_sorted_labels(k, depth, rows, cols):
+    # "ends" is [0, V-1] and "sparse" is spread like a table's support, so that
+    # the depths that occur are not all of 0..depth and their ranks are not
+    # the depths
+    t = build_tree(k, depth)
+    named = {
+        "spheres": t.sphere_offsets[:depth + 1],
+        "ends": [0, t.vertex_count - 1],
+        "sparse": [0, 5, 6, 40, t.vertex_count - 1],
+    }
+    rows, cols = (named.get(x, x) if isinstance(x, str) else x for x in (rows, cols))
+    kernel = ResolventKernel(t, rows=rows, cols=cols)
+    want = sorted_kernel_labels(t, kernel.rows, kernel.cols)
+    assert kernel.max_exponent == want.pop("max_exponent")
+    for name, ref in want.items():
+        got = getattr(kernel, name)
+        assert got.dtype == ref.dtype and got.shape == ref.shape, name
+        assert np.array_equal(got, ref), name
+
+
 def test_k1_coefficient_map_has_one_row():
     # on a path only term n = 0 of the map is nonzero; the full map of
-    # depth 200 took 258 MiB when it kept all 201 rows
+    # depth 200 took 258 MiB when it kept all 201 rows.  Labelled by sorting
+    # (np.unique), the prepare step peaked at 4,094,699 traced bytes here
+    # (numpy 2.4); counted, it peaks at about 2.6 MB
     t = build_tree(1, 200)
+    ResolventKernel(build_tree(1, 3))
     tracemalloc.start()
     try:
         kernel = ResolventKernel(t)
@@ -356,7 +392,7 @@ def test_k1_coefficient_map_has_one_row():
     finally:
         tracemalloc.stop()
     assert kernel._coef.shape == kernel._sum_idx.shape == (1, t.vertex_count**2)
-    assert peak < 16 * 2**20
+    assert peak <= 4_094_699
 
 
 # -- direct solve ----------------------------------------------------------------
@@ -568,9 +604,12 @@ def test_budget_stops_coefficient_map_before_allocating(monkeypatch):
         ResolventKernel(build_tree(1, 200))
 
 
-@pytest.mark.parametrize("k,depth", [(1, 200), (2, 8), (3, 5), (4, 5)])
-@pytest.mark.parametrize("cols", ["full", "spheres"])
-def test_kernel_prepare_peak_within_its_one_budget_check(monkeypatch, k, depth, cols):
+@pytest.mark.parametrize("cols,k,depth", [
+    *[(cols, k, depth) for cols in ("full", "spheres")
+      for k, depth in [(1, 200), (2, 8), (3, 5), (4, 5)]],
+    ("spheres", 2, 12),
+])
+def test_kernel_prepare_peak_within_its_one_budget_check(monkeypatch, cols, k, depth):
     # the check is made once, before the codes and the map are allocated;
     # on small trees numpy's iteration buffers outweigh the arrays
     t = build_tree(k, depth)
