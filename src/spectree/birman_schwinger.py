@@ -275,5 +275,8 @@ def hol_split(
     if lam == 0:
         return hol, 0.0
     raw = factory.matrix(lam, +1)
-    recon = HOL_COMPANION_FACTOR * factory.j_phase[:, None] * hol
-    return hol, float(np.linalg.norm(raw - recon))
+    diff = raw - HOL_COMPANION_FACTOR * factory.j_phase[:, None] * hol
+    # one exact power-of-two scaling, so the squares of a huge residual do
+    # not overflow and every finite residual keeps its bits
+    scale = math.ldexp(1.0, -math.frexp(np.abs(diff).max(initial=0.0))[1])
+    return hol, float(np.linalg.norm(diff * scale) / scale)

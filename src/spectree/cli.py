@@ -168,19 +168,19 @@ def _default_delta(k: int, spec: PotentialSpec | None) -> float:
 def _validation_bytes(t: TreeGraph) -> int:
     """Peak bytes of the largest ``validate`` stage on ``t``.
 
-    The basis stage holds the stored basis, one ``k**r x k**r`` block of
-    floats per sphere, then the last sphere's stacked columns and their
-    Gram.  The kernel stage compares ``V x (depth + 1)`` entries and holds at
-    most eight complex numbers per entry: its coefficient map, with one depth
-    triple per entry at k = 1, then the kernel, the direct solve and their
-    difference.  It is the larger stage at k = 1, where it is
-    ``V x V``.  One MiB more covers the fixed-size arrays, such as the
-    quadrature nodes.  The Birman-Schwinger stage, run only with a potential,
-    scales with the potential's support, and its kernel and solve check the
-    budget themselves.
+    The basis stage holds the stored basis, one ``k**r x k**r`` array of
+    floats per sphere, and the Gram of one sphere's columns at a time, which
+    it reads in place.  The kernel stage compares ``V x (depth + 1)``
+    entries and holds at most eight complex numbers per entry: its
+    coefficient map, with one depth triple per entry at k = 1, then the
+    kernel, the direct solve and their difference.  It is the larger stage
+    at k = 1, where it is ``V x V``.  One MiB more covers the fixed-size
+    arrays, such as the quadrature nodes.  The Birman-Schwinger stage, run
+    only with a potential, scales with the potential's support, and its
+    kernel and solve check the budget themselves.
     """
     k, depth = t.k, t.depth
-    floats = sum(k ** (2 * r) for r in range(depth + 1)) + 2 * k ** (2 * depth)
+    floats = sum(k ** (2 * r) for r in range(depth + 1)) + k ** (2 * depth)
     basis = np.dtype(float).itemsize * floats
     kernel = 8 * np.dtype(complex).itemsize * t.vertex_count * (depth + 1)
     return max(basis, kernel) + 2**20
@@ -246,12 +246,10 @@ def _check_basis(t: TreeGraph, check) -> None:
     b = build_spherical_basis(t)
     check("basis count = vertex count", abs(b.total_vectors() - t.vertex_count), 0)
     # columns on different spheres have disjoint support, so the Gram is block
-    # diagonal: one k**r x k**r block per sphere r
+    # diagonal: one k**r x k**r block per sphere r, read from the stored sphere
     worst = 0.0
-    for r in range(t.depth + 1):
-        cols = np.hstack([b.lifted[n][r - n] for n in range(r + 1) if b.dims[n]])
+    for cols in b.spheres:
         gram = cols.T @ cols
-        del cols
         gram[np.diag_indices_from(gram)] -= 1.0
         worst = max(worst, np.abs(gram, out=gram).max())
         del gram

@@ -8,9 +8,13 @@ spheres.  Restricted to one block, the adjacency acts as a free Jacobi
 matrix with off-diagonal ``sqrt(k)``, which is what makes a closed-form
 resolvent possible.
 
-Basis vectors are stored sphere-locally: ``chi[n]`` has shape
-``(|S_n|, dims[n])`` and ``lifted[n][j]`` has shape ``(|S_{n+j}|, dims[n])``
-with columns forming the orthonormal vectors supported on ``S_{n+j}``.
+Basis vectors are stored sphere-locally, one C-contiguous
+``(|S_r|, |S_r|)`` array ``spheres[r]`` per sphere whose columns are the
+orthonormal vectors supported on ``S_r``, block ``n`` taking columns
+``starts[n]:starts[n + 1]`` with ``starts = cumsum([0, *dims])``.  The
+families are column views of these arrays: ``lifted[n][j]`` is block ``n``
+in ``spheres[n + j]``, of shape ``(|S_{n+j}|, dims[n])``, and ``chi[n]`` is
+``lifted[n][0]``.
 """
 from __future__ import annotations
 
@@ -47,15 +51,21 @@ class SphericalBasis:
     dims : ndarray
         ``dims[n]`` is the dimension of the newborn space at level ``n``
         (``1`` at the root, ``k**(n-1) * (k-1)`` for ``n >= 1``).
+    spheres : list of ndarray
+        ``spheres[r]`` is the C-contiguous ``k**r x k**r`` array of all basis
+        columns on ``S_r``, the blocks ``n = 0 ... r`` side by side in
+        ascending order (block ``n`` is ``dims[n]`` columns wide).  The
+        families below are column views of it, so the basis is stored once.
     chi : list of ndarray
         ``chi[n]`` holds the newborn orthonormal columns on ``S_n``.
     lifted : list of list of ndarray
-        ``lifted[n][j]`` holds the normalized ``j``-fold raises on ``S_{n+j}``;
-        ``lifted[n][0] is chi[n]``.
+        ``lifted[n][j]`` holds the normalized ``j``-fold raises on ``S_{n+j}``,
+        the view of block ``n`` in ``spheres[n + j]``; ``lifted[n][0] is chi[n]``.
     """
 
     tree: TreeGraph
     dims: np.ndarray
+    spheres: list = field(repr=False)
     chi: list = field(repr=False)
     lifted: list = field(repr=False)
 
@@ -82,26 +92,28 @@ def build_spherical_basis(t: TreeGraph) -> SphericalBasis:
     the sphere ``S_n``, of the raise of ``S_{n-1}``; since sibling groups have
     disjoint supports this complement is assembled exactly from per-family
     mean-zero blocks.  Raising is ``value -> value / sqrt(k)`` copied to the
-    k children, which preserves norms by construction.
+    k children, which preserves norms by construction.  Every family is
+    written in place into its columns of the sphere it lives on.
     """
-    k = t.k
+    k, depth = t.k, t.depth
     inv_sqrt_k = 1.0 / np.sqrt(k)
-    chi: list[np.ndarray] = []
+    dims = np.array([1] + [k ** (n - 1) * (k - 1) for n in range(1, depth + 1)], dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(dims)))
+    spheres = [np.empty((k**r, k**r)) for r in range(depth + 1)]
     lifted: list[list[np.ndarray]] = []
-    for n in range(t.depth + 1):
+    for n in range(depth + 1):
+        cols = [spheres[r][:, starts[n]:starts[n + 1]] for r in range(n, depth + 1)]
         if n == 0:
-            c = np.ones((1, 1))
-        elif k == 1:
-            c = np.zeros((1, 0))
-        else:
-            c = np.kron(np.eye(k ** (n - 1)), helmert_complement(k))
-        chi.append(c)
-        cols = [c]
-        for _ in range(t.depth - n):
-            cols.append(np.repeat(cols[-1], k, axis=0) * inv_sqrt_k)
+            cols[0][...] = 1.0
+        elif k > 1:
+            cols[0][...] = np.kron(np.eye(k ** (n - 1)), helmert_complement(k))
+        # row i of a sphere is the parent of rows k i ... k i + k - 1 below it
+        for prev, view in zip(cols, cols[1:]):
+            children = view.reshape(prev.shape[0], k, view.shape[1])
+            np.multiply(prev[:, None, :], inv_sqrt_k, out=children)
         lifted.append(cols)
-    dims = np.array([c.shape[1] for c in chi], dtype=np.int64)
-    return SphericalBasis(tree=t, dims=dims, chi=chi, lifted=lifted)
+    chi = [cols[0] for cols in lifted]
+    return SphericalBasis(tree=t, dims=dims, spheres=spheres, chi=chi, lifted=lifted)
 
 
 def projector(b: SphericalBasis, n: int) -> np.ndarray:
@@ -153,11 +165,14 @@ def verify_jacobi_form(b: SphericalBasis, t: TreeGraph, n: int) -> float:
     # sphere supports), so only the two bands can deviate; a band counts when
     # both of its levels lie above the truncation level nlev - 1
     band = np.sqrt(t.k) * np.eye(int(b.dims[n]))
+    # contiguous copies of the block's column views: BLAS sums a strided
+    # column in another order, which would move the residual's last bits
+    fam = [np.ascontiguousarray(a) for a in b.lifted[n]]
     worst = 0.0
     for j in range(nlev - 1):
-        down, up = apply_adjacency_level(t, b.lifted[n][j], n + j)
+        down, up = apply_adjacency_level(t, fam[j], n + j)
         if j >= 1:
-            worst = max(worst, np.abs((b.lifted[n][j - 1].T @ down).T - band).max())
+            worst = max(worst, np.abs((fam[j - 1].T @ down).T - band).max())
         if j + 2 < nlev:
-            worst = max(worst, np.abs((b.lifted[n][j + 1].T @ up).T - band).max())
+            worst = max(worst, np.abs((fam[j + 1].T @ up).T - band).max())
     return float(worst)

@@ -12,6 +12,7 @@ from numpy.polynomial import Polynomial
 
 from spectree import PotentialSpec
 from spectree.charval import IndexReport
+from spectree.decomposition import helmert_complement
 
 
 def det_winding_oracle(f, contour, nodes=4096):
@@ -151,3 +152,28 @@ def sorted_kernel_labels(t, rows, cols):
         "_diff_idx": np.abs(a - b),
         "max_exponent": top_a + top_b + 2,
     }
+
+
+def stacked_spheres(t):
+    """Each sphere's basis columns built family by family and stacked, as the
+    reference for ``SphericalBasis.spheres``.
+
+    Block ``n`` is its newborn columns (a Kronecker product of Helmert blocks)
+    raised by ``np.repeat(..., k, axis=0) * 1/sqrt(k)`` one sphere at a time;
+    sphere ``r`` is ``np.hstack`` of the nonempty blocks ``n = 0 ... r``.
+    """
+    k = t.k
+    inv_sqrt_k = 1.0 / np.sqrt(k)
+    on_sphere = [[] for _ in range(t.depth + 1)]
+    for n in range(t.depth + 1):
+        if n == 0:
+            c = np.ones((1, 1))
+        elif k == 1:
+            continue
+        else:
+            c = np.kron(np.eye(k ** (n - 1)), helmert_complement(k))
+        on_sphere[n].append(c)
+        for r in range(n + 1, t.depth + 1):
+            c = np.repeat(c, k, axis=0) * inv_sqrt_k
+            on_sphere[r].append(c)
+    return [np.hstack(blocks) for blocks in on_sphere]

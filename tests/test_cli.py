@@ -228,6 +228,29 @@ def test_validation_stages_stay_within_the_budget_formula(monkeypatch, k, depth)
     assert max(peaks.values()) <= bound, peaks
 
 
+@pytest.mark.parametrize("k,depth", [(2, 10), (2, 11), (3, 6), (4, 5)])
+def test_basis_stage_holds_the_basis_and_one_gram(k, depth):
+    import tracemalloc
+
+    from spectree import cli
+
+    cli._run_validation(2, 3, None)  # one-time allocations fall outside the measurement
+    t = build_tree(k, depth)
+    rows = []
+    tracemalloc.start()
+    try:
+        cli._check_basis(t, lambda *row: rows.append(row))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [name for name, *_ in rows] == [
+        "basis count = vertex count", "basis Gram deviation", "block Jacobi residual"]
+    assert all(value <= tol for _, value, tol in rows)
+    # the stored basis, one k**r x k**r array per sphere, and the deepest Gram
+    floats = sum(k ** (2 * r) for r in range(depth + 1)) + k ** (2 * depth)
+    assert peak <= 8 * floats + 2**20
+
+
 def test_operators_stage_holds_no_dense_operator():
     import tracemalloc
 
@@ -698,6 +721,26 @@ def test_validate_with_overflowing_growing_weight(capsys, delta):
     assert code == 0
     assert captured.out.strip().splitlines()[-1].split() == ["overall", "PASS"]
     assert captured.err == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("amplitude", [1e200, 1e300])
+@pytest.mark.parametrize("kind", ["radial-exp", "table"])
+def test_validate_huge_amplitude_fails_without_warnings(capsys, kind, amplitude):
+    # the Birman-Schwinger rows FAIL on their absolute tolerance, with finite values
+    if kind == "table":
+        pot = {"kind": "table", "values": [{"v": 0, "re": amplitude}], "delta": 4.2}
+    else:
+        pot = {"kind": kind, "amplitude": {"re": amplitude, "im": 0.0}, "delta": 4.2}
+    code = main(["validate", "--k", "2", "--depth", "4", "--potential", json.dumps(pot)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    rows = {line[:42].strip(): line[42:].split() for line in captured.out.splitlines()}
+    for name in ("resolvent-identity residual", "desingularized reconstruction residual"):
+        verdict, value, _ = rows[name]
+        assert verdict == "FAIL" and math.isfinite(float(value.removeprefix("value=")))
+    assert rows["overall"] == ["FAIL"]
 
 
 def test_radial_scan_at_amplitude_1e12_under_100_mib():

@@ -3,11 +3,13 @@
 Two independent oracles: a Gram-Schmidt construction of the newborn spaces
 (rank and span comparison) and circle quadrature for the Jacobi symbol.
 """
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from helpers import stacked_spheres
 from spectree import build_spherical_basis, build_tree, projector, verify_jacobi_form
 from spectree.decomposition import apply_adjacency_level, helmert_complement
 from spectree.operators import adjacency, raising
@@ -94,6 +96,35 @@ def test_completeness_and_isometry(k, depth):
             assert np.abs(np.linalg.norm(b.lifted[n][j], axis=0) - norms0).max() < 1e-12
 
 
+@pytest.mark.parametrize("k,depth", [
+    (1, 0), (1, 1), (1, 9), (2, 0), (2, 1), (2, 4), (2, 8), (3, 0), (3, 5),
+    (4, 0), (4, 4), (5, 0), (5, 3),
+])
+def test_sphere_layout(k, depth):
+    t = build_tree(k, depth)
+    b = build_spherical_basis(t)
+    assert b.total_vectors() == t.vertex_count
+    assert len(b.spheres) == depth + 1
+    ref = stacked_spheres(t)
+    for r, ours in enumerate(b.spheres):
+        assert ours.shape == (k**r, k**r) and ours.flags.c_contiguous
+        assert ours.tobytes() == ref[r].tobytes()
+    starts = np.concatenate(([0], np.cumsum(b.dims)))
+    for n in range(depth + 1):
+        assert b.chi[n] is b.lifted[n][0]
+        assert len(b.lifted[n]) == b.levels(n)
+        for j, fam in enumerate(b.lifted[n]):
+            assert fam.shape == (k ** (n + j), b.dims[n])
+            assert np.array_equal(fam, ref[n + j][:, starts[n]:starts[n + 1]])
+            if fam.size:
+                assert np.shares_memory(fam, b.spheres[n + j])
+    # the Jacobi check reads the column views with the bits of contiguous copies
+    copies = dataclasses.replace(
+        b, lifted=[[np.ascontiguousarray(a) for a in fam] for fam in b.lifted])
+    for n in range(min(depth, 5)):
+        assert verify_jacobi_form(b, t, n) == verify_jacobi_form(copies, t, n)
+
+
 def test_triangular_identity():
     t = build_tree(2, 8)
     b = build_spherical_basis(t)
@@ -152,13 +183,15 @@ def _dense_jacobi_deviation(b, t, n):
     if b.dims[n] == 0:
         return 0.0
     nlev, d = b.levels(n), int(b.dims[n])
+    # contiguous copies of the column views, as verify_jacobi_form reads them
+    fam = [np.ascontiguousarray(a) for a in b.lifted[n]]
     gram = np.zeros((nlev, d, nlev, d))
     for j in range(nlev):
-        down, up = apply_adjacency_level(t, b.lifted[n][j], n + j)
+        down, up = apply_adjacency_level(t, fam[j], n + j)
         if j >= 1:
-            gram[j, :, j - 1, :] = (b.lifted[n][j - 1].T @ down).T
+            gram[j, :, j - 1, :] = (fam[j - 1].T @ down).T
         if j + 1 < nlev and up is not None:
-            gram[j, :, j + 1, :] = (b.lifted[n][j + 1].T @ up).T
+            gram[j, :, j + 1, :] = (fam[j + 1].T @ up).T
     expected = np.zeros_like(gram)
     for j in range(nlev - 1):
         expected[j, :, j + 1, :] = np.sqrt(t.k) * np.eye(d)
