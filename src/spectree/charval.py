@@ -11,7 +11,9 @@ trapezoidal rule on the circle, which is spectrally accurate for the
 analytic integrand, so the raw value lands on an integer to many digits
 whenever the circle is comfortably away from characteristic values.  A count
 certifies on its nearness to an integer and on its agreement with the rule
-on every other node of the same pass.
+on every other node of the same pass; :attr:`IndexReport.certified` is the
+one statement of that rule, and :func:`contour_index`, ``scan`` and
+``index`` all read it.
 
 Families are evaluated on arrays of nodes: ``f(lams)`` takes a 1-D array of
 parameters and returns the values stacked along a leading axis, either as one
@@ -106,6 +108,7 @@ SCREEN = 1.001
 GIL_STACK = 500
 
 #: a contour count certifies when its raw value lies this close to an integer
+#: and to the sum of the same pass on half its nodes
 RESIDUAL_TOL = 0.1
 
 #: a contour node where the family's min singular value drops below this is
@@ -185,10 +188,16 @@ class IndexReport:
     rounded: int
     residual: float
     min_sv_on_contour: float
+    #: distance of ``raw`` to the sum of the same pass on half its nodes
+    half_gap: float
 
     @property
     def certified(self) -> bool:
-        return self.residual < RESIDUAL_TOL and self.min_sv_on_contour > 0
+        """The only rule for when a count certifies: ``raw`` lies within
+        :data:`RESIDUAL_TOL` of an integer and of the half-node sum, and the
+        family stays invertible on the contour."""
+        return (self.residual < RESIDUAL_TOL and self.half_gap < RESIDUAL_TOL
+                and self.min_sv_on_contour > 0)
 
     def to_json(self) -> dict:
         return {
@@ -277,10 +286,10 @@ def contour_index(f, fprime, contour: ContourSpec) -> IndexReport:
     along the first axis (an array or a block list, see the module
     docstring); ``fprime`` its derivative, in the same form.  With
     ``fprime=None``, ``f(lams)`` returns the pair ``(F, F')`` from one
-    evaluation.  A pass certifies when its sum lies within
-    :data:`RESIDUAL_TOL` of an integer and of the sum with half the nodes (its
-    even-indexed ones), so both round to the same integer; else the nodes
-    double, up to :data:`MAX_DOUBLINGS` times.
+    evaluation.  The report of the first pass that certifies
+    (:attr:`IndexReport.certified`: its sum lies within :data:`RESIDUAL_TOL`
+    of an integer and of the sum with half the nodes, its even-indexed ones)
+    is returned; else the nodes double, up to :data:`MAX_DOUBLINGS` times.
 
     Raises
     ------
@@ -302,15 +311,14 @@ def contour_index(f, fprime, contour: ContourSpec) -> IndexReport:
     _check_budget(8 * np.dtype(complex).itemsize * most, f"{most} contour nodes")
     for _ in range(MAX_DOUBLINGS + 1):
         try:
-            report, half = _quadrature_pass(f, fprime, contour, 0.0)
+            report = _quadrature_pass(f, fprime, contour, 0.0)
         except SingularOnContour:
-            report, half = _quadrature_pass(f, fprime, contour, math.pi / contour.nodes)
-        gap = abs(report.raw - half)
-        if report.residual < RESIDUAL_TOL and gap < RESIDUAL_TOL:
+            report = _quadrature_pass(f, fprime, contour, math.pi / contour.nodes)
+        if report.certified:
             return report
         last, contour = contour.nodes, replace(contour, nodes=2 * contour.nodes)
     raise NonConvergent(f"index residual {report.residual:.3g} and {last // 2}-node gap "
-                        f"{gap:.3g} after {last} nodes")
+                        f"{report.half_gap:.3g} after {last} nodes")
 
 
 def _check_even_nodes(nodes: int) -> None:
@@ -320,10 +328,10 @@ def _check_even_nodes(nodes: int) -> None:
         raise InvalidParameter(f"contour needs an even node count, got {nodes}")
 
 
-def _quadrature_pass(f, fprime, contour, phase) -> tuple[IndexReport, complex]:
-    """The report of one pass over ``contour.points(phase)``, and the sum of
-    the rule with half the nodes on the same traces; ``f`` and ``fprime`` are
-    as for :func:`contour_index`."""
+def _quadrature_pass(f, fprime, contour, phase) -> IndexReport:
+    """The report of one pass over ``contour.points(phase)``, its half gap
+    read from the rule with half the nodes on the same traces; ``f`` and
+    ``fprime`` are as for :func:`contour_index`."""
     pts = contour.points(phase)
     # chunks are sized from the blocks of the first node's F
     probe = f(pts[:1])
@@ -340,8 +348,8 @@ def _quadrature_pass(f, fprime, contour, phase) -> tuple[IndexReport, complex]:
     # the rule on the even-indexed nodes weighs them by 2 / nodes, the odd ones by 0
     half = contour.integrate(traces * np.resize([2.0, 0.0], traces.size), phase)
     rounded = int(round(raw.real))
-    report = IndexReport(complex(raw), rounded, float(abs(raw - rounded)), float(min_sv))
-    return report, complex(half)
+    return IndexReport(complex(raw), rounded, float(abs(raw - rounded)), float(min_sv),
+                       float(abs(raw - half)))
 
 
 # -- resonance machinery ---------------------------------------------------------
@@ -380,7 +388,11 @@ def _pivot_family(factory: BSFactory, sign: int):
     sweep, each as ``(multiplicity, (N, n))`` diagonal pairs
     (:class:`~spectree.fredholm.FredholmPivots`): the family the ladder and
     ``index`` count on, with ``fprime=None``.  Its zeros are those of
-    :func:`_family`, with multiplicity, at O(|C|) per parameter or less."""
+    :func:`_family`, with multiplicity, at O(|C|) per parameter or less.
+
+    The pivots read ``J * sqrt_abs**2``, the factors the sandwich itself
+    uses, not ``m``: the two differ by rounding
+    (:func:`~spectree.birman_schwinger.polar_factors`)."""
     m = factory.j_phase * factory.sqrt_abs**2
     return FredholmPivots(factory.tree.k, factory.support, m, factory.eps0).family(sign)
 

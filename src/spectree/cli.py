@@ -44,6 +44,7 @@ from .resolvent import (
     ResolventKernel,
     SpectralPoint,
     _check_budget,
+    _pow2_scale,
     direct_resolvent_block,
     from_lambda,
     from_z,
@@ -283,12 +284,18 @@ def _check_birman_schwinger(t: TreeGraph, spec: PotentialSpec, check) -> None:
     tmat = factory.matrix(lam, +1)
     g_pert = direct_resolvent_block(t, factory.point(lam).z, spec=spec,
                                     rows=factory.support, cols=factory.support)
-    s_res = np.eye(tmat.shape[0]) + tmat
-    s_res = s_res @ (np.eye(tmat.shape[0]) - factory.j_phase[:, None]
-                     * factory.sqrt_abs[:, None] * g_pert * factory.sqrt_abs[None, :])
-    check("resolvent-identity residual", np.abs(s_res - np.eye(tmat.shape[0])).max(), 1e-8)
+    x = factory.j_phase[:, None] * factory.sqrt_abs[:, None] * g_pert * factory.sqrt_abs[None, :]
+    eye = np.eye(tmat.shape[0])
+    # both rows are relative to the size of their operands, so rounding alone
+    # reads a few eps at any amplitude; neither squares an unscaled entry
+    s_res = (eye + tmat) @ (eye - x)
+    s_res -= eye
+    size = (1.0 + np.abs(tmat).max()) * (1.0 + np.abs(x).max())
+    check("resolvent-identity residual", np.abs(s_res).max() / size, 1e-8)
     _, hol_res = hol_split(t, None, spec, lam, factory=factory)
-    check("desingularized reconstruction residual", hol_res, 1e-8)
+    scale = _pow2_scale(tmat)
+    check("desingularized reconstruction residual",
+          hol_res / (np.linalg.norm(tmat * scale) / scale), 1e-8)
 
 
 def _cmd_validate(args) -> int:
@@ -319,7 +326,7 @@ def _sphere_column_errors(t: TreeGraph, closed: np.ndarray, oracle: np.ndarray) 
     """
     sizes = np.diff(t.sphere_offsets)
     diff = closed - oracle
-    scale = math.ldexp(1.0, -math.frexp(np.abs(oracle).max())[1])
+    scale = _pow2_scale(oracle)
 
     def weighted_sq(m):
         # in place, so the scaled copy adds no array to the squares' peak

@@ -14,7 +14,8 @@ orthonormal vectors supported on ``S_r``, block ``n`` taking columns
 ``starts[n]:starts[n + 1]`` with ``starts = cumsum([0, *dims])``.  The
 families are column views of these arrays: ``lifted[n][j]`` is block ``n``
 in ``spheres[n + j]``, of shape ``(|S_{n+j}|, dims[n])``, and ``chi[n]`` is
-``lifted[n][0]``.
+``lifted[n][0]``.  A zero-width block (every ``n >= 1`` at ``k = 1``) stores
+no levels: ``lifted[n]`` is empty and ``chi[n]`` is a ``(|S_n|, 0)`` view.
 """
 from __future__ import annotations
 
@@ -57,10 +58,12 @@ class SphericalBasis:
         ascending order (block ``n`` is ``dims[n]`` columns wide).  The
         families below are column views of it, so the basis is stored once.
     chi : list of ndarray
-        ``chi[n]`` holds the newborn orthonormal columns on ``S_n``.
+        ``chi[n]`` holds the newborn orthonormal columns on ``S_n``, one view
+        per block, ``(k**n, 0)`` for a zero-width block.
     lifted : list of list of ndarray
         ``lifted[n][j]`` holds the normalized ``j``-fold raises on ``S_{n+j}``,
         the view of block ``n`` in ``spheres[n + j]``; ``lifted[n][0] is chi[n]``.
+        A zero-width block stores no levels: ``lifted[n] == []``.
     """
 
     tree: TreeGraph
@@ -70,8 +73,9 @@ class SphericalBasis:
     lifted: list = field(repr=False)
 
     def levels(self, n: int) -> int:
-        """Number of stored lift levels for block ``n`` (depth - n + 1)."""
-        return self.tree.depth - n + 1
+        """Number of stored lift levels for block ``n``: ``depth - n + 1``, or
+        ``0`` for a zero-width block."""
+        return len(self.lifted[n])
 
     def total_vectors(self) -> int:
         return int(sum(self.dims[n] * self.levels(n) for n in range(self.tree.depth + 1)))
@@ -93,26 +97,31 @@ def build_spherical_basis(t: TreeGraph) -> SphericalBasis:
     disjoint supports this complement is assembled exactly from per-family
     mean-zero blocks.  Raising is ``value -> value / sqrt(k)`` copied to the
     k children, which preserves norms by construction.  Every family is
-    written in place into its columns of the sphere it lives on.
+    written in place into its columns of the sphere it lives on; a block of
+    width 0 is neither written nor raised.
     """
     k, depth = t.k, t.depth
     inv_sqrt_k = 1.0 / np.sqrt(k)
     dims = np.array([1] + [k ** (n - 1) * (k - 1) for n in range(1, depth + 1)], dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(dims)))
     spheres = [np.empty((k**r, k**r)) for r in range(depth + 1)]
+    chi = [spheres[n][:, starts[n]:starts[n + 1]] for n in range(depth + 1)]
     lifted: list[list[np.ndarray]] = []
     for n in range(depth + 1):
-        cols = [spheres[r][:, starts[n]:starts[n + 1]] for r in range(n, depth + 1)]
+        if not dims[n]:
+            lifted.append([])
+            continue
+        block = slice(starts[n], starts[n + 1])
+        cols = [chi[n]] + [spheres[r][:, block] for r in range(n + 1, depth + 1)]
         if n == 0:
             cols[0][...] = 1.0
-        elif k > 1:
+        else:
             cols[0][...] = np.kron(np.eye(k ** (n - 1)), helmert_complement(k))
         # row i of a sphere is the parent of rows k i ... k i + k - 1 below it
         for prev, view in zip(cols, cols[1:]):
             children = view.reshape(prev.shape[0], k, view.shape[1])
             np.multiply(prev[:, None, :], inv_sqrt_k, out=children)
         lifted.append(cols)
-    chi = [cols[0] for cols in lifted]
     return SphericalBasis(tree=t, dims=dims, spheres=spheres, chi=chi, lifted=lifted)
 
 
@@ -122,8 +131,6 @@ def projector(b: SphericalBasis, n: int) -> np.ndarray:
     if not 0 <= n <= t.depth:
         raise IndexOutOfRange(f"block index {n} outside 0..{t.depth}")
     p = np.zeros((t.vertex_count, t.vertex_count))
-    if b.dims[n] == 0:
-        return p
     for j in range(b.levels(n)):
         s = t.sphere(n + j)
         blk = b.lifted[n][j]
@@ -158,8 +165,6 @@ def verify_jacobi_form(b: SphericalBasis, t: TreeGraph, n: int) -> float:
     column indices only.  Rows/columns at the truncation sphere are excluded
     from the reported deviation.
     """
-    if b.dims[n] == 0:
-        return 0.0
     nlev = b.levels(n)
     # entries with |level difference| != 1 vanish structurally (disjoint
     # sphere supports), so only the two bands can deviate; a band counts when

@@ -98,6 +98,17 @@ def _check_budget(nbytes: int, what: str) -> None:
         )
 
 
+def _pow2_scale(a) -> float:
+    """The power of two ``2**-e`` that brings ``max|a|`` into ``[1/2, 1)``.
+
+    Scaling by it is exact, so the squares of the largest scaled entries
+    neither overflow nor underflow, and a norm of the scaled array divided
+    by it again keeps its bits.  ``1.0`` when ``a`` is all zeros, or its
+    largest modulus is infinite or NaN.
+    """
+    return math.ldexp(1.0, -math.frexp(np.abs(a).max(initial=0.0))[1])
+
+
 def t_minus(k: int) -> float:
     """Lower band edge ``-2 sqrt(k) + k + 1``."""
     return -2.0 * math.sqrt(k) + k + 1.0

@@ -67,7 +67,9 @@ def planted_family(rng, n, zeros, decoys=()):
 
 
 def reference_pass(f, fprime, contour):
-    """One trapezoidal pass evaluated one node per call, without chunking.
+    """One trapezoidal pass evaluated one node per call, without chunking,
+    with the rule on its even-indexed nodes (weight ``2 / nodes``) summed
+    beside it for the half gap.
 
     A family value is a list of ``(multiplicity, stack)`` pairs; a 2-D
     ``(1, n)`` stack is the diagonal matrix ``diag(row)``.  With
@@ -77,9 +79,9 @@ def reference_pass(f, fprime, contour):
         return reference_pass(lambda lam: f(lam)[0], lambda lam: f(lam)[1], contour)
     pts = contour.points()
     unit = (pts - contour.center) / contour.radius
-    total = 0.0 + 0.0j
+    total = half = 0.0 + 0.0j
     min_sv = math.inf
-    for lam, u in zip(pts, unit):
+    for i, (lam, u) in enumerate(zip(pts, unit)):
         tr = 0.0 + 0.0j
         sv = math.inf
         for (mult, blk), (_, blkp) in zip(f([lam]), fprime([lam])):
@@ -91,9 +93,13 @@ def reference_pass(f, fprime, contour):
                 sv = min(sv, float(np.linalg.svd(blk[0], compute_uv=False).min()))
         min_sv = min(min_sv, sv)
         total += u * tr
+        if i % 2 == 0:
+            half += u * (2.0 * tr)
     raw = contour.radius * total / contour.nodes
+    gap = abs(raw - contour.radius * half / contour.nodes)
     rounded = int(round(raw.real))
-    return IndexReport(complex(raw), rounded, float(abs(raw - rounded)), float(min_sv))
+    return IndexReport(complex(raw), rounded, float(abs(raw - rounded)), float(min_sv),
+                       float(gap))
 
 
 def sandwich_table_spec(seed=0):

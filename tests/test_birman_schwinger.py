@@ -80,6 +80,17 @@ def test_polar_identity_property(re, im):
     assert np.abs(np.abs(j) - 1.0).max() < 1e-12
 
 
+def test_polar_product_is_m_to_rounding_only():
+    # moduli across the normal range, random phases: J * sqrt_abs**2 differs
+    # from m at many entries, never by more than 2.5 eps |m|
+    rng = np.random.default_rng(5)
+    m = 10.0 ** rng.uniform(-300, 300, 10**5) * np.exp(2j * np.pi * rng.random(10**5))
+    j, s = polar_factors(m)
+    back = j * s**2
+    assert np.count_nonzero(back != m) > m.size // 4
+    assert (np.abs(back - m) / np.abs(m)).max() <= 2.5 * np.finfo(float).eps
+
+
 def test_support_restriction():
     t = build_tree(2, 8)
     spec = PotentialSpec.radial_exp(0.3, 6 * LOG2)

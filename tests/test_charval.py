@@ -188,11 +188,29 @@ def test_zero_just_outside_is_not_certified_by_one_pass():
     def fp(lam):
         return diag_stack(lam, [1.0])
 
-    report, half = cv._quadrature_pass(f, fp, contour, 0.0)
+    report = cv._quadrature_pass(f, fp, contour, 0.0)
     assert report.rounded == -1 and report.residual < 1e-12
-    assert abs(half + 1.0 / (math.sqrt(2.0) - 1.0)) < 1e-12
+    # |-1 - (-sqrt(1/2) / (1 - sqrt(1/2)))| = sqrt(2)
+    assert abs(report.half_gap - math.sqrt(2.0)) < 1e-12
+    assert not report.certified
     with pytest.raises(NonConvergent):
         contour_index(f, fp, contour)
+
+
+def test_root_table_passes_near_their_zero_are_not_certified():
+    # the root -0.6 table at k=2 has its zero 0.54% outside r = 0.12284165:
+    # the 128-node sum lies within RESIDUAL_TOL of -1 and the 512-node sum
+    # within it of 0, but neither of the sums on half their nodes, so
+    # neither pass certifies
+    import spectree.charval as cv
+
+    spec = PotentialSpec.table([(0, -0.6)], 4.2)
+    f = _pivot_family(BSFactory(build_tree(2, 10), None, spec), 1)
+    for nodes, rounded, gap in ((128, -1, 1.41), (512, 0, 0.27)):
+        report = cv._quadrature_pass(f, None, ContourSpec(0.0, 0.12284165, nodes), 0.0)
+        assert report.rounded == rounded and report.residual < cv.RESIDUAL_TOL
+        assert abs(report.half_gap - gap) < 0.01
+        assert not report.certified
 
 
 def test_contour_spec_validation():
@@ -244,7 +262,8 @@ def test_probe_evaluates_f_alone():
 
 
 def test_index_report_json_keys():
-    rep = IndexReport(raw=0.1 + 0.05j, rounded=0, residual=0.11, min_sv_on_contour=0.5)
+    rep = IndexReport(raw=0.1 + 0.05j, rounded=0, residual=0.11, min_sv_on_contour=0.5,
+                      half_gap=0.01)
     out = rep.to_json()
     assert set(out) == {"raw", "rounded", "residual", "min_sv"}
     assert set(out["raw"]) == {"re", "im"}

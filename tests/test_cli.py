@@ -142,11 +142,13 @@ def _dense_validation(k, depth, spec):
         g_pert = direct_resolvent_block(t, factory.point(lam).z, spec=spec,
                                         rows=factory.support, cols=factory.support)
         ident = np.eye(tmat.shape[0])
-        s_res = (ident + tmat) @ (ident - factory.j_phase[:, None] * factory.sqrt_abs[:, None]
-                                  * g_pert * factory.sqrt_abs[None, :])
-        check("resolvent-identity residual", np.abs(s_res - ident).max(), 1e-8)
+        x = (factory.j_phase[:, None] * factory.sqrt_abs[:, None] * g_pert
+             * factory.sqrt_abs[None, :])
+        s_res = (ident + tmat) @ (ident - x)
+        check("resolvent-identity residual", np.abs(s_res - ident).max()
+              / ((1 + np.abs(tmat).max()) * (1 + np.abs(x).max())), 1e-8)
         check("desingularized reconstruction residual",
-              hol_split(t, b, spec, lam, factory=factory)[1], 1e-8)
+              hol_split(t, b, spec, lam, factory=factory)[1] / np.linalg.norm(tmat), 1e-8)
     return rows
 
 
@@ -726,20 +728,59 @@ def test_validate_with_overflowing_growing_weight(capsys, delta):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("amplitude", [1e200, 1e300])
 @pytest.mark.parametrize("kind", ["radial-exp", "table"])
-def test_validate_huge_amplitude_fails_without_warnings(capsys, kind, amplitude):
-    # the Birman-Schwinger rows FAIL on their absolute tolerance, with finite values
-    if kind == "table":
-        pot = {"kind": "table", "values": [{"v": 0, "re": amplitude}], "delta": 4.2}
-    else:
-        pot = {"kind": kind, "amplitude": {"re": amplitude, "im": 0.0}, "delta": 4.2}
-    code = main(["validate", "--k", "2", "--depth", "4", "--potential", json.dumps(pot)])
+def test_validate_huge_amplitude_passes_without_warnings(capsys, kind, amplitude):
+    # the Birman-Schwinger rows are relative to the size of their operands,
+    # so rounding alone reads a few eps at any amplitude
+    pot = _bs_potential(kind, amplitude)
+    code = main(["validate", "--k", "2", "--depth", "4", "--potential", pot])
     captured = capsys.readouterr()
-    assert code == 2
+    assert code == 0
     assert captured.err == ""
-    rows = {line[:42].strip(): line[42:].split() for line in captured.out.splitlines()}
+    rows = _validate_rows(captured.out)
     for name in ("resolvent-identity residual", "desingularized reconstruction residual"):
         verdict, value, _ = rows[name]
-        assert verdict == "FAIL" and math.isfinite(float(value.removeprefix("value=")))
+        assert verdict == "PASS" and math.isfinite(float(value.removeprefix("value=")))
+    assert rows["overall"] == ["PASS"]
+
+
+def _bs_potential(kind, amplitude):
+    if kind == "table":
+        return json.dumps({"kind": "table", "values": [{"v": 0, "re": amplitude}], "delta": 4.2})
+    return json.dumps({"kind": kind, "amplitude": {"re": amplitude, "im": 0.0}, "delta": 4.2})
+
+
+def _validate_rows(stdout):
+    """The rows of a ``validate`` table as ``name: [verdict, value, tol]``."""
+    return {line[:42].strip(): line[42:].split() for line in stdout.splitlines()}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("amplitude", [0.3, 1e12])
+@pytest.mark.parametrize("kind", ["radial-exp", "table"])
+@pytest.mark.parametrize("broken", ["sandwich", "companion factor"])
+def test_validate_fails_a_wrong_sandwich_at_any_amplitude(monkeypatch, capsys, kind,
+                                                          amplitude, broken):
+    # a relative error of 1e-6 in the raw sandwich, or in the factor relating
+    # it to the desingularized kernel, fails the reconstruction row.  The
+    # identity row sees the wrong sandwich only at small amplitude: a
+    # relative error d in T moves (I + T)(I - X) by about d, which the row
+    # reads as d / (1 + |T|)(1 + |X|), below 1e-8 at amplitude 1e12
+    import spectree.birman_schwinger as bs
+
+    if broken == "sandwich":
+        matrix = bs.BSFactory.matrix
+        monkeypatch.setattr(bs.BSFactory, "matrix",
+                            lambda self, lam, sign=1: matrix(self, lam, sign) * (1 + 1e-6))
+    else:
+        monkeypatch.setattr(bs, "HOL_COMPANION_FACTOR", 2 * (1 + 1e-6))
+    pot = _bs_potential(kind, amplitude)
+    code = main(["validate", "--k", "2", "--depth", "4", "--potential", pot])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    rows = _validate_rows(captured.out)
+    assert rows["desingularized reconstruction residual"][0] == "FAIL"
+    if broken == "sandwich" and amplitude < 1:
+        assert rows["resolvent-identity residual"][0] == "FAIL"
     assert rows["overall"] == ["FAIL"]
 
 

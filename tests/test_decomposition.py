@@ -111,7 +111,11 @@ def test_sphere_layout(k, depth):
         assert ours.tobytes() == ref[r].tobytes()
     starts = np.concatenate(([0], np.cumsum(b.dims)))
     for n in range(depth + 1):
-        assert b.chi[n] is b.lifted[n][0]
+        assert b.chi[n].shape == (k**n, b.dims[n])
+        if b.dims[n]:
+            assert b.chi[n] is b.lifted[n][0]
+        else:  # every n >= 1 at k = 1: no levels are stored
+            assert b.levels(n) == 0 and b.lifted[n] == []
         assert len(b.lifted[n]) == b.levels(n)
         for j, fam in enumerate(b.lifted[n]):
             assert fam.shape == (k ** (n + j), b.dims[n])
@@ -123,6 +127,22 @@ def test_sphere_layout(k, depth):
         b, lifted=[[np.ascontiguousarray(a) for a in fam] for fam in b.lifted])
     for n in range(min(depth, 5)):
         assert verify_jacobi_form(b, t, n) == verify_jacobi_form(copies, t, n)
+
+
+def test_path_basis_stores_only_the_root_block():
+    # at k = 1 every block n >= 1 has width 0: the depth-600 path keeps the
+    # root block's 601 levels and one empty chi view per other block
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        b = build_spherical_basis(build_tree(1, 600))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    assert sum(len(f) for f in b.lifted) == 601
+    assert b.total_vectors() == 601
 
 
 def test_triangular_identity():
