@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .errors import InvalidParameter
-from .operators import PotentialSpec, m_tilde
+from .operators import SUPPORT_CUTOFF, PotentialSpec, m_tilde
 from .resolvent import (
     DEFAULT_DISK_RADIUS,
     ResolventKernel,
@@ -43,16 +43,13 @@ from .resolvent import (
     edge_xi,
     from_lambda,
 )
-from .tree import TreeGraph
+from .tree import TreeGraph, newborn_multiplicity
 
 #: scalar relating the raw sandwich to the desingularized kernel:
 #: the two pole parts cancel and each bracket contributes twice the
 #: desingularized coefficient.  Pinned by the same quadrature calibration
 #: as the kernel prefactor.
 HOL_COMPANION_FACTOR = 2.0
-
-#: support cutoff: vertices with |m| below this are dropped from the sandwich
-SUPPORT_CUTOFF = 1e-14
 
 
 def polar_factors(m_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -96,16 +93,6 @@ def phase_ratio(a: int, lam: complex) -> complex:
 
 # -- the sandwiched operator ----------------------------------------------------
 
-def newborn_multiplicity(k: int, n: int) -> int:
-    """Number of spherical blocks born at level ``n`` of the k-ary tree.
-
-    ``1`` at the root and ``k**(n-1) * (k-1)`` below it (``0`` for the path,
-    ``k = 1``): the dimension of the functions on sphere ``n`` orthogonal to
-    those lifted from sphere ``n - 1``.
-    """
-    return 1 if n == 0 else k ** (n - 1) * (k - 1)
-
-
 def support_vertices(t: TreeGraph, m_vec: np.ndarray) -> tuple[np.ndarray, int]:
     """Vertices carrying the sandwich: ``m != 0`` up to the last relevant sphere.
 
@@ -131,10 +118,10 @@ class BSFactory:
 
     Builds the support and the polar factors once.  ``radial`` is set when the
     perturbation is constant on spheres, in which case :meth:`reduced_blocks`
-    exposes the exact per-block reduction (level matrices ``T_n`` with the
-    multiplicity of the newborn block ``n``, ``1`` at ``n = 0`` and
-    ``k**(n-1) * (k-1)`` above).  :meth:`blocks` returns the reduction for
-    radial data and the full support matrix, from :attr:`kernel`, otherwise.
+    exposes the exact per-block reduction (level matrices ``T_n``, block ``n``
+    with multiplicity :func:`newborn_multiplicity`).  :meth:`blocks` returns
+    the reduction for radial data and the full support matrix, from
+    :attr:`kernel`, otherwise.
     ``b`` is unused: the multiplicities are known in closed form, so no
     spherical basis is built; the argument stays for existing callers.
     Parameters must lie in the punctured disk ``0 < |lam| < eps0``.
@@ -151,7 +138,7 @@ class BSFactory:
         self.eps0 = disk_radius(spec.delta) if spec is not None else DEFAULT_DISK_RADIUS
         #: edge table length: a support pair reads up to ``w[2 r_support + 2]``
         self.table_length = 2 * self.r_support + 3
-        self.radial = spec is None or spec.kind == "radial-exp"
+        self.radial = spec is None or spec.radial
         if self.radial:
             self._prepare_radial(j_full, sqrt_full)
 

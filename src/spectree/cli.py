@@ -18,7 +18,6 @@ contour count that hits a singular node or never settles on an integer).
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import json
 import math
@@ -28,7 +27,7 @@ import sys
 import numpy as np
 
 from . import charval, quadrature
-from .birman_schwinger import SUPPORT_CUTOFF, BSFactory, hol_split
+from .birman_schwinger import BSFactory, hol_split
 from .charval import ContourSpec, absence_scan, spectrum
 from .decomposition import build_spherical_basis, verify_jacobi_form
 from .errors import InvalidParameter, NonConvergent, SingularOnContour, SpectreeError
@@ -52,7 +51,7 @@ from .resolvent import (
     fourier_coefficient,
     t_minus,
 )
-from .tree import VERTEX_CAP, TreeGraph, build_tree, check_branching_factor
+from .tree import TreeGraph, build_tree, check_branching_factor
 
 USAGE_ERROR, CERTIFICATION_FAILURE = 1, 2
 
@@ -118,24 +117,26 @@ def build_parser() -> _Parser:
     p = _Parser(prog="spectree", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, run, depth=None):
+        # depth None is the command's auto depth
+        sp.set_defaults(run=run)
         sp.add_argument("--k", type=int, required=True, help="branching factor")
-        sp.add_argument("--depth", type=int, default=None, help="truncation depth")
+        sp.add_argument("--depth", type=int, default=depth, help="truncation depth")
         sp.add_argument("--potential", default=None,
                         help="potential JSON (inline or file path)")
 
     v = sub.add_parser("validate", help="run the invariant suite")
-    common(v)
+    common(v, _cmd_validate, depth=8)
 
     kcmd = sub.add_parser("kernel", help="closed form vs direct solve")
-    common(kcmd)
+    common(kcmd, _cmd_kernel, depth=8)
     point = kcmd.add_mutually_exclusive_group()
     point.add_argument("--z", default=None, help="spectral parameter (complex literal)")
     point.add_argument("--lam", default=None, help="edge parameter (complex literal)")
     kcmd.add_argument("--delta", type=float, default=None, help="weight decay rate")
 
     s = sub.add_parser("scan", help="absence-of-resonances certification")
-    common(s)
+    common(s, _cmd_scan)
     s.add_argument("--rmin", type=float, required=True)
     s.add_argument("--rmax", type=float, required=True)
     s.add_argument("--grid", type=int, default=32)
@@ -146,11 +147,11 @@ def build_parser() -> _Parser:
     s.add_argument("--out", default=None, help="CSV output path")
 
     e = sub.add_parser("spectrum", help="eigenvalues of the perturbed truncation")
-    common(e)
+    common(e, _cmd_spectrum, depth=10)
     e.add_argument("--out", default=None, help="CSV output path")
 
     i = sub.add_parser("index", help="one argument-principle count")
-    common(i)
+    common(i, _cmd_index)
     i.add_argument("--center", default="0", help="contour center (complex literal)")
     i.add_argument("--radius", type=float, required=True)
     i.add_argument("--nodes", type=int, default=256)
@@ -299,9 +300,8 @@ def _check_birman_schwinger(t: TreeGraph, spec: PotentialSpec, check) -> None:
 
 
 def _cmd_validate(args) -> int:
-    depth = args.depth if args.depth is not None else 8
     spec = _load_potential(args.potential)
-    rows = _run_validation(args.k, depth, spec)
+    rows = _run_validation(args.k, args.depth, spec)
     width = max(len(r[0]) for r in rows)
     ok = True
     for name, value, tol, passed in rows:
@@ -349,7 +349,6 @@ def _kernel_errors(t: TreeGraph, sp_: SpectralPoint, e_m: np.ndarray) -> tuple[f
 
 
 def _cmd_kernel(args) -> int:
-    depth = args.depth if args.depth is not None else 8
     spec = _load_potential(args.potential)
     delta = args.delta if args.delta is not None else _default_delta(args.k, spec)
     if args.lam is not None:
@@ -357,12 +356,12 @@ def _cmd_kernel(args) -> int:
     else:
         z = _complex_arg("--z", args.z) if args.z is not None else t_minus(args.k) - 0.5
         sp_ = from_z(args.k, z)
-    t = build_tree(args.k, depth)
+    t = build_tree(args.k, args.depth)
     e_m, _ = weights(t, delta)
     max_err, rel = _kernel_errors(t, sp_, e_m)
     print(json.dumps({
         "k": args.k,
-        "depth": depth,
+        "depth": args.depth,
         "z": {"re": sp_.z.real, "im": sp_.z.imag},
         "delta": delta,
         "max_abs_error": max_err,
@@ -377,9 +376,7 @@ def _cmd_scan(args) -> int:
     if not (math.isfinite(args.sv_floor) and args.sv_floor >= 0):
         raise InvalidParameter(f"--sv-floor must be finite and non-negative, got {args.sv_floor}")
     spec = _load_potential(args.potential)
-    depth = args.depth
-    if depth is None:
-        depth = _auto_depth(args.k, spec)
+    depth = args.depth if args.depth is not None else _auto_depth(args.k, spec)
     t = build_tree(args.k, depth)
     _check_out(args.out)
     report = absence_scan(
@@ -401,31 +398,14 @@ def _cmd_scan(args) -> int:
 
 
 def _auto_depth(k: int, spec: PotentialSpec | None) -> int:
-    """Deep enough to hold the numerically relevant support of the potential."""
-    if spec is None:
-        return 8
-    if spec.kind == "table":
-        # d = depth of the deepest table vertex, the first whose spheres 0..d
-        # hold more than vmax vertices; at k = 1 vertex v lies at depth v
-        vmax = max((v for v, _ in spec.values), default=0)
-        d, count = (vmax, vmax + 1) if k == 1 else (0, 1)
-        while count <= vmax:
-            d += 1
-            count += k**d
-        return max(d + 1, 4)
-    if spec.amplitude == 0:
-        return 4
-    # in logs, so a huge amplitude does not overflow; build_tree refuses a
-    # depth past the cap, and the clamps keep a tiny delta's +-inf out of ceil
-    span = (cmath.log(spec.amplitude).real - math.log(SUPPORT_CUTOFF)) / spec.delta
-    return max(4, math.ceil(min(max(span, 0.0), VERTEX_CAP)))
+    """Depth of ``scan`` and ``index`` without ``--depth``."""
+    return 8 if spec is None else spec.support_depth(k)
 
 
 # -- spectrum --------------------------------------------------------------------
 
 def _cmd_spectrum(args) -> int:
-    depth = args.depth if args.depth is not None else 10
-    t = build_tree(args.k, depth)
+    t = build_tree(args.k, args.depth)
     spec = _load_potential(args.potential)
     _check_out(args.out)
     result = spectrum(t, spec)
@@ -457,17 +437,10 @@ def _cmd_index(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "validate": _cmd_validate,
-        "kernel": _cmd_kernel,
-        "scan": _cmd_scan,
-        "spectrum": _cmd_spectrum,
-        "index": _cmd_index,
-    }
     try:
-        # every handler does arithmetic on k before it builds a tree
+        # every command does arithmetic on k before it builds a tree
         check_branching_factor(args.k)
-        return handlers[args.command](args)
+        return args.run(args)
     except SpectreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (SingularOnContour, NonConvergent)):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndexOutOfRange
-from .tree import TreeGraph
+from .tree import TreeGraph, newborn_multiplicity
 
 
 def helmert_complement(k: int) -> np.ndarray:
@@ -102,7 +102,7 @@ def build_spherical_basis(t: TreeGraph) -> SphericalBasis:
     """
     k, depth = t.k, t.depth
     inv_sqrt_k = 1.0 / np.sqrt(k)
-    dims = np.array([1] + [k ** (n - 1) * (k - 1) for n in range(1, depth + 1)], dtype=np.int64)
+    dims = np.array([newborn_multiplicity(k, n) for n in range(depth + 1)], dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(dims)))
     spheres = [np.empty((k**r, k**r)) for r in range(depth + 1)]
     chi = [spheres[n][:, starts[n]:starts[n + 1]] for n in range(depth + 1)]

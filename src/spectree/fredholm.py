@@ -24,7 +24,7 @@ does.
 ``xi = (sqrt(1 - lam^2/4) + i lam/2)^2`` is the edge root in algebraic form,
 and its derivative is ``i xi / sqrt(1 - lam^2/4)``.  This module shares no
 code with the closed-form kernel or the direct solve, so it is a third
-independent route to the same zeros.
+independent route to the same zeros.  Spheres come from :func:`tree.sphere_of`.
 """
 from __future__ import annotations
 
@@ -33,22 +33,13 @@ import math
 import numpy as np
 
 from .resolvent import checked_lambda, t_minus
+from .tree import sphere_of
 
 
 def algebraic_xi(lams: np.ndarray) -> np.ndarray:
     """``exp(i phi)`` at each edge parameter, ``phi = 2 arcsin(lam/2)``, without ``asin``."""
     half = 0.5 * np.asarray(lams, dtype=complex)
     return (np.sqrt(1.0 - half * half) + 1j * half) ** 2
-
-
-def _depths(k: int, vertices: np.ndarray) -> np.ndarray:
-    """Sphere of each vertex in breadth-first numbering."""
-    if k == 1:
-        return vertices
-    offsets = [0]  # offsets[r] = (k**r - 1) / (k - 1), the first vertex of sphere r
-    while offsets[-1] <= vertices[-1]:
-        offsets.append(k * offsets[-1] + 1)
-    return np.searchsorted(np.array(offsets), vertices, side="right") - 1
 
 
 def _as_slice(index: np.ndarray):
@@ -78,7 +69,7 @@ class FredholmPivots:
         self.k, self.eps0 = k, eps0
         support = np.asarray(support, dtype=np.int64)
         m = np.asarray(m, dtype=complex)
-        depth = _depths(k, support)
+        depth = sphere_of(k, support)
         bounds = np.searchsorted(depth, np.arange(depth[-1] + 2))
         # per sphere, deepest first: its columns, m of its classes, their
         # children outside C, their child entries (the class below of each

@@ -19,10 +19,12 @@ Conventions
 
 The perturbed operator splits as ``(-adjacency + (k+1)) + m_tilde`` where
 ``m_tilde = -d0 + potential`` carries the whole perturbation, including
-the root degree defect.
+the root degree defect.  Only :class:`PotentialSpec` reads a potential's
+kind; other modules ask its ``radial`` and ``support_depth``.
 """
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import operator
@@ -33,7 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import AssumptionViolated, InvalidParameter
-from .tree import TreeGraph
+from .tree import VERTEX_CAP, TreeGraph, sphere_of
 
 # scipy is imported inside the sparse functions, which no command calls, so
 # that no command loads it
@@ -43,6 +45,9 @@ if TYPE_CHECKING:
 #: admissibility rule for the decay rate: delta > 0 when k = 1,
 #: delta >= 6 ln k otherwise.
 _DECAY_SLACK = 1e-12
+
+#: support cutoff: vertices with |m| below this are dropped from the sandwich
+SUPPORT_CUTOFF = 1e-14
 
 
 def _parent_indices(t: TreeGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -221,6 +226,23 @@ class PotentialSpec:
                      for v, x in values)
         return cls(kind="table", delta=delta, values=vals, c_const=c_const)
 
+    @property
+    def radial(self) -> bool:
+        """Whether ``M`` is constant on every sphere, as ``radial-exp`` is."""
+        return self.kind == "radial-exp"
+
+    def support_depth(self, k: int) -> int:
+        """A depth, at least 4, holding the support down to :data:`SUPPORT_CUTOFF`
+        (a table: one past its deepest vertex); :func:`build_tree` refuses a huge one."""
+        if not self.radial:
+            return max(sphere_of(k, max((v for v, _ in self.values), default=0)) + 1, 4)
+        if self.amplitude == 0:
+            return 4
+        # in logs, so a huge amplitude does not overflow; the clamps keep a
+        # tiny delta's +-inf out of ceil
+        span = (cmath.log(self.amplitude).real - math.log(SUPPORT_CUTOFF)) / self.delta
+        return max(4, math.ceil(min(max(span, 0.0), VERTEX_CAP)))
+
     def materialize(self, t: TreeGraph) -> np.ndarray:
         """Potential values on every vertex of the truncation.
 
@@ -228,7 +250,7 @@ class PotentialSpec:
         would otherwise drop out of everything computed on ``t``.
         """
         m = np.zeros(t.vertex_count, dtype=complex)
-        if self.kind == "radial-exp":
+        if self.radial:
             m[:] = self.amplitude * np.exp(-self.delta * t.depths())
         else:
             deepest = max((v for v, _ in self.values), default=0)

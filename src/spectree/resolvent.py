@@ -48,7 +48,7 @@ from .errors import (
     OutOfDisk,
 )
 from .operators import m_tilde
-from .tree import TreeGraph
+from .tree import TreeGraph, sphere_of
 
 #: Scalar multiplying each closed-form bracket, relative to the quadrature
 #: normalization ``(1/pi) * integral over the circle``.  Fixed uniquely by the
@@ -295,8 +295,7 @@ class ResolventKernel:
 
     def _prepare(self) -> None:
         t, k = self.tree, self.tree.k
-        da = np.searchsorted(t.sphere_offsets, self.rows, side="right") - 1
-        db = np.searchsorted(t.sphere_offsets, self.cols, side="right") - 1
+        da, db = sphere_of(k, self.rows), sphere_of(k, self.cols)
         # code each pair by its (|x|, |y|, gap) triple in the box of the row
         # and column depths that occur: on a path the gap is 0, else at most
         # min(|x|, |y|).  Term n of G adds coef * (w[|a-b|] - w[a+b-2n+2]),

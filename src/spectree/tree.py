@@ -4,7 +4,9 @@ Vertices are numbered breadth-first: the root is ``0`` and the children of
 vertex ``v`` are ``k*v + 1, ..., k*v + k``.  The sphere ``S_r`` (all
 vertices at distance ``r`` from the root) therefore occupies a contiguous
 index range, and parent/child/depth queries reduce to index arithmetic --
-no adjacency lists are stored.
+no adjacency lists are stored.  Every layer reads the sphere of a vertex
+from :func:`sphere_of` and a sphere's newborn block count from
+:func:`newborn_multiplicity`.
 """
 from __future__ import annotations
 
@@ -51,10 +53,31 @@ class TreeGraph:
 
     def depths(self) -> np.ndarray:
         """Depth of every vertex, as a length-``vertex_count`` int array."""
-        out = np.empty(self.vertex_count, dtype=np.int64)
-        for r in range(self.depth + 1):
-            out[self.sphere_offsets[r]:self.sphere_offsets[r + 1]] = r
-        return out
+        return sphere_of(self.k, np.arange(self.vertex_count, dtype=np.int64))
+
+
+def sphere_of(k: int, v):
+    """The radius ``r`` of the sphere holding vertex ``v`` on the untruncated
+    tree (``v`` itself at ``k = 1``), for one int of any size or an int array."""
+    if k == 1:
+        return v
+    offsets = [0]  # offsets[r] = (k**r - 1) / (k - 1), the first vertex of S_r
+    top = int(np.max(v, initial=0))
+    while offsets[-1] <= top:
+        offsets.append(k * offsets[-1] + 1)
+    if np.ndim(v) == 0:
+        return len(offsets) - 2  # exact, where numpy would compare in floats
+    return np.searchsorted(np.array(offsets), v, side="right") - 1
+
+
+def newborn_multiplicity(k: int, n: int) -> int:
+    """Number of spherical blocks born on sphere ``n`` of the k-ary tree.
+
+    ``1`` at the root and ``k**(n-1) * (k-1)`` below it (``0`` for the path,
+    ``k = 1``): the dimension of the functions on ``S_n`` orthogonal to
+    those lifted from ``S_{n-1}``.
+    """
+    return 1 if n == 0 else k ** (n - 1) * (k - 1)
 
 
 def check_branching_factor(k: int) -> None:
@@ -95,7 +118,7 @@ def _check_vertex(t: TreeGraph, v: int) -> None:
 def vertex_depth(t: TreeGraph, v: int) -> int:
     """Distance from the root to vertex ``v`` (the radius of its sphere)."""
     _check_vertex(t, v)
-    return int(np.searchsorted(t.sphere_offsets, v, side="right")) - 1
+    return int(sphere_of(t.k, v))
 
 
 def parent(t: TreeGraph, v: int) -> int:

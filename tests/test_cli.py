@@ -912,6 +912,13 @@ BAD_INPUTS = [
         {"kind": "radial-exp", "amplitude": 1e300, "delta": 4.2})], id="scan huge amplitude"),
     pytest.param("cap", lambda tmp: INDEX + ["--potential", json.dumps(
         {"kind": "radial-exp", "amplitude": 1.0, "delta": 1e-310})], id="index tiny delta"),
+    # a table vertex past int64: its sphere, and so the auto depth, is exact
+    *[pytest.param(f"k={k}, depth={depth} needs over {VERTEX_CAP} vertices (the cap)",
+                   lambda tmp, cmd=cmd, k=k: cmd + ["--k", str(k), "--potential", json.dumps(
+                       {"kind": "table", "delta": 1.6, "values": [{"v": 10**30, "re": 0.1}]})],
+                   id=f"{cmd[0]} table vertex 10**30 at k={k}")
+      for k, depth in [(1, 10**30 + 1), (2, 100)]
+      for cmd in (["scan", "--rmin", "0.05", "--rmax", "0.1"], ["index", "--radius", "0.1"])],
     pytest.param("'amplitude'", lambda tmp: INDEX + ["--potential", json.dumps(
         {"kind": "radial-exp", "amplitude": {"re": 1.7e308, "im": 1.7e308}, "delta": 4.2})],
                  id="index amplitude past the largest float"),

@@ -18,6 +18,7 @@ from spectree.errors import (
     InvalidParameter,
     RootHasNoParent,
 )
+from spectree.tree import sphere_of
 
 
 def bfs_oracle(k, depth):
@@ -69,6 +70,10 @@ def test_against_bfs_oracle(k, depth):
     t = build_tree(k, depth)
     parents, depths = bfs_oracle(k, depth)
     assert len(parents) == t.vertex_count
+    # the array form of sphere_of, and the depths the tree hands out
+    expected = [depths[v] for v in range(t.vertex_count)]
+    assert sphere_of(k, np.arange(t.vertex_count)).tolist() == expected
+    assert t.depths().tolist() == expected
     for v in range(t.vertex_count):
         assert vertex_depth(t, v) == depths[v]
         if v == 0:
