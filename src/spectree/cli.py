@@ -51,9 +51,12 @@ from .resolvent import (
     fourier_coefficient,
     t_minus,
 )
-from .tree import TreeGraph, build_tree, check_branching_factor
+from .tree import TreeGraph, build_tree, check_branching_factor, newborn_multiplicity
 
 USAGE_ERROR, CERTIFICATION_FAILURE = 1, 2
+
+#: most bytes of one panel of a sphere's Gram in ``validate``'s basis check
+GRAM_PANEL_BYTES = 2**20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,19 +174,26 @@ def _validation_bytes(t: TreeGraph) -> int:
     """Peak bytes of the largest ``validate`` stage on ``t``.
 
     The basis stage holds the stored basis, one ``k**r x k**r`` array of
-    floats per sphere, and the Gram of one sphere's columns at a time, which
-    it reads in place.  The kernel stage compares ``V x (depth + 1)``
-    entries and holds at most eight complex numbers per entry: its
-    coefficient map, with one depth triple per entry at k = 1, then the
-    kernel, the direct solve and their difference.  It is the larger stage
-    at k = 1, where it is ``V x V``.  One MiB more covers the fixed-size
+    floats per sphere, written in place, and one panel of a sphere's Gram at
+    a time: at most :data:`GRAM_PANEL_BYTES`, or one row of the deepest
+    sphere's Gram where that is larger.  After the Gram, its Jacobi check of
+    a block ``n < 5`` with three or more levels holds two of the block's
+    levels above the truncation sphere, one of them lowered and one raised,
+    all ``dims[n]`` columns wide, and four ``dims[n] x dims[n]`` arrays.
+    The kernel stage compares ``V x (depth + 1)`` entries and holds at most
+    eight complex numbers per entry: its coefficient map, with one depth
+    triple per entry at k = 1, then the kernel, the direct solve and their
+    difference.  It is the larger stage at k = 1, where it is ``V x V``.  One MiB more covers the fixed-size
     arrays, such as the quadrature nodes.  The Birman-Schwinger stage, run
     only with a potential, scales with the potential's support, and its
     kernel and solve check the budget themselves.
     """
-    k, depth = t.k, t.depth
-    floats = sum(k ** (2 * r) for r in range(depth + 1)) + k ** (2 * depth)
-    basis = np.dtype(float).itemsize * floats
+    k, depth, size = t.k, t.depth, np.dtype(float).itemsize
+    panel = max(GRAM_PANEL_BYTES, size * k**depth)
+    widths = [newborn_multiplicity(k, n) for n in range(min(depth - 1, 5))]
+    jacobi = size * max((d * (2 * k ** (depth - 2) + 2 * k ** (depth - 1) + 4 * d) for d in widths),
+                        default=0)
+    basis = size * sum(k ** (2 * r) for r in range(depth + 1)) + max(panel, jacobi)
     kernel = 8 * np.dtype(complex).itemsize * t.vertex_count * (depth + 1)
     return max(basis, kernel) + 2**20
 
@@ -248,13 +258,18 @@ def _check_basis(t: TreeGraph, check) -> None:
     b = build_spherical_basis(t)
     check("basis count = vertex count", abs(b.total_vectors() - t.vertex_count), 0)
     # columns on different spheres have disjoint support, so the Gram is block
-    # diagonal: one k**r x k**r block per sphere r, read from the stored sphere
+    # diagonal: one k**r x k**r block per sphere r, read from the stored sphere.
+    # The block is symmetric, so it is read in panels of rows i:j of its lower
+    # triangle and diagonal, which check every column pair once
     worst = 0.0
     for cols in b.spheres:
-        gram = cols.T @ cols
-        gram[np.diag_indices_from(gram)] -= 1.0
-        worst = max(worst, np.abs(gram, out=gram).max())
-        del gram
+        width = max(1, GRAM_PANEL_BYTES // (cols.itemsize * cols.shape[1]))
+        for i in range(0, cols.shape[1], width):
+            j = min(i + width, cols.shape[1])
+            panel = cols[:, i:j].T @ cols[:, :j]
+            panel[:, i:][np.diag_indices(j - i)] -= 1.0
+            worst = max(worst, np.abs(panel, out=panel).max())
+            del panel
     check("basis Gram deviation", worst, 1e-10)
     jac = max((verify_jacobi_form(b, t, n) for n in range(min(t.depth, 5))), default=0.0)
     check("block Jacobi residual", jac, 1e-10)
@@ -278,23 +293,37 @@ def _check_kernel(t: TreeGraph, e_m: np.ndarray, check) -> None:
 
 
 def _check_birman_schwinger(t: TreeGraph, spec: PotentialSpec, check) -> None:
-    spec.check_assumption(t)
-    check("potential decay certificate", 0.0, 0)
+    # the factory's m_tilde raises AssumptionViolated unless the decay
+    # certificate holds
     factory = BSFactory(t, None, spec)
+    check("potential decay certificate", 0.0, 0)
     lam = 0.05j
+    z = factory.point(lam).z
     tmat = factory.matrix(lam, +1)
-    g_pert = direct_resolvent_block(t, factory.point(lam).z, spec=spec,
-                                    rows=factory.support, cols=factory.support)
-    x = factory.j_phase[:, None] * factory.sqrt_abs[:, None] * g_pert * factory.sqrt_abs[None, :]
+
+    def sandwiched(g):
+        # J sqrt|m| g sqrt|m| on the support, the form of the sandwich T
+        return factory.j_phase[:, None] * factory.sqrt_abs[:, None] * g * factory.sqrt_abs[None, :]
+
+    x = sandwiched(direct_resolvent_block(t, z, spec=spec, rows=factory.support,
+                                          cols=factory.support))
     eye = np.eye(tmat.shape[0])
-    # both rows are relative to the size of their operands, so rounding alone
-    # reads a few eps at any amplitude; neither squares an unscaled entry
+    # every row is relative to the size of its operands, so rounding alone
+    # reads a few eps at any amplitude; none squares an unscaled entry
     s_res = (eye + tmat) @ (eye - x)
     s_res -= eye
     size = (1.0 + np.abs(tmat).max()) * (1.0 + np.abs(x).max())
     check("resolvent-identity residual", np.abs(s_res).max() / size, 1e-8)
-    _, hol_res = hol_split(t, None, spec, lam, factory=factory)
+    del x, s_res
+    # T against the free direct solve: unlike the identity row, this loses no
+    # digits as the amplitude grows, so a wrong T fails it at any amplitude
     scale = _pow2_scale(tmat)
+    diff = tmat - sandwiched(direct_resolvent_block(t, z, rows=factory.support,
+                                                    cols=factory.support))
+    check("sandwich vs direct solve (rel)",
+          np.linalg.norm(diff * scale) / np.linalg.norm(tmat * scale), 1e-8)
+    del diff
+    _, hol_res = hol_split(t, None, spec, lam, factory=factory)
     check("desingularized reconstruction residual",
           hol_res / (np.linalg.norm(tmat * scale) / scale), 1e-8)
 

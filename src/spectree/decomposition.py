@@ -97,8 +97,9 @@ def build_spherical_basis(t: TreeGraph) -> SphericalBasis:
     disjoint supports this complement is assembled exactly from per-family
     mean-zero blocks.  Raising is ``value -> value / sqrt(k)`` copied to the
     k children, which preserves norms by construction.  Every family is
-    written in place into its columns of the sphere it lives on; a block of
-    width 0 is neither written nor raised.
+    written in place into its columns of the sphere it lives on, the newborn
+    blocks too, so no family is built outside ``spheres``; a block of width
+    0 is neither written nor raised.
     """
     k, depth = t.k, t.depth
     inv_sqrt_k = 1.0 / np.sqrt(k)
@@ -116,7 +117,12 @@ def build_spherical_basis(t: TreeGraph) -> SphericalBasis:
         if n == 0:
             cols[0][...] = 1.0
         else:
-            cols[0][...] = np.kron(np.eye(k ** (n - 1)), helmert_complement(k))
+            # kron(eye(k**(n-1)), h) written block by block into the view:
+            # its off-diagonal blocks are 0.0 * h, with kron's signed zeros
+            h, m = helmert_complement(k), k ** (n - 1)
+            blocks = cols[0].reshape(m, k, m, k - 1)
+            blocks[...] = (0.0 * h)[:, None, :]
+            blocks[np.arange(m), :, np.arange(m), :] = h
         # row i of a sphere is the parent of rows k i ... k i + k - 1 below it
         for prev, view in zip(cols, cols[1:]):
             children = view.reshape(prev.shape[0], k, view.shape[1])
@@ -169,15 +175,21 @@ def verify_jacobi_form(b: SphericalBasis, t: TreeGraph, n: int) -> float:
     # entries with |level difference| != 1 vanish structurally (disjoint
     # sphere supports), so only the two bands can deviate; a band counts when
     # both of its levels lie above the truncation level nlev - 1
+    if nlev < 3:
+        return 0.0
     band = np.sqrt(t.k) * np.eye(int(b.dims[n]))
-    # contiguous copies of the block's column views: BLAS sums a strided
-    # column in another order, which would move the residual's last bits
-    fam = [np.ascontiguousarray(a) for a in b.lifted[n]]
+
+    def deviation(onto, image):
+        return np.abs((onto.T @ image).T - band).max()
+
+    # the bands between levels j and j + 1 < nlev - 1: level j + 1 lowered
+    # onto level j, and level j raised onto level j + 1.  They read contiguous
+    # copies of the block's column views, two levels at a time: BLAS sums a
+    # strided column in another order, which would move the residual's last bits
     worst = 0.0
-    for j in range(nlev - 1):
-        down, up = apply_adjacency_level(t, fam[j], n + j)
-        if j >= 1:
-            worst = max(worst, np.abs((fam[j - 1].T @ down).T - band).max())
-        if j + 2 < nlev:
-            worst = max(worst, np.abs((fam[j + 1].T @ up).T - band).max())
+    upper = np.ascontiguousarray(b.lifted[n][0])
+    for j in range(nlev - 2):
+        lower, upper = upper, np.ascontiguousarray(b.lifted[n][j + 1])
+        worst = max(worst, deviation(lower, upper.reshape(lower.shape[0], t.k, -1).sum(axis=1)),
+                    deviation(upper, np.repeat(lower, t.k, axis=0)))
     return float(worst)

@@ -243,15 +243,16 @@ class PotentialSpec:
         span = (cmath.log(self.amplitude).real - math.log(SUPPORT_CUTOFF)) / self.delta
         return max(4, math.ceil(min(max(span, 0.0), VERTEX_CAP)))
 
-    def materialize(self, t: TreeGraph) -> np.ndarray:
-        """Potential values on every vertex of the truncation.
+    def materialize(self, t: TreeGraph, depths: np.ndarray | None = None) -> np.ndarray:
+        """Potential values on every vertex of the truncation; ``depths`` is
+        ``t.depths()``, computed here when not given.
 
         Raises :class:`InvalidParameter` for a table vertex beyond it, which
         would otherwise drop out of everything computed on ``t``.
         """
         m = np.zeros(t.vertex_count, dtype=complex)
         if self.radial:
-            m[:] = self.amplitude * np.exp(-self.delta * t.depths())
+            m[:] = self.amplitude * np.exp(-self.delta * (t.depths() if depths is None else depths))
         else:
             deepest = max((v for v, _ in self.values), default=0)
             if deepest >= t.vertex_count:
@@ -263,37 +264,51 @@ class PotentialSpec:
                 m[v] = x
         return m
 
-    def _log_weighted(self, t: TreeGraph) -> np.ndarray:
-        """``log|M(v)| + delta |v|`` where ``M`` is nonzero (log space: ``exp(delta |v|)``
-        overflows on deep vertices that carry weight)."""
-        m = self.materialize(t)
+    def _log_weighted(self, m: np.ndarray, depths: np.ndarray) -> np.ndarray:
+        """``log|M(v)| + delta |v|`` where the values ``m`` are nonzero, with
+        ``depths`` the vertex depths (log space: ``exp(delta |v|)`` overflows on
+        deep vertices that carry weight)."""
         nz = np.flatnonzero(m)
-        return np.log(np.abs(m[nz])) + self.delta * t.depths()[nz]
+        return np.log(np.abs(m[nz])) + self.delta * depths[nz]
+
+    def _constant(self, log_m: np.ndarray) -> float:
+        """``C``: the given one, else estimated from :meth:`_log_weighted`."""
+        if self.c_const is not None:
+            return float(self.c_const)
+        log_c = np.max(log_m, initial=-np.inf)
+        if log_c > math.log(np.finfo(float).max):
+            raise AssumptionViolated(
+                f"decay certificate constant C = exp({log_c:.6g}) overflows a float"
+            )
+        return math.exp(log_c)
 
     def certificate(self, t: TreeGraph) -> tuple[float, float]:
         """The pair ``(C, delta)``, estimating ``C`` when not supplied."""
         if self.c_const is not None:
             return float(self.c_const), self.delta
-        log_c = np.max(self._log_weighted(t), initial=-np.inf)
-        if log_c > math.log(np.finfo(float).max):
-            raise AssumptionViolated(
-                f"decay certificate constant C = exp({log_c:.6g}) overflows a float"
-            )
-        return math.exp(log_c), self.delta
+        depths = t.depths()
+        return self._constant(self._log_weighted(self.materialize(t, depths), depths)), self.delta
 
-    def check_assumption(self, t: TreeGraph) -> None:
+    def check_assumption(self, t: TreeGraph) -> np.ndarray:
         """Raise :class:`AssumptionViolated` unless the decay certificate holds:
-        ``log|M(v)| + delta |v| <= log C`` (up to ``1e-12``) where ``M`` is nonzero."""
+        ``log|M(v)| + delta |v| <= log C`` (up to ``1e-12``) where ``M`` is nonzero.
+
+        Returns the values of :meth:`materialize`, which the check reads, so
+        a caller need not materialize the potential again.
+        """
         floor = delta_floor(t.k)
         if self.delta < floor - _DECAY_SLACK:
             raise AssumptionViolated(
                 f"decay rate {self.delta:.6g} below the admissible floor "
                 f"{floor:.6g} for k={t.k}"
             )
-        c, _ = self.certificate(t)
-        log_m = self._log_weighted(t)
+        depths = t.depths()
+        m = self.materialize(t, depths)
+        log_m = self._log_weighted(m, depths)
+        c = self._constant(log_m)
         if log_m.size and log_m.max() > math.log(c) + 1e-12:
             raise AssumptionViolated("materialized potential exceeds its certificate")
+        return m
 
     # -- JSON wire format ---------------------------------------------------
 
@@ -359,9 +374,9 @@ def _complex_field(x) -> complex:
 
 
 def potential_matrix(t: TreeGraph, spec: PotentialSpec) -> np.ndarray:
-    """Diagonal of the multiplication operator M, admissibility-checked."""
-    spec.check_assumption(t)
-    return spec.materialize(t)
+    """Diagonal of the multiplication operator M, admissibility-checked (the
+    values the check materializes)."""
+    return spec.check_assumption(t)
 
 
 def m_tilde(t: TreeGraph, spec: PotentialSpec | None) -> np.ndarray:

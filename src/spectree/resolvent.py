@@ -547,6 +547,12 @@ def direct_resolvent_block(
     every caller compares this block with an independent closed form, that
     can only turn a check into a spurious FAIL, never into a false PASS.
 
+    The pivots are computed on the whole tree, but the sweeps over the
+    columns, and the solution they hold, stop at the deepest sphere of
+    ``rows`` and ``cols``: a block of shallow rows and columns costs the
+    ball it lives in, and each of its entries has the bits of the same entry
+    of the full solve.
+
     Raises
     ------
     OnSpectrum
@@ -557,33 +563,39 @@ def direct_resolvent_block(
     n, k = t.vertex_count, t.k
     rows = np.arange(n) if rows is None else np.asarray(rows)
     cols = np.arange(n) if cols is None else np.asarray(cols)
+    # the sweeps stop at the deepest sphere of a row or column: below it the
+    # right-hand sides vanish, so those spheres only add signed zeros to
+    # their parents, which leave every sum's bits as they are
+    deep = sphere_of(k, int(max(rows.max(initial=0), cols.max(initial=0))))
+    off = t.sphere_offsets
+    swept = int(off[deep + 1])
     step = SOLVE_CHUNK
     # the returned rows x cols block, plus one chunk's identity columns, their
-    # solution and its gathered rows, plus the per-vertex arrays
+    # solution and its gathered rows on the swept spheres, plus the
+    # per-vertex arrays
     _check_budget(
-        np.dtype(complex).itemsize * (rows.size * cols.size + 3 * n * min(step, cols.size))
+        np.dtype(complex).itemsize * (rows.size * cols.size + 3 * swept * min(step, cols.size))
         + SOLVE_VERTEX_BYTES * n,
         f"direct-solve columns for {cols.size} of {n} vertices",
     )
 
     inv = _inverse_pivots(t, z, spec, boundary)
-    off = t.sphere_offsets
     out = np.empty((rows.size, cols.size), dtype=complex)
     for start in range(0, cols.size, step):
         chunk = cols[start:start + step]
-        x = np.zeros((n, chunk.size), dtype=complex)
+        x = np.zeros((swept, chunk.size), dtype=complex)
         x[chunk, np.arange(chunk.size)] = 1.0
         # forward sweep leaves first, fused with the diagonal solve: a sphere
         # scaled by its inverse pivots is what its parents add.  Not ``*=``:
         # numpy rounds a one-element in-place complex product differently, so
         # a one-column chunk would not equal the same column in a wider one
-        for r in range(t.depth, -1, -1):
+        for r in range(deep, -1, -1):
             lo, hi = off[r:r + 2]
             x[lo:hi] = x[lo:hi] * inv[lo:hi, None]
             if r:
                 x[off[r - 1]:lo] += _child_sum(x[lo:hi], k)
         # back sweep from the root: each vertex adds its parent over its pivot
-        for r in range(1, t.depth + 1):
+        for r in range(1, deep + 1):
             lo, hi = off[r:r + 2]
             parents = x[off[r - 1]:lo]
             for kid, scale in zip(_children(x[lo:hi], k), _children(inv[lo:hi], k)):

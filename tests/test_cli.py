@@ -147,6 +147,13 @@ def _dense_validation(k, depth, spec):
         s_res = (ident + tmat) @ (ident - x)
         check("resolvent-identity residual", np.abs(s_res - ident).max()
               / ((1 + np.abs(tmat).max()) * (1 + np.abs(x).max())), 1e-8)
+        # the support block of the whole free solve
+        g_free = direct_resolvent_block(t, factory.point(lam).z)[np.ix_(factory.support,
+                                                                         factory.support)]
+        x_free = (factory.j_phase[:, None] * factory.sqrt_abs[:, None] * g_free
+                  * factory.sqrt_abs[None, :])
+        check("sandwich vs direct solve (rel)",
+              np.linalg.norm(tmat - x_free) / np.linalg.norm(tmat), 1e-8)
         check("desingularized reconstruction residual",
               hol_split(t, b, spec, lam, factory=factory)[1] / np.linalg.norm(tmat), 1e-8)
     return rows
@@ -203,7 +210,7 @@ def test_validate_kernel_row_is_the_kernel_error(capsys, k, depth, z, radial):
     assert row == json.loads(capsys.readouterr().out)["rel_frobenius_error"]
 
 
-@pytest.mark.parametrize("k,depth", [(2, 10), (3, 6), (1, 12), (2, 11), (1, 200)])
+@pytest.mark.parametrize("k,depth", [(2, 10), (3, 6), (1, 12), (2, 11), (1, 200), (5, 5)])
 def test_validation_stages_stay_within_the_budget_formula(monkeypatch, k, depth):
     import tracemalloc
 
@@ -231,7 +238,7 @@ def test_validation_stages_stay_within_the_budget_formula(monkeypatch, k, depth)
 
 
 @pytest.mark.parametrize("k,depth", [(2, 10), (2, 11), (3, 6), (4, 5)])
-def test_basis_stage_holds_the_basis_and_one_gram(k, depth):
+def test_basis_stage_holds_the_basis_and_one_gram_panel(k, depth):
     import tracemalloc
 
     from spectree import cli
@@ -248,9 +255,29 @@ def test_basis_stage_holds_the_basis_and_one_gram(k, depth):
     assert [name for name, *_ in rows] == [
         "basis count = vertex count", "basis Gram deviation", "block Jacobi residual"]
     assert all(value <= tol for _, value, tol in rows)
-    # the stored basis, one k**r x k**r array per sphere, and the deepest Gram
-    floats = sum(k ** (2 * r) for r in range(depth + 1)) + k ** (2 * depth)
-    assert peak <= 8 * floats + 2**20
+    # the stored basis, one k**r x k**r array per sphere, and one Gram panel
+    basis = 8 * sum(k ** (2 * r) for r in range(depth + 1))
+    assert peak <= basis + cli.GRAM_PANEL_BYTES + 2**20
+
+
+@pytest.mark.parametrize("k,depth,ragged", [(2, 10, False), (3, 6, True), (4, 5, False),
+                                            (5, 4, True)])
+def test_paneled_gram_deviation_equals_the_whole_gram(k, depth, ragged):
+    # the deepest sphere's Gram is read in panels of rows, the last one
+    # narrower where the panel width does not divide k**depth
+    from spectree import cli
+
+    width = cli.GRAM_PANEL_BYTES // (8 * k**depth)
+    assert width < k**depth and (k**depth % width != 0) == ragged
+    t = build_tree(k, depth)
+    worst = 0.0
+    for cols in build_spherical_basis(t).spheres:
+        gram = cols.T @ cols
+        gram[np.diag_indices_from(gram)] -= 1.0
+        worst = max(worst, np.abs(gram).max())
+    rows = {}
+    cli._check_basis(t, lambda name, value, tol: rows.setdefault(name, value))
+    assert rows["basis Gram deviation"] == worst > 0
 
 
 def test_operators_stage_holds_no_dense_operator():
@@ -762,7 +789,8 @@ def test_validate_fails_a_wrong_sandwich_at_any_amplitude(monkeypatch, capsys, k
                                                           amplitude, broken):
     # a relative error of 1e-6 in the raw sandwich, or in the factor relating
     # it to the desingularized kernel, fails the reconstruction row.  The
-    # identity row sees the wrong sandwich only at small amplitude: a
+    # wrong sandwich fails the row against the free direct solve at any
+    # amplitude; the identity row sees it only at small amplitude: a
     # relative error d in T moves (I + T)(I - X) by about d, which the row
     # reads as d / (1 + |T|)(1 + |X|), below 1e-8 at amplitude 1e12
     import spectree.birman_schwinger as bs
@@ -779,6 +807,10 @@ def test_validate_fails_a_wrong_sandwich_at_any_amplitude(monkeypatch, capsys, k
     assert code == 2 and captured.err == ""
     rows = _validate_rows(captured.out)
     assert rows["desingularized reconstruction residual"][0] == "FAIL"
+    direct = rows["sandwich vs direct solve (rel)"]
+    assert direct[0] == ("FAIL" if broken == "sandwich" else "PASS")
+    if broken == "sandwich":
+        assert abs(float(direct[1].removeprefix("value=")) - 1e-6) < 1e-9
     if broken == "sandwich" and amplitude < 1:
         assert rows["resolvent-identity residual"][0] == "FAIL"
     assert rows["overall"] == ["FAIL"]

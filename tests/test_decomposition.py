@@ -114,6 +114,11 @@ def test_sphere_layout(k, depth):
         assert b.chi[n].shape == (k**n, b.dims[n])
         if b.dims[n]:
             assert b.chi[n] is b.lifted[n][0]
+            if n:
+                # the newborn block is written through this reshape, so it
+                # must be a view: a copy would lose the writes
+                m = k ** (n - 1)
+                assert np.shares_memory(b.chi[n].reshape(m, k, m, k - 1), b.spheres[n])
         else:  # every n >= 1 at k = 1: no levels are stored
             assert b.levels(n) == 0 and b.lifted[n] == []
         assert len(b.lifted[n]) == b.levels(n)

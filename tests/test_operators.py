@@ -140,6 +140,35 @@ def test_radial_certificate_holds():
     assert np.all(np.abs(m) <= 1.5 * np.exp(-6 * LOG2 * r) + 1e-12)
 
 
+@pytest.mark.parametrize("spec", [
+    PotentialSpec.radial_exp(0.3 + 0.15j, 6 * LOG2),
+    PotentialSpec.table([(0, 0.3 - 0.2j), (5, 0.01)], 6 * LOG2),
+    PotentialSpec.table([(0, 0.3)], 6 * LOG2, c_const=1.0),
+], ids=["radial", "table", "table-with-C"])
+def test_m_tilde_materializes_the_potential_once(monkeypatch, spec):
+    # the decay check reads the values and depths m_tilde returns with
+    from spectree.tree import TreeGraph
+
+    t = build_tree(2, 6)
+    expected = m_tilde(t, spec)
+    calls = {"materialize": 0, "depths": 0}
+
+    def counted(owner, name):
+        method = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(PotentialSpec, "materialize")
+    counted(TreeGraph, "depths")
+    got = m_tilde(t, spec)
+    assert calls == {"materialize": 1, "depths": 1}
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_assumption_violation_and_override():
     t = build_tree(2, 4)
     bad = PotentialSpec.radial_exp(0.5, 0.5 * LOG2)

@@ -485,6 +485,36 @@ def test_direct_solve_chunks_equal_one_shot_solve(with_spec, subset, monkeypatch
     assert np.array_equal(got, direct_resolvent_block(t, z, spec=spec, rows=rows, cols=cols))
 
 
+def _shallow_cases():
+    # unsorted rows and columns above the deepest sphere, rows deeper than the
+    # columns and the other way round, and a lone root column
+    rng = np.random.default_rng(5)
+    for k, depth in [(1, 30), (2, 9), (3, 5), (4, 4)]:
+        t = build_tree(k, depth)
+        off = t.sphere_offsets
+        shallow = [rng.permutation(int(off[r + 1]))[:40] for r in (depth // 3, depth - 2)]
+        yield k, depth, shallow[0], shallow[1]
+        yield k, depth, shallow[1], shallow[0]
+        yield k, depth, shallow[1], np.array([0])
+
+
+@pytest.mark.parametrize("boundary", ["exact", "truncated"])
+@pytest.mark.parametrize("kind", ["free", "radial", "table"])
+@pytest.mark.parametrize("k,depth,rows,cols", list(_shallow_cases()))
+def test_direct_solve_rows_equal_the_rows_of_the_full_sweep(k, depth, rows, cols, kind, boundary):
+    # rows=None sweeps every sphere; a row subset stops at its deepest sphere
+    # and must keep every bit of the entries it returns
+    t = build_tree(k, depth)
+    delta = max(1.6, 6 * math.log(k))
+    spec = {"free": None,
+            "radial": PotentialSpec.radial_exp(0.3 + 0.15j, delta),
+            "table": PotentialSpec.table([(0, 0.3 - 0.2j), (2, -0.15j), (4, 0.05)], delta)}[kind]
+    for z in (t_minus(k) - 0.5, k + 1.0 + 2.0j):
+        got = direct_resolvent_block(t, z, spec=spec, boundary=boundary, rows=rows, cols=cols)
+        whole = direct_resolvent_block(t, z, spec=spec, boundary=boundary, cols=cols)
+        assert got.tobytes() == whole[rows].tobytes()
+
+
 @pytest.mark.parametrize("k,depth", [(1, 30), (4, 4)])
 def test_one_column_chunks_equal_one_shot_solve(k, depth, monkeypatch):
     # numpy rounds a lone column differently from one among many in a sum
