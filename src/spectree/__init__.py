@@ -56,7 +56,6 @@ from .operators import (
     lowering,
     m_tilde,
     perturbed_operator,
-    potential_matrix,
     raising,
     theta,
     weights,

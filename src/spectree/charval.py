@@ -82,8 +82,8 @@ from .errors import (
     SingularOnContour,
 )
 from .fredholm import FredholmPivots
-from .operators import PotentialSpec, perturbed_operator, m_tilde
-from .resolvent import _check_budget, t_minus, t_plus
+from .operators import PotentialSpec, perturbed_operator
+from .resolvent import _check_budget, _distance_to_band, t_minus, t_plus
 from .tree import TreeGraph
 
 #: resonance flag threshold: an eigenvalue of the sandwich counts as "-1"
@@ -519,9 +519,9 @@ def absence_scan(
         raise InvalidParameter(f"annulus needs r_min < r_max, got ({r_min}, {r_max})")
     if grid < 1:
         raise InvalidParameter(f"grid must be >= 1, got {grid}")
-    # the grid points, the rows kept per chunk and their concatenation
+    # the grid points and their rows
     _check_budget(
-        grid * grid * (np.dtype(complex).itemsize + 2 * len(CSV_HEADER) * np.dtype(float).itemsize),
+        grid * grid * (np.dtype(complex).itemsize + len(CSV_HEADER) * np.dtype(float).itemsize),
         f"{grid} x {grid} grid points and rows",
     )
     factory = factory or BSFactory(t, b, spec)
@@ -541,12 +541,12 @@ def absence_scan(
     _check_even_nodes(nodes)
 
     points = _polar_grid(r_min, r_max, grid)
+    grid_rows = np.empty((points.size, len(CSV_HEADER)))
     # the probe builds a table's kernel here, once: cached_property has no
     # lock from Python 3.12 on, so two pool threads could each build it
     step = _grid_chunk_len(factory.blocks(points[:1], sign), points.size)
     starts = range(0, points.size, step)
 
-    chunks = []
     flagged = 0
     with ThreadPoolExecutor(pool_size()) as pool:
         futures = [pool.submit(_grid_chunk, factory, points[s:s + step], sign) for s in starts]
@@ -560,8 +560,8 @@ def absence_scan(
                 for start, future in zip(starts, futures):
                     dist, minsv, flags = future.result()
                     lams = points[start:start + step]
-                    rows = np.column_stack([lams.real, lams.imag, dist, minsv])
-                    chunks.append(rows)
+                    rows = grid_rows[start:start + step]
+                    np.stack([lams.real, lams.imag, dist, minsv], axis=1, out=rows)
                     flagged += int(flags.sum())
                     if sink:
                         sink.write("".join(ROW % tuple(r) for r in rows.tolist()))
@@ -570,7 +570,6 @@ def absence_scan(
             for future in futures:
                 future.cancel()
 
-    grid_rows = np.concatenate(chunks)
     return ScanReport(
         threshold=threshold,
         ladder=ladder,
@@ -623,16 +622,14 @@ def spectrum(t: TreeGraph, spec: PotentialSpec | None) -> SpectrumResult:
     v = t.vertex_count
     _check_budget(2 * np.dtype(complex).itemsize * v * v,
                   f"dense operator and eigensolve on {v} vertices")
-    m_vec = m_tilde(t, spec)
     h = perturbed_operator(t, spec)
-    if np.abs(m_vec.imag).max(initial=0.0) == 0.0:
+    # the off-diagonal entries are real, so h is real where its diagonal is
+    if not h.diagonal().imag.any():
         eigs = np.linalg.eigvalsh(h.real).astype(complex)
     else:
         eigs = np.linalg.eigvals(h)
         eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
-    lo, hi = t_minus(t.k), t_plus(t.k)
-    x = np.clip(eigs.real, lo, hi)
-    inside = np.abs(eigs - x) <= BAND_TOL
     return SpectrumResult(
-        eigenvalues=eigs, inside_band=inside, t_minus=lo, t_plus=hi
+        eigenvalues=eigs, inside_band=_distance_to_band(t.k, eigs) <= BAND_TOL,
+        t_minus=t_minus(t.k), t_plus=t_plus(t.k),
     )

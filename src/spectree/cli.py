@@ -55,8 +55,12 @@ from .tree import TreeGraph, build_tree, check_branching_factor, newborn_multipl
 
 USAGE_ERROR, CERTIFICATION_FAILURE = 1, 2
 
-#: most bytes of one panel of a sphere's Gram in ``validate``'s basis check
-GRAM_PANEL_BYTES = 2**20
+#: rows of one panel of a sphere's Gram in ``validate``'s basis check
+GRAM_PANEL_ROWS = 128
+
+#: most relative Frobenius error of the weighted kernel against the direct
+#: solve: ``kernel``'s exit code and ``validate``'s kernel row
+KERNEL_REL_TOL = 1e-6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -175,11 +179,10 @@ def _validation_bytes(t: TreeGraph) -> int:
 
     The basis stage holds the stored basis, one ``k**r x k**r`` array of
     floats per sphere, written in place, and one panel of a sphere's Gram at
-    a time: at most :data:`GRAM_PANEL_BYTES`, or one row of the deepest
-    sphere's Gram where that is larger.  After the Gram, its Jacobi check of
-    a block ``n < 5`` with three or more levels holds two of the block's
-    levels above the truncation sphere, one of them lowered and one raised,
-    all ``dims[n]`` columns wide, and four ``dims[n] x dims[n]`` arrays.
+    a time: at most :data:`GRAM_PANEL_ROWS` rows of the deepest sphere's
+    Gram.  After the Gram, its Jacobi check of a block ``n < 5`` with three
+    or more levels holds two of the block's levels above the truncation
+    sphere, one of them lowered and one raised, all ``dims[n]`` columns wide, and four ``dims[n] x dims[n]`` arrays.
     The kernel stage compares ``V x (depth + 1)`` entries and holds at most
     eight complex numbers per entry: its coefficient map, with one depth
     triple per entry at k = 1, then the kernel, the direct solve and their
@@ -189,7 +192,7 @@ def _validation_bytes(t: TreeGraph) -> int:
     kernel and solve check the budget themselves.
     """
     k, depth, size = t.k, t.depth, np.dtype(float).itemsize
-    panel = max(GRAM_PANEL_BYTES, size * k**depth)
+    panel = size * min(GRAM_PANEL_ROWS, k**depth) * k**depth
     widths = [newborn_multiplicity(k, n) for n in range(min(depth - 1, 5))]
     jacobi = size * max((d * (2 * k ** (depth - 2) + 2 * k ** (depth - 1) + 4 * d) for d in widths),
                         default=0)
@@ -263,9 +266,8 @@ def _check_basis(t: TreeGraph, check) -> None:
     # triangle and diagonal, which check every column pair once
     worst = 0.0
     for cols in b.spheres:
-        width = max(1, GRAM_PANEL_BYTES // (cols.itemsize * cols.shape[1]))
-        for i in range(0, cols.shape[1], width):
-            j = min(i + width, cols.shape[1])
+        for i in range(0, cols.shape[1], GRAM_PANEL_ROWS):
+            j = min(i + GRAM_PANEL_ROWS, cols.shape[1])
             panel = cols[:, i:j].T @ cols[:, :j]
             panel[:, i:][np.diag_indices(j - i)] -= 1.0
             worst = max(worst, np.abs(panel, out=panel).max())
@@ -289,7 +291,7 @@ def _check_kernel(t: TreeGraph, e_m: np.ndarray, check) -> None:
         for j in range(4) for l in range(4)
     )
     check("sine-projected coefficient vs quadrature", qs, 1e-10)
-    check("weighted kernel vs direct solve (rel)", _kernel_errors(t, sp_, e_m)[1], 1e-6)
+    check("weighted kernel vs direct solve (rel)", _kernel_errors(t, sp_, e_m)[1], KERNEL_REL_TOL)
 
 
 def _check_birman_schwinger(t: TreeGraph, spec: PotentialSpec, check) -> None:
@@ -328,8 +330,7 @@ def _check_birman_schwinger(t: TreeGraph, spec: PotentialSpec, check) -> None:
           hol_res / (np.linalg.norm(tmat * scale) / scale), 1e-8)
 
 
-def _cmd_validate(args) -> int:
-    spec = _load_potential(args.potential)
+def _cmd_validate(args, spec: PotentialSpec | None) -> int:
     rows = _run_validation(args.k, args.depth, spec)
     width = max(len(r[0]) for r in rows)
     ok = True
@@ -377,8 +378,7 @@ def _kernel_errors(t: TreeGraph, sp_: SpectralPoint, e_m: np.ndarray) -> tuple[f
     return _sphere_column_errors(t, kern, oracle)
 
 
-def _cmd_kernel(args) -> int:
-    spec = _load_potential(args.potential)
+def _cmd_kernel(args, spec: PotentialSpec | None) -> int:
     delta = args.delta if args.delta is not None else _default_delta(args.k, spec)
     if args.lam is not None:
         sp_ = from_lambda(args.k, _complex_arg("--lam", args.lam))
@@ -396,17 +396,15 @@ def _cmd_kernel(args) -> int:
         "max_abs_error": max_err,
         "rel_frobenius_error": rel,
     }))
-    return 0 if rel <= 1e-6 else CERTIFICATION_FAILURE
+    return 0 if rel <= KERNEL_REL_TOL else CERTIFICATION_FAILURE
 
 
 # -- scan ------------------------------------------------------------------------
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args, spec: PotentialSpec | None) -> int:
     if not (math.isfinite(args.sv_floor) and args.sv_floor >= 0):
         raise InvalidParameter(f"--sv-floor must be finite and non-negative, got {args.sv_floor}")
-    spec = _load_potential(args.potential)
-    depth = args.depth if args.depth is not None else _auto_depth(args.k, spec)
-    t = build_tree(args.k, depth)
+    t = build_tree(args.k, args.depth)
     _check_out(args.out)
     report = absence_scan(
         t, None, spec, (args.rmin, args.rmax), args.grid, args.threshold,
@@ -433,9 +431,8 @@ def _auto_depth(k: int, spec: PotentialSpec | None) -> int:
 
 # -- spectrum --------------------------------------------------------------------
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args, spec: PotentialSpec | None) -> int:
     t = build_tree(args.k, args.depth)
-    spec = _load_potential(args.potential)
     _check_out(args.out)
     result = spectrum(t, spec)
     lines = ["re,im,inside_band"]
@@ -452,11 +449,9 @@ def _cmd_spectrum(args) -> int:
 
 # -- index -----------------------------------------------------------------------
 
-def _cmd_index(args) -> int:
-    spec = _load_potential(args.potential)
+def _cmd_index(args, spec: PotentialSpec | None) -> int:
     center = _complex_arg("--center", args.center)
-    depth = args.depth if args.depth is not None else _auto_depth(args.k, spec)
-    t = build_tree(args.k, depth)
+    t = build_tree(args.k, args.depth)
     factory = BSFactory(t, None, spec)
     f = charval._pivot_family(factory, charval._sign_for(args.threshold))
     report = charval.contour_index(f, None, ContourSpec(center, args.radius, args.nodes))
@@ -467,9 +462,13 @@ def _cmd_index(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # every command does arithmetic on k before it builds a tree
+        # every command does arithmetic on k before it builds a tree, and
+        # reads the potential before its own flags
         check_branching_factor(args.k)
-        return args.run(args)
+        spec = _load_potential(args.potential)
+        if args.depth is None:
+            args.depth = _auto_depth(args.k, spec)
+        return args.run(args, spec)
     except SpectreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (SingularOnContour, NonConvergent)):

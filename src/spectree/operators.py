@@ -264,31 +264,6 @@ class PotentialSpec:
                 m[v] = x
         return m
 
-    def _log_weighted(self, m: np.ndarray, depths: np.ndarray) -> np.ndarray:
-        """``log|M(v)| + delta |v|`` where the values ``m`` are nonzero, with
-        ``depths`` the vertex depths (log space: ``exp(delta |v|)`` overflows on
-        deep vertices that carry weight)."""
-        nz = np.flatnonzero(m)
-        return np.log(np.abs(m[nz])) + self.delta * depths[nz]
-
-    def _constant(self, log_m: np.ndarray) -> float:
-        """``C``: the given one, else estimated from :meth:`_log_weighted`."""
-        if self.c_const is not None:
-            return float(self.c_const)
-        log_c = np.max(log_m, initial=-np.inf)
-        if log_c > math.log(np.finfo(float).max):
-            raise AssumptionViolated(
-                f"decay certificate constant C = exp({log_c:.6g}) overflows a float"
-            )
-        return math.exp(log_c)
-
-    def certificate(self, t: TreeGraph) -> tuple[float, float]:
-        """The pair ``(C, delta)``, estimating ``C`` when not supplied."""
-        if self.c_const is not None:
-            return float(self.c_const), self.delta
-        depths = t.depths()
-        return self._constant(self._log_weighted(self.materialize(t, depths), depths)), self.delta
-
     def check_assumption(self, t: TreeGraph) -> np.ndarray:
         """Raise :class:`AssumptionViolated` unless the decay certificate holds:
         ``log|M(v)| + delta |v| <= log C`` (up to ``1e-12``) where ``M`` is nonzero.
@@ -304,8 +279,18 @@ class PotentialSpec:
             )
         depths = t.depths()
         m = self.materialize(t, depths)
-        log_m = self._log_weighted(m, depths)
-        c = self._constant(log_m)
+        # in log space: exp(delta |v|) overflows on deep vertices that carry weight
+        nz = np.flatnonzero(m)
+        log_m = np.log(np.abs(m[nz])) + self.delta * depths[nz]
+        if self.c_const is not None:
+            c = float(self.c_const)
+        else:
+            log_c = np.max(log_m, initial=-np.inf)
+            if log_c > math.log(np.finfo(float).max):
+                raise AssumptionViolated(
+                    f"decay certificate constant C = exp({log_c:.6g}) overflows a float"
+                )
+            c = math.exp(log_c)
         if log_m.size and log_m.max() > math.log(c) + 1e-12:
             raise AssumptionViolated("materialized potential exceeds its certificate")
         return m
@@ -373,18 +358,13 @@ def _complex_field(x) -> complex:
     return complex(x)
 
 
-def potential_matrix(t: TreeGraph, spec: PotentialSpec) -> np.ndarray:
-    """Diagonal of the multiplication operator M, admissibility-checked (the
-    values the check materializes)."""
-    return spec.check_assumption(t)
-
-
 def m_tilde(t: TreeGraph, spec: PotentialSpec | None) -> np.ndarray:
-    """Diagonal of the effective perturbation ``-d0 + M``."""
+    """Diagonal of the effective perturbation ``-d0 + M``, with ``M``
+    admissibility-checked by :meth:`PotentialSpec.check_assumption`."""
     _, d0 = degree_terms(t)
     m = -d0.astype(complex)
     if spec is not None:
-        m += potential_matrix(t, spec)
+        m += spec.check_assumption(t)
     return m
 
 

@@ -153,12 +153,12 @@ class SpectralPoint:
         )
 
 
-def _distance_to_band(k: int, z: complex) -> float:
-    lo, hi = t_minus(k), t_plus(k)
-    x = z.real
-    if lo <= x <= hi:
-        return abs(z.imag)
-    return min(abs(z - lo), abs(z - hi))
+def _distance_to_band(k: int, z):
+    """Distance from ``z`` (a number or an array) to the band ``[t_minus, t_plus]``:
+    ``|Im z|`` above it, else the distance to the nearer edge."""
+    x = np.real(z)
+    # |z - clip(Re z)| by hypot, which Python's abs(complex) also rounds by
+    return np.hypot(x - np.clip(x, t_minus(k), t_plus(k)), np.imag(z))
 
 
 def from_z(k: int, z: complex) -> SpectralPoint:

@@ -357,6 +357,29 @@ def test_planted_root_eigenvalue():
     assert out[0] == pytest.approx(-10.0 / 3.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("spec", [
+    PotentialSpec.radial_exp(0.3 + 0.15j, 6 * LOG2),
+    PotentialSpec.radial_exp(0.3, 6 * LOG2),
+], ids=["complex", "real"])
+def test_spectrum_certifies_the_potential_once(monkeypatch, spec):
+    # the operator's diagonal tells a real operator from a complex one, so
+    # the potential is materialized and certified only for the operator
+    t = build_tree(2, 4)
+    expected = spectrum(t, spec)
+    check = PotentialSpec.check_assumption
+    calls = []
+
+    def counted(self, tree):
+        calls.append(tree)
+        return check(self, tree)
+
+    monkeypatch.setattr(PotentialSpec, "check_assumption", counted)
+    got = spectrum(t, spec)
+    assert calls == [t]
+    assert got.eigenvalues.tobytes() == expected.eigenvalues.tobytes()
+    assert got.inside_band.tolist() == expected.inside_band.tolist()
+
+
 def test_complex_potential_spectrum_is_the_sorted_dense_eigvals():
     # a complex potential takes the general eigensolver; the root defect
     # leaves the band with an imaginary part, other eigenvalues stay within

@@ -257,7 +257,7 @@ def test_basis_stage_holds_the_basis_and_one_gram_panel(k, depth):
     assert all(value <= tol for _, value, tol in rows)
     # the stored basis, one k**r x k**r array per sphere, and one Gram panel
     basis = 8 * sum(k ** (2 * r) for r in range(depth + 1))
-    assert peak <= basis + cli.GRAM_PANEL_BYTES + 2**20
+    assert peak <= basis + 8 * min(cli.GRAM_PANEL_ROWS, k**depth) * k**depth + 2**20
 
 
 @pytest.mark.parametrize("k,depth,ragged", [(2, 10, False), (3, 6, True), (4, 5, False),
@@ -267,7 +267,7 @@ def test_paneled_gram_deviation_equals_the_whole_gram(k, depth, ragged):
     # narrower where the panel width does not divide k**depth
     from spectree import cli
 
-    width = cli.GRAM_PANEL_BYTES // (8 * k**depth)
+    width = cli.GRAM_PANEL_ROWS
     assert width < k**depth and (k**depth % width != 0) == ragged
     t = build_tree(k, depth)
     worst = 0.0
@@ -371,8 +371,8 @@ ROOT_TABLE = json.dumps({"kind": "table", "values": [{"v": 0, "re": 0.3}], "delt
 ], ids=["scan grid", "index nodes"])
 def test_scan_and_index_over_memory_budget_are_one_error_line(monkeypatch, capsys, argv, what):
     # the root-only table keeps the sandwich 1 x 1, so only the grid or the
-    # node arrays (16 x 80 and 128 x 64 bytes) exceed the budget
-    monkeypatch.setattr(resolvent, "memory_budget", lambda: 1000)
+    # node arrays (16 x 48 and 128 x 64 bytes) exceed the budget
+    monkeypatch.setattr(resolvent, "memory_budget", lambda: 700)
     code = main(argv)
     captured = capsys.readouterr()
     lines = captured.err.strip().splitlines()
@@ -1020,6 +1020,23 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, field, argv):
     assert captured.out == ""
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert field in lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--k", "2", "--depth", "40000"],
+    ["kernel", "--k", "2", "--depth", "40000"],
+    ["validate", "--k", "2", "--depth", "40000"],
+    SCAN[:5] + SCAN[7:] + ["--sv-floor", "nan"],
+    INDEX + ["--center", "1+"],
+], ids=lambda argv: argv[0])
+def test_bad_potential_is_reported_before_a_second_fault(capsys, argv):
+    # every command reads --potential right after --k, before its own flags
+    # and before it builds a tree
+    assert main(argv + ["--potential", '{"kind": "radial-exp",']) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith("error: potential JSON is malformed")
 
 
 @pytest.mark.parametrize("argv", [

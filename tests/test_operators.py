@@ -15,7 +15,6 @@ from spectree import (
     laplacian,
     lowering,
     m_tilde,
-    potential_matrix,
     raising,
     theta,
     weights,
@@ -173,18 +172,23 @@ def test_assumption_violation_and_override():
     t = build_tree(2, 4)
     bad = PotentialSpec.radial_exp(0.5, 0.5 * LOG2)
     with pytest.raises(AssumptionViolated):
-        potential_matrix(t, bad)
+        m_tilde(t, bad)
     # k = 1 admits any positive rate
     t1 = build_tree(1, 4)
     PotentialSpec.radial_exp(0.5, 0.5 * LOG2).check_assumption(t1)
 
 
 def test_certificate_estimation():
+    # without C, the check estimates it as max |M(v)| exp(delta |v|): the
+    # estimate passes a given C just above it and fails one just below
     t = build_tree(2, 4)
-    spec = PotentialSpec.table([(0, 1.0), (3, 0.25j)], delta=6 * LOG2)
-    c, delta = spec.certificate(t)
+    values, delta = [(0, 1.0), (3, 0.25j)], 6 * LOG2
     r3 = 2  # vertex 3 sits on sphere 2
-    assert c == pytest.approx(max(1.0, 0.25 * math.exp(delta * r3)))
+    c = max(1.0, 0.25 * math.exp(delta * r3))
+    PotentialSpec.table(values, delta).check_assumption(t)
+    PotentialSpec.table(values, delta, c_const=c * (1 + 1e-9)).check_assumption(t)
+    with pytest.raises(AssumptionViolated, match="exceeds its certificate"):
+        PotentialSpec.table(values, delta, c_const=c * (1 - 1e-9)).check_assumption(t)
 
 
 def test_huge_explicit_certificate_is_checked_in_log_space():

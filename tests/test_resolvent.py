@@ -86,6 +86,35 @@ def test_from_z_on_spectrum_rejected():
     from_z(1, -1e-6)  # just below the lower edge is fine
 
 
+def _scalar_distance_to_band(k, z):
+    """The band distance as a scalar rule: ``|Im z|`` above the band, else
+    the smaller distance to an edge."""
+    lo, hi = t_minus(k), t_plus(k)
+    if lo <= z.real <= hi:
+        return abs(z.imag)
+    return min(abs(z - lo), abs(z - hi))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_distance_to_band_array_equals_the_scalar_rule(k):
+    lo, hi = t_minus(k), t_plus(k)
+    re = [lo - 1e3, lo - 1.0, lo - 1e-13, lo, np.nextafter(lo, hi), 0.5 * (lo + hi),
+          np.nextafter(hi, lo), hi, hi + 1e-13, hi + 1.0, hi + 1e3]
+    im = [0.0, -0.0, 1e-13, -1e-13, 0.25, -2.0, 1e3]
+    z = np.array([complex(x, y) for x in re for y in im])
+    got = resolvent._distance_to_band(k, z)
+    want = np.array([_scalar_distance_to_band(k, complex(w)) for w in z])
+    assert got.tobytes() == want.tobytes()
+    assert [float(resolvent._distance_to_band(k, complex(w))) for w in z] == want.tolist()
+    # from_z refuses a point within 1e-12 of the band, and only such a point
+    for w, d in zip(z, want):
+        if d < 1e-12:
+            with pytest.raises(OnSpectrum):
+                from_z(k, w)
+        else:
+            from_z(k, w)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_branch_coherence(k):
     rng = np.random.default_rng(7)
