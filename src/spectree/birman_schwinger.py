@@ -43,7 +43,7 @@ from .resolvent import (
     edge_xi,
     from_lambda,
 )
-from .tree import TreeGraph, newborn_multiplicity
+from .tree import TreeGraph, newborn_multiplicity, sphere_of
 
 #: scalar relating the raw sandwich to the desingularized kernel:
 #: the two pole parts cancel and each bracket contributes twice the
@@ -96,16 +96,13 @@ def phase_ratio(a: int, lam: complex) -> complex:
 def support_vertices(t: TreeGraph, m_vec: np.ndarray) -> tuple[np.ndarray, int]:
     """Vertices carrying the sandwich: ``m != 0`` up to the last relevant sphere.
 
-    The supporting radius is the largest sphere whose maximal ``|m|`` still
-    reaches :data:`SUPPORT_CUTOFF`; beyond it the sandwich weights are
-    numerically zero.
+    The supporting radius is the sphere of the last vertex (vertices are numbered
+    sphere by sphere) whose ``|m|`` reaches :data:`SUPPORT_CUTOFF`, or ``0``;
+    beyond it the sandwich weights are numerically zero.
     """
     mod = np.abs(m_vec)
-    r_support = 0
-    for r in range(t.depth + 1):
-        s = t.sphere(r)
-        if mod[s.start:s.stop].max(initial=0.0) >= SUPPORT_CUTOFF:
-            r_support = r
+    reached = np.flatnonzero(mod >= SUPPORT_CUTOFF)
+    r_support = sphere_of(t.k, int(reached[-1])) if reached.size else 0
     limit = t.sphere_offsets[r_support + 1]
     idx = np.nonzero(mod[:limit] > 0)[0]
     if idx.size == 0:

@@ -305,8 +305,8 @@ def contour_index(f, fprime, contour: ContourSpec) -> IndexReport:
         budget.
     """
     _check_even_nodes(contour.nodes)
-    # the last doubling's nodes, traces in chunks, joined and weighted, and
-    # the angles, exponentials, nodes and unit phases of ContourSpec.integrate
+    # the last doubling's nodes, traces, singular values, a chunk and weighted traces,
+    # and the angles, exponentials, nodes and unit phases of ContourSpec.integrate
     most = contour.nodes << MAX_DOUBLINGS
     _check_budget(8 * np.dtype(complex).itemsize * most, f"{most} contour nodes")
     for _ in range(MAX_DOUBLINGS + 1):
@@ -336,19 +336,17 @@ def _quadrature_pass(f, fprime, contour, phase) -> IndexReport:
     # chunks are sized from the blocks of the first node's F
     probe = f(pts[:1])
     step = _chunk_len(probe[0] if fprime is None else probe)
-    chunks, min_sv = [], math.inf
+    traces = np.empty(contour.nodes, dtype=complex)
+    svs = np.empty(contour.nodes)
     for start in range(0, contour.nodes, step):
         lams = pts[start:start + step]
         pair = f(lams) if fprime is None else (f(lams), fprime(lams))
-        traces, svs = _trace_and_sv(lams, *pair)
-        chunks.append(traces)
-        min_sv = min(min_sv, *svs)
-    traces = np.concatenate(chunks)
+        traces[start:start + step], svs[start:start + step] = _trace_and_sv(lams, *pair)
     raw = contour.integrate(traces, phase)
     # the rule on the even-indexed nodes weighs them by 2 / nodes, the odd ones by 0
     half = contour.integrate(traces * np.resize([2.0, 0.0], traces.size), phase)
     rounded = int(round(raw.real))
-    return IndexReport(complex(raw), rounded, float(abs(raw - rounded)), float(min_sv),
+    return IndexReport(complex(raw), rounded, float(abs(raw - rounded)), float(svs.min()),
                        float(abs(raw - half)))
 
 

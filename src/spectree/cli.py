@@ -3,7 +3,8 @@
 Subcommands
 -----------
 validate   run the cross-checking invariant suite, print a pass/fail table;
-           its kernel row is the relative error ``kernel`` prints
+           its quadrature rows check ``kernel``'s edge table, and its kernel
+           row is the relative error ``kernel`` prints at its default point
 kernel     closed-form kernel vs direct-solve reference, max/relative error,
            compared on one column per sphere (its first vertex) with each
            column weighted by the sphere size: by the tree symmetry these are
@@ -35,6 +36,7 @@ from .operators import (
     PotentialSpec,
     _parent_indices,
     adjacency_radius_bound,
+    delta_floor,
     m_tilde,
     theta,
     weights,
@@ -169,9 +171,14 @@ def build_parser() -> _Parser:
 # -- validate ------------------------------------------------------------------
 
 def _default_delta(k: int, spec: PotentialSpec | None) -> float:
-    """Weight rate of ``validate`` and ``kernel``: the potential's decay rate,
-    else ``max(1, 6 ln k)``."""
-    return spec.delta if spec is not None else max(1.0, 6.0 * math.log(k))
+    """Weight rate of ``validate`` and ``kernel``: the potential's, else max(1, delta_floor(k))."""
+    return spec.delta if spec is not None else max(1.0, delta_floor(k))
+
+
+def _check_z(k: int) -> float:
+    """``z`` of ``validate``'s closed-form rows and ``kernel``'s default: ``t_minus - 0.5``,
+    or ``-1`` on the path, where ``-0.5`` has ``xi = 1/2`` exactly and sees no rounding."""
+    return -1.0 if k == 1 else t_minus(k) - 0.5
 
 
 def _validation_bytes(t: TreeGraph) -> int:
@@ -278,8 +285,7 @@ def _check_basis(t: TreeGraph, check) -> None:
 
 
 def _check_kernel(t: TreeGraph, e_m: np.ndarray, check) -> None:
-    k = t.k
-    sp_ = from_z(k, -1.0 if k == 1 else t_minus(k) - 0.5)
+    sp_ = from_z(t.k, _check_z(t.k))
     qf = max(
         abs(fourier_coefficient(n, sp_) - quadrature.fourier_quadrature(sp_.u, n))
         for n in range(7)
@@ -287,7 +293,7 @@ def _check_kernel(t: TreeGraph, e_m: np.ndarray, check) -> None:
     check("fourier coefficient vs quadrature", qf, 1e-10)
     qs = max(
         abs(sine_projected_coefficient(j, l, sp_)
-            - quadrature.sine_projected_quadrature(k, sp_.z, j, l))
+            - quadrature.sine_projected_quadrature(sp_.k, sp_.z, j, l))
         for j in range(4) for l in range(4)
     )
     check("sine-projected coefficient vs quadrature", qs, 1e-10)
@@ -383,7 +389,7 @@ def _cmd_kernel(args, spec: PotentialSpec | None) -> int:
     if args.lam is not None:
         sp_ = from_lambda(args.k, _complex_arg("--lam", args.lam))
     else:
-        z = _complex_arg("--z", args.z) if args.z is not None else t_minus(args.k) - 0.5
+        z = _complex_arg("--z", args.z) if args.z is not None else _check_z(args.k)
         sp_ = from_z(args.k, z)
     t = build_tree(args.k, args.depth)
     e_m, _ = weights(t, delta)

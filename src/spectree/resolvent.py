@@ -144,7 +144,7 @@ class SpectralPoint:
 
     @property
     def two_sin_phi(self) -> complex:
-        return -1j * (self.eiphi - 1.0 / self.eiphi)
+        return _checked_two_sin_phi(self.eiphi)
 
     def sheet_swapped(self) -> "SpectralPoint":
         """Same point with ``exp(i phi) -> exp(-i phi)`` (other sheet)."""
@@ -236,25 +236,23 @@ def _checked_two_sin_phi(xi: complex) -> complex:
 def fourier_coefficient(n: int, sp_: SpectralPoint) -> complex:
     """Closed form of ``(1/2pi) * int exp(i n t) / (2 - 2 cos t - u) dt``.
 
-    Equals ``i exp(i|n| phi) / (2 sin phi)``; the quadrature identity holds
-    for ``u`` off ``[0, 4]``, elsewhere the same expression evaluates the
-    continued (boundary) values on the committed sheet.
+    Entry ``|n|`` of the path's :func:`block_table` (``k = 1``); the identity holds
+    for ``u`` off ``[0, 4]``, elsewhere it is the continued (boundary) value on
+    the committed sheet.
     """
-    s = _checked_two_sin_phi(sp_.eiphi)
-    return 1j * sp_.eiphi ** abs(n) / s
+    return complex(block_table(1, np.array([sp_.eiphi]), abs(n) + 1)[0, abs(n)])
 
 
 def sine_projected_coefficient(j: int, l: int, sp_: SpectralPoint) -> complex:
-    """Closed form of the sine-projected block resolvent entry.
+    """Closed form ``w[|j-l|] - w[j+l+2]`` (:func:`block_table`) of the
+    sine-projected block resolvent entry.
 
     Equals ``(1/pi) * int (-2 sqrt(k) cos t + k + 1 - z)^{-1}
     sin((j+1) t) sin((l+1) t) dt`` for ``u`` off ``[0, 4]``, and its
     continuation elsewhere on the committed sheet.
     """
-    s = _checked_two_sin_phi(sp_.eiphi)
-    xi = sp_.eiphi
-    bracket = 1j * (xi ** abs(j - l) - xi ** (j + l + 2)) / s
-    return KERNEL_PREFACTOR * bracket / math.sqrt(sp_.k)
+    w = block_table(sp_.k, np.array([sp_.eiphi]), j + l + 3)[0]
+    return complex(w[abs(j - l)] - w[j + l + 2])
 
 
 @dataclass

@@ -13,6 +13,8 @@ from numpy.polynomial import Polynomial
 from spectree import PotentialSpec
 from spectree.charval import IndexReport
 from spectree.decomposition import helmert_complement
+from spectree.errors import InvalidParameter
+from spectree.operators import SUPPORT_CUTOFF
 
 
 def det_winding_oracle(f, contour, nodes=4096):
@@ -183,3 +185,19 @@ def stacked_spheres(t):
             c = np.repeat(c, k, axis=0) * inv_sqrt_k
             on_sphere[r].append(c)
     return [np.hstack(blocks) for blocks in on_sphere]
+
+
+def looped_support(t, m_vec):
+    """``support_vertices`` by a loop over the spheres, as its reference: the
+    supporting radius is the last sphere whose largest ``|m|`` reaches
+    ``SUPPORT_CUTOFF``, and the support is ``m != 0`` up to it."""
+    mod = np.abs(m_vec)
+    r_support = 0
+    for r in range(t.depth + 1):
+        s = t.sphere(r)
+        if mod[s.start:s.stop].max(initial=0.0) >= SUPPORT_CUTOFF:
+            r_support = r
+    idx = np.nonzero(mod[:t.sphere_offsets[r_support + 1]] > 0)[0]
+    if idx.size == 0:
+        raise InvalidParameter("perturbation vanishes identically on the truncation")
+    return idx, r_support

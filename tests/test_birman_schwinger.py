@@ -34,8 +34,12 @@ from spectree.birman_schwinger import (
 )
 from spectree import charval, resolvent
 from spectree.charval import ContourSpec, _family, contour_index
-from spectree.errors import CapacityExceeded, OutOfDisk
+from spectree.errors import CapacityExceeded, InvalidParameter, OutOfDisk
+from spectree.operators import SUPPORT_CUTOFF
+from spectree.tree import sphere_of
 from spectree.quadrature import cauchy_reconstruct
+
+from helpers import looped_support, sandwich_table_spec
 
 LOG2 = math.log(2.0)
 
@@ -98,6 +102,44 @@ def test_support_restriction():
     # |0.3 * 2^(-6r)| crosses 1e-14 between spheres 7 and 8
     assert r_support == 7
     assert idx.size == 2**8 - 1
+
+
+@pytest.mark.parametrize("k,depth", [(1, 40), (2, 7), (3, 4), (4, 3)])
+def test_support_vertices_equals_the_per_sphere_loop(k, depth):
+    # the supporting radius is read from the last vertex reaching the cutoff
+    t = build_tree(k, depth)
+    n = t.vertex_count
+    rng = np.random.default_rng(k)
+    cases = [m_tilde(t, PotentialSpec.radial_exp(a, max(1.0, 6 * math.log(k))))
+             for a in (0.3 + 0.15j, 1e-3)]
+    cases.append(m_tilde(t, sandwich_table_spec()) if k == 2 else m_tilde(t, None))
+    for v in (0, n // 2, n - 1):
+        for modulus in (SUPPORT_CUTOFF, np.nextafter(SUPPORT_CUTOFF, 0.0)):
+            one = np.zeros(n, complex)
+            one[v] = modulus * 1j  # one vertex at the cutoff or just under it
+            cases.append(one)
+    for _ in range(60):
+        # a random table, its moduli straddling the cutoff, and the same table
+        # graded down by a decade per sphere
+        m = np.zeros(n, complex)
+        picked = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+        m[picked] = SUPPORT_CUTOFF * 10.0 ** rng.uniform(-2, 2, picked.size)
+        m[picked[:rng.integers(0, 3)]] = SUPPORT_CUTOFF
+        cases += [m, m * 10.0 ** (1.0 - sphere_of(k, np.arange(n)))]
+    raised = 0
+    for m in cases + [np.zeros(n, complex)]:
+        try:
+            ref_idx, ref_r = looped_support(t, m)
+        except InvalidParameter:
+            # nothing nonzero up to the supporting radius, as for m = 0
+            with pytest.raises(InvalidParameter, match="vanishes identically"):
+                support_vertices(t, m)
+            raised += 1
+            continue
+        idx, r_support = support_vertices(t, m)
+        assert r_support == ref_r
+        np.testing.assert_array_equal(idx, ref_idx)
+    assert 1 < raised < len(cases) // 2
 
 
 # -- gamma/beta -------------------------------------------------------------

@@ -196,18 +196,31 @@ def _printed_row(stdout, name):
     return float(line.split("value=")[1].split()[0])
 
 
-@pytest.mark.parametrize("k,depth,z", [(1, 12, ["--z=-1"]), (2, 6, []), (3, 4, [])],
-                         ids=["k1", "k2", "k3"])
+@pytest.mark.parametrize("k,depth", [(1, 12), (2, 6), (3, 4)], ids=["k1", "k2", "k3"])
 @pytest.mark.parametrize("radial", [False, True], ids=["free", "radial"])
-def test_validate_kernel_row_is_the_kernel_error(capsys, k, depth, z, radial):
-    # validate's point is z = -1 at k = 1, else kernel's default t_minus(k) - 0.5;
-    # a potential sets the weight rate of both
+def test_validate_kernel_row_is_the_kernel_error(capsys, k, depth, radial):
+    # kernel without --z or --lam checks validate's point: t_minus(k) - 0.5,
+    # or -1 on the path, where -0.5 has xi = 1/2 exactly and the comparison
+    # would see no rounding; a potential sets the weight rate of both
     spec = PotentialSpec.radial_exp(0.3 + 0.15j, max(1.0, 6 * math.log(k)))
     pot = ["--potential", json.dumps(spec.to_json())] if radial else []
     assert main(["validate", "--k", str(k), "--depth", str(depth)] + pot) == 0
     row = _printed_row(capsys.readouterr().out, "weighted kernel vs direct solve (rel)")
-    assert main(["kernel", "--k", str(k), "--depth", str(depth)] + z + pot) == 0
-    assert row == json.loads(capsys.readouterr().out)["rel_frobenius_error"]
+    assert main(["kernel", "--k", str(k), "--depth", str(depth)] + pot) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["z"] == {"re": -1.0 if k == 1 else t_minus(k) - 0.5, "im": 0.0}
+    assert out["rel_frobenius_error"] == row > 0.0
+
+
+def test_validate_fails_a_wrong_edge_table(monkeypatch):
+    # the quadrature rows check the table the kernel is assembled from, so an
+    # edge table off by 1e-6 fails them without a potential
+    table = resolvent.block_table
+    monkeypatch.setattr(resolvent, "block_table",
+                        lambda k, xi, length: table(k, xi, length) * (1 + 1e-6))
+    rows = {name: passed for name, _, _, passed in _run_validation(2, 6, None)}
+    assert not rows["fourier coefficient vs quadrature"]
+    assert not rows["sine-projected coefficient vs quadrature"]
 
 
 @pytest.mark.parametrize("k,depth", [(2, 10), (3, 6), (1, 12), (2, 11), (1, 200), (5, 5)])
@@ -408,7 +421,8 @@ def test_kernel_errors_equal_full_matrix_figures(capsys, k, depth, lam):
     point = [] if lam is None else ["--lam", str(lam)]
     code = main(["kernel", "--k", str(k), "--depth", str(depth)] + point)
     out = json.loads(capsys.readouterr().out)
-    sp_ = from_z(k, t_minus(k) - 0.5) if lam is None else from_lambda(k, lam)
+    # the figures are those of the point kernel prints
+    sp_ = from_z(k, complex(out["z"]["re"], out["z"]["im"])) if lam is None else from_lambda(k, lam)
     assert (sp_.z.real > t_minus(k)) == (lam is not None)
     t = build_tree(k, depth)
     e_m, _ = weights(t, out["delta"])
