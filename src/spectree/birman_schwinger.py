@@ -113,7 +113,9 @@ def support_vertices(t: TreeGraph, m_vec: np.ndarray) -> tuple[np.ndarray, int]:
 class BSFactory:
     """Precomputed machinery for evaluating the sandwich at many parameters.
 
-    Builds the support and the polar factors once.  ``radial`` is set when the
+    Builds the support and the polar factors once.  It holds arrays of the
+    support's size only: the constructor reads ``m_tilde`` of the whole ball
+    and drops it.  ``radial`` is set when the
     perturbation is constant on spheres, in which case :meth:`reduced_blocks`
     exposes the exact per-block reduction (level matrices ``T_n``, block ``n``
     with multiplicity :func:`newborn_multiplicity`).  :meth:`blocks` returns
@@ -128,25 +130,22 @@ class BSFactory:
         self.tree = t
         m_vec = m_tilde(t, spec)
         self.support, self.r_support = support_vertices(t, m_vec)
-        j_full, sqrt_full = polar_factors(m_vec)
-        self.j_phase = j_full[self.support]
-        self.sqrt_abs = sqrt_full[self.support]
-        self._sqrt_full = sqrt_full
+        self.j_phase, self.sqrt_abs = polar_factors(m_vec[self.support])
         self.eps0 = disk_radius(spec.delta) if spec is not None else DEFAULT_DISK_RADIUS
         #: edge table length: a support pair reads up to ``w[2 r_support + 2]``
         self.table_length = 2 * self.r_support + 3
         self.radial = spec is None or spec.radial
         if self.radial:
-            self._prepare_radial(j_full, sqrt_full)
+            self._prepare_radial(m_vec[self.tree.sphere_offsets[:self.r_support + 1]])
 
-    def _prepare_radial(self, j_full, sqrt_full) -> None:
-        """Per-block weighted levels and weights of the level matrices.
+    def _prepare_radial(self, m_heads: np.ndarray) -> None:
+        """Per-block weighted levels and weights of the level matrices, from
+        ``m_tilde`` at the first vertex of each sphere of the support.
 
         A weightless level is a zero row and column of ``T_n``, so each block
         keeps only its weighted levels, as the support does.
         """
-        spheres = self.tree.sphere_offsets[:self.r_support + 1]
-        a_radial, j_radial = sqrt_full[spheres], j_full[spheres]
+        j_radial, a_radial = polar_factors(m_heads)
         # level pairs (j, l) of the largest block; block n reads it at its
         # levels counted from n
         lv = np.arange(self.r_support + 1)
@@ -187,7 +186,7 @@ class BSFactory:
         """Kernel assembler on the support pairs, built when a full support
         matrix is first evaluated (never by a radial scan)."""
         return ResolventKernel(
-            self.tree, a_weight=self._sqrt_full, b_weight=self._sqrt_full,
+            self.tree, a_weight=self.sqrt_abs, b_weight=self.sqrt_abs,
             rows=self.support, cols=self.support,
         )
 

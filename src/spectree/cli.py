@@ -379,7 +379,7 @@ def _kernel_errors(t: TreeGraph, sp_: SpectralPoint, e_m: np.ndarray) -> tuple[f
     """:func:`_sphere_column_errors` of the closed-form kernel against the
     direct solve at ``sp_``, both weighted by ``e_m`` on each side."""
     cols = t.sphere_offsets[:t.depth + 1]
-    kern = ResolventKernel(t, e_m, e_m, cols=cols).evaluate(sp_)
+    kern = ResolventKernel(t, e_m, e_m[cols], cols=cols).evaluate(sp_)
     oracle = e_m[:, None] * direct_resolvent_block(t, sp_.z, cols=cols) * e_m[cols]
     return _sphere_column_errors(t, kern, oracle)
 

@@ -144,25 +144,6 @@ def projector(b: SphericalBasis, n: int) -> np.ndarray:
     return p
 
 
-def apply_adjacency_level(
-    t: TreeGraph, arr: np.ndarray, r: int
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Apply the adjacency to columns supported on ``S_r``.
-
-    Returns the components on ``S_{r-1}`` and ``S_{r+1}`` (``None`` when the
-    sphere does not exist).  Works purely by index arithmetic: the breadth
-    first layout makes each sibling family a contiguous row block.
-    """
-    k = t.k
-    down = None
-    up = None
-    if r > 0:
-        down = arr.reshape(t.sphere_size(r - 1), k, -1).sum(axis=1)
-    if r < t.depth:
-        up = np.repeat(arr, k, axis=0)
-    return down, up
-
-
 def verify_jacobi_form(b: SphericalBasis, t: TreeGraph, n: int) -> float:
     """Max deviation of the block-``n`` adjacency matrix from the free Jacobi form.
 

@@ -20,7 +20,10 @@ Conventions
 The perturbed operator splits as ``(-adjacency + (k+1)) + m_tilde`` where
 ``m_tilde = -d0 + potential`` carries the whole perturbation, including
 the root degree defect.  Only :class:`PotentialSpec` reads a potential's
-kind; other modules ask its ``radial`` and ``support_depth``.
+kind; other modules ask its ``radial`` and ``support_depth``.  Its decay
+certificate reads the potential's own entries (one for radial-exp, the
+listed vertices of a table), so ``m_tilde`` is the one array of the ball it
+builds.
 """
 from __future__ import annotations
 
@@ -243,33 +246,35 @@ class PotentialSpec:
         span = (cmath.log(self.amplitude).real - math.log(SUPPORT_CUTOFF)) / self.delta
         return max(4, math.ceil(min(max(span, 0.0), VERTEX_CAP)))
 
-    def materialize(self, t: TreeGraph, depths: np.ndarray | None = None) -> np.ndarray:
-        """Potential values on every vertex of the truncation; ``depths`` is
-        ``t.depths()``, computed here when not given.
-
-        Raises :class:`InvalidParameter` for a table vertex beyond it, which
-        would otherwise drop out of everything computed on ``t``.
-        """
-        m = np.zeros(t.vertex_count, dtype=complex)
+    def materialize(self, t: TreeGraph) -> np.ndarray:
+        """Potential values on every vertex of the truncation (radial-exp's
+        once per sphere, repeated over it).  Raises :class:`InvalidParameter`
+        for a table vertex beyond ``t``, which would otherwise drop out of
+        everything computed on ``t``."""
         if self.radial:
-            m[:] = self.amplitude * np.exp(-self.delta * (t.depths() if depths is None else depths))
-        else:
-            deepest = max((v for v, _ in self.values), default=0)
-            if deepest >= t.vertex_count:
-                raise InvalidParameter(
-                    f"table vertex {deepest} lies beyond depth {t.depth}, "
-                    f"whose last vertex is {t.vertex_count - 1}"
-                )
-            for v, x in self.values:
-                m[v] = x
+            per_sphere = complex(self.amplitude) * np.exp(-self.delta * np.arange(t.depth + 1))
+            return np.repeat(per_sphere, np.diff(t.sphere_offsets))
+        vertices, values = self._entries(t)
+        m = np.zeros(t.vertex_count, dtype=complex)
+        m[vertices] = values
         return m
 
-    def check_assumption(self, t: TreeGraph) -> np.ndarray:
-        """Raise :class:`AssumptionViolated` unless the decay certificate holds:
-        ``log|M(v)| + delta |v| <= log C`` (up to ``1e-12``) where ``M`` is nonzero.
+    def _entries(self, t: TreeGraph) -> tuple[np.ndarray, np.ndarray]:
+        """A table's vertices and values as arrays, each vertex checked to lie on ``t``."""
+        deepest = max((v for v, _ in self.values), default=0)
+        if deepest >= t.vertex_count:
+            raise InvalidParameter(
+                f"table vertex {deepest} lies beyond depth {t.depth}, "
+                f"whose last vertex is {t.vertex_count - 1}"
+            )
+        return (np.array([v for v, _ in self.values], dtype=np.int64),
+                np.array([x for _, x in self.values], dtype=complex))
 
-        Returns the values of :meth:`materialize`, which the check reads, so
-        a caller need not materialize the potential again.
+    def check_assumption(self, t: TreeGraph) -> None:
+        """Raise :class:`AssumptionViolated` unless the decay certificate holds:
+        ``log|M(v)| + delta |v| <= log C`` (up to ``1e-12``) on the potential's
+        own nonzero entries: the root's amplitude for radial-exp, and a table's
+        listed vertices (:class:`InvalidParameter` if one lies beyond ``t``).
         """
         floor = delta_floor(t.k)
         if self.delta < floor - _DECAY_SLACK:
@@ -277,11 +282,13 @@ class PotentialSpec:
                 f"decay rate {self.delta:.6g} below the admissible floor "
                 f"{floor:.6g} for k={t.k}"
             )
-        depths = t.depths()
-        m = self.materialize(t, depths)
+        if self.radial:
+            vertices, values = np.zeros(1, dtype=np.int64), np.array([self.amplitude])
+        else:
+            vertices, values = self._entries(t)
+        nz = np.flatnonzero(values)
         # in log space: exp(delta |v|) overflows on deep vertices that carry weight
-        nz = np.flatnonzero(m)
-        log_m = np.log(np.abs(m[nz])) + self.delta * depths[nz]
+        log_m = np.log(np.abs(values[nz])) + self.delta * sphere_of(t.k, vertices[nz])
         if self.c_const is not None:
             c = float(self.c_const)
         else:
@@ -293,7 +300,6 @@ class PotentialSpec:
             c = math.exp(log_c)
         if log_m.size and log_m.max() > math.log(c) + 1e-12:
             raise AssumptionViolated("materialized potential exceeds its certificate")
-        return m
 
     # -- JSON wire format ---------------------------------------------------
 
@@ -361,10 +367,11 @@ def _complex_field(x) -> complex:
 def m_tilde(t: TreeGraph, spec: PotentialSpec | None) -> np.ndarray:
     """Diagonal of the effective perturbation ``-d0 + M``, with ``M``
     admissibility-checked by :meth:`PotentialSpec.check_assumption`."""
-    _, d0 = degree_terms(t)
-    m = -d0.astype(complex)
     if spec is not None:
-        m += spec.check_assumption(t)
+        spec.check_assumption(t)
+    # -0j: the negated zeros of -d0, bit for bit
+    m = np.full(t.vertex_count, -0j) if spec is None else spec.materialize(t)
+    m[0] -= 1.0
     return m
 
 

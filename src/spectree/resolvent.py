@@ -273,7 +273,9 @@ class ResolventKernel:
     table ``w`` to ``G`` (module docstring) are prepared once; each
     evaluation is a short accumulation over the triples that occur plus one
     gather.  ``rows``/``cols`` restrict the output to a vertex subset (used
-    for compactly supported sandwiches).
+    for compactly supported sandwiches); ``a_weight``/``b_weight`` are
+    aligned with them, one weight per row or column (per vertex when
+    ``rows``/``cols`` is ``None``).
     """
 
     def __init__(
@@ -382,7 +384,8 @@ class ResolventKernel:
     def assemble(self, w: np.ndarray) -> np.ndarray:
         """Kernel entries ``a[x] G(|x|, |y|, |x∧y|) conj(b[y])`` from the table ``w``.
 
-        ``G`` is the fixed linear map of the table built in :meth:`_prepare`.
+        ``G`` is the fixed linear map of the table built in :meth:`_prepare`;
+        ``a`` and ``b`` are the weights, aligned with ``rows`` and ``cols``.
         An ``(N, E)`` table gives a ``(N, rows, cols)`` stack whose slices
         equal the one-table results bit for bit (the map is accumulated
         elementwise in a fixed order, not by BLAS).
@@ -400,9 +403,9 @@ class ResolventKernel:
             g += coef * (near - w[:, s_idx])
         out = g[:, self._code]
         if self.a_weight is not None:
-            out *= self.a_weight[self.rows][:, None]
+            out *= self.a_weight[:, None]
         if self.b_weight is not None:
-            out *= np.conj(self.b_weight[self.cols])
+            out *= np.conj(self.b_weight)
         return out
 
     def evaluate(self, sp_: SpectralPoint) -> np.ndarray:

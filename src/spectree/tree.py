@@ -102,12 +102,13 @@ def build_tree(k: int, depth: int) -> TreeGraph:
     # the deepest sphere alone has k**depth vertices: bound it before forming
     # any power, so a huge depth costs no big-integer arithmetic
     fits = depth < VERTEX_CAP and k ** min(depth, VERTEX_CAP.bit_length()) <= VERTEX_CAP
-    sizes = [k**r for r in range(depth + 1)] if fits else []
-    count = sum(sizes)
-    if not fits or count > VERTEX_CAP:
+    if fits:
+        # S_r starts at (k**r - 1) / (k - 1), or at r on the path
+        r = np.arange(depth + 2, dtype=np.int64)
+        offsets = r if k == 1 else (k**r - 1) // (k - 1)
+    if not fits or offsets[-1] > VERTEX_CAP:
         raise CapacityExceeded(f"k={k}, depth={depth} needs over {VERTEX_CAP} vertices (the cap)")
-    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-    return TreeGraph(k=k, depth=depth, vertex_count=count, sphere_offsets=offsets)
+    return TreeGraph(k=k, depth=depth, vertex_count=int(offsets[-1]), sphere_offsets=offsets)
 
 
 def _check_vertex(t: TreeGraph, v: int) -> None:

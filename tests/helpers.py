@@ -13,8 +13,8 @@ from numpy.polynomial import Polynomial
 from spectree import PotentialSpec
 from spectree.charval import IndexReport
 from spectree.decomposition import helmert_complement
-from spectree.errors import InvalidParameter
-from spectree.operators import SUPPORT_CUTOFF
+from spectree.errors import AssumptionViolated, InvalidParameter
+from spectree.operators import SUPPORT_CUTOFF, delta_floor
 
 
 def det_winding_oracle(f, contour, nodes=4096):
@@ -201,3 +201,65 @@ def looped_support(t, m_vec):
     if idx.size == 0:
         raise InvalidParameter("perturbation vanishes identically on the truncation")
     return idx, r_support
+
+
+def apply_adjacency_level(t, arr, r):
+    """Apply the adjacency to columns supported on ``S_r``.
+
+    Returns the components on ``S_{r-1}`` and ``S_{r+1}`` (``None`` when the
+    sphere does not exist).  Works purely by index arithmetic: the breadth
+    first layout makes each sibling family a contiguous row block.
+    """
+    k = t.k
+    down = None
+    up = None
+    if r > 0:
+        down = arr.reshape(t.sphere_size(r - 1), k, -1).sum(axis=1)
+    if r < t.depth:
+        up = np.repeat(arr, k, axis=0)
+    return down, up
+
+
+def ball_wide_potential(spec, t):
+    """The potential on every vertex of ``t``, each value from its own depth:
+    the reference for :meth:`PotentialSpec.materialize`."""
+    m = np.zeros(t.vertex_count, dtype=complex)
+    if spec.radial:
+        m[:] = spec.amplitude * np.exp(-spec.delta * t.depths())
+    else:
+        deepest = max((v for v, _ in spec.values), default=0)
+        if deepest >= t.vertex_count:
+            raise InvalidParameter(
+                f"table vertex {deepest} lies beyond depth {t.depth}, "
+                f"whose last vertex is {t.vertex_count - 1}"
+            )
+        for v, x in spec.values:
+            m[v] = x
+    return m
+
+
+def ball_wide_certificate(spec, t):
+    """The decay certificate checked on every vertex of the ball: the
+    reference for :meth:`PotentialSpec.check_assumption`, which reads only
+    the potential's own entries.  Raises as it does, with the same messages."""
+    floor = delta_floor(t.k)
+    if spec.delta < floor - 1e-12:
+        raise AssumptionViolated(
+            f"decay rate {spec.delta:.6g} below the admissible floor "
+            f"{floor:.6g} for k={t.k}"
+        )
+    depths = t.depths()
+    m = ball_wide_potential(spec, t)
+    nz = np.flatnonzero(m)
+    log_m = np.log(np.abs(m[nz])) + spec.delta * depths[nz]
+    if spec.c_const is not None:
+        c = float(spec.c_const)
+    else:
+        log_c = np.max(log_m, initial=-np.inf)
+        if log_c > math.log(np.finfo(float).max):
+            raise AssumptionViolated(
+                f"decay certificate constant C = exp({log_c:.6g}) overflows a float"
+            )
+        c = math.exp(log_c)
+    if log_m.size and log_m.max() > math.log(c) + 1e-12:
+        raise AssumptionViolated("materialized potential exceeds its certificate")

@@ -523,3 +523,21 @@ def test_radial_scan_builds_no_pair_kernel(monkeypatch, radial_spec_k2):
     t = build_tree(2, 8)
     report = charval.absence_scan(t, None, radial_spec_k2, (0.02, 0.16), 4, "minus", nodes=32)
     assert report.all_indices_zero and report.grid_rows.shape == (16, 4)
+
+
+def test_factory_holds_arrays_of_the_support_only():
+    import tracemalloc
+
+    spec = PotentialSpec.radial_exp(0.3 + 0.15j, 6 * LOG2)
+    BSFactory(build_tree(2, 4), None, spec)  # one-time allocations fall outside the measurement
+    t = build_tree(2, 18)
+    tracemalloc.start()
+    try:
+        factory = BSFactory(t, None, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # m_tilde (16 bytes a vertex) and its moduli (8) while the support is found
+    assert peak <= 32 * t.vertex_count
+    held = [a for a in vars(factory).values() if isinstance(a, np.ndarray)]
+    assert held and max(a.size for a in held) <= factory.support.size < t.vertex_count

@@ -9,9 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import stacked_spheres
+from helpers import apply_adjacency_level, stacked_spheres
 from spectree import build_spherical_basis, build_tree, projector, verify_jacobi_form
-from spectree.decomposition import apply_adjacency_level, helmert_complement
+from spectree.decomposition import helmert_complement
 from spectree.operators import adjacency, raising
 from spectree.quadrature import jacobi_symbol_quadrature
 

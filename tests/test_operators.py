@@ -21,6 +21,9 @@ from spectree import (
 )
 from spectree.errors import AssumptionViolated, InvalidParameter
 from spectree.operators import adjacency_radius_bound, adjacency_sparse
+from spectree.tree import sphere_of
+
+from helpers import ball_wide_certificate, ball_wide_potential
 
 LOG2 = math.log(2.0)
 
@@ -145,7 +148,8 @@ def test_radial_certificate_holds():
     PotentialSpec.table([(0, 0.3)], 6 * LOG2, c_const=1.0),
 ], ids=["radial", "table", "table-with-C"])
 def test_m_tilde_materializes_the_potential_once(monkeypatch, spec):
-    # the decay check reads the values and depths m_tilde returns with
+    # the decay check reads the potential's own entries, so the values of
+    # the ball are made once and no vertex's depth is asked for
     from spectree.tree import TreeGraph
 
     t = build_tree(2, 6)
@@ -164,8 +168,95 @@ def test_m_tilde_materializes_the_potential_once(monkeypatch, spec):
     counted(PotentialSpec, "materialize")
     counted(TreeGraph, "depths")
     got = m_tilde(t, spec)
-    assert calls == {"materialize": 1, "depths": 1}
+    assert calls == {"materialize": 1, "depths": 0}
     assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    None,
+    PotentialSpec.radial_exp(0.3 + 0.15j, 7.0),
+    PotentialSpec.radial_exp(complex(-0.0, -0.4), 7.0),
+    PotentialSpec.radial_exp(0.0, 7.0),
+    PotentialSpec.table([(0, 0.3 - 0.2j), (2, complex(-0.0, -0.0)), (4, complex(0.05, -0.0))], 7.0),
+    PotentialSpec.table([(3, 1.0)], 7.0),
+], ids=["none", "radial", "radial signed zero", "radial zero", "table", "table off the root"])
+@pytest.mark.parametrize("k,depth", [(1, 30), (2, 6), (3, 4)])
+def test_m_tilde_bytes_equal_the_ball_wide_sum(spec, k, depth):
+    # -d0 + M with M taken vertex by vertex from its own depth, signed zeros
+    # included: -d0 is -1 - 0j at the root and -0 - 0j elsewhere
+    t = build_tree(k, depth)
+    _, d0 = degree_terms(t)
+    expected = -d0.astype(complex)
+    if spec is not None:
+        expected += ball_wide_potential(spec, t)
+    assert m_tilde(t, spec).tobytes() == expected.tobytes()
+
+
+def _decision(check, spec, t):
+    """``None`` when the certificate holds, else the error's type and message."""
+    try:
+        check(spec, t)
+    except (AssumptionViolated, InvalidParameter) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _certificate_cases():
+    cases = []
+    for k, depth in [(1, 40), (2, 8), (3, 5), (4, 4)]:
+        t = build_tree(k, depth)
+        delta = max(1.0, 6 * math.log(k))
+        for amp in (0.3 + 0.15j, -2.5, 1e-20j, 0.0):
+            cases.append((f"k{k} radial {amp}", t, PotentialSpec.radial_exp(amp, delta)))
+            for rel in (1 + 1e-9, 1 - 1e-9):
+                cases.append((f"k{k} radial {amp} C*{rel}", t, PotentialSpec(
+                    kind="radial-exp", delta=delta, amplitude=complex(amp),
+                    c_const=abs(amp) * rel or 1.0)))
+        last = t.vertex_count - 1
+        values = [(0, 0.3 - 0.2j), (1, 0.0), (2, -0.15j), (last, 1e-3), (k + 2, 0j)]
+        estimate = max(abs(x) * math.exp(delta * sphere_of(k, v)) for v, x in values)
+        cases.append((f"k{k} table", t, PotentialSpec.table(values, delta)))
+        for rel in (1 + 1e-9, 1 - 1e-9):
+            cases.append((f"k{k} table C*{rel}", t,
+                          PotentialSpec.table(values, delta, c_const=estimate * rel)))
+        cases.append((f"k{k} zero table", t, PotentialSpec.table([(0, 0j), (last, 0j)], delta)))
+        cases.append((f"k{k} empty table", t, PotentialSpec.table([], delta)))
+        cases.append((f"k{k} table beyond depth", t,
+                      PotentialSpec.table([(0, 0.1), (last + 1, 0j)], delta, c_const=1e-9)))
+        if k > 1:
+            cases.append((f"k{k} below the floor", t,
+                          PotentialSpec.table([(last + 1, 0.1)], delta - 0.01)))
+    # the three certificate cases of tests/test_cli.py::BAD_INPUTS, on the
+    # depth index picks for them
+    for vertex, c in [(2000, 1e300), (2000, None), (8000, None)]:
+        spec = PotentialSpec.table([(vertex, 0.1)], 1.6, c_const=c)
+        cases.append((f"k1 table at {vertex} C={c}", build_tree(1, spec.support_depth(1)), spec))
+    return cases
+
+
+def test_certificate_decisions_equal_the_ball_wide_check():
+    decisions = {}
+    for name, t, spec in _certificate_cases():
+        got = _decision(PotentialSpec.check_assumption, spec, t)
+        assert got == _decision(ball_wide_certificate, spec, t), name
+        decisions[name] = got
+    # the certificate holds on some cases, and each of its errors occurs
+    assert None in decisions.values()
+    messages = " | ".join(d[1] for d in decisions.values() if d is not None)
+    for part in ("admissible floor", "lies beyond depth", "overflows a float",
+                 "exceeds its certificate"):
+        assert part in messages
+
+
+def test_radial_certificate_holds_where_the_ball_underflows():
+    # |M(v)| e^{delta |v|} is the amplitude's modulus on every vertex, so an
+    # explicit C equal to it holds; the ball-wide check refuses it, because
+    # the logs of subnormal values below depth 443 round up by up to ln 2
+    t = build_tree(1, 500)
+    spec = PotentialSpec(kind="radial-exp", delta=1.6, amplitude=1.0 + 0j, c_const=1.0)
+    spec.check_assumption(t)
+    with pytest.raises(AssumptionViolated, match="exceeds its certificate"):
+        ball_wide_certificate(spec, t)
 
 
 def test_assumption_violation_and_override():

@@ -331,7 +331,7 @@ def test_kernel_on_rectangular_subsets(k, depth):
     rng = np.random.default_rng(k)
     rows = rng.choice(t.vertex_count, size=min(23, t.vertex_count - 1), replace=False)
     cols = rng.choice(t.vertex_count, size=7, replace=False)
-    assembler = ResolventKernel(t, a_w, a_w, rows=rows, cols=cols)
+    assembler = ResolventKernel(t, a_w[rows], a_w[cols], rows=rows, cols=cols)
     for z in (t_minus(k) - 0.5, t_minus(k) - 0.25 + 0.1j):
         kern = assembler.evaluate(from_z(k, z))
         block = direct_resolvent_block(t, z, rows=rows, cols=cols)
@@ -349,7 +349,8 @@ def test_kernel_on_rectangular_subsets(k, depth):
 def test_assemble_stacked_tables_bit_for_bit(k, depth, rows):
     t = build_tree(k, depth)
     e_m, _ = weights(t, max(1.0, 6 * math.log(k)))
-    assembler = ResolventKernel(t, e_m, e_m, rows=rows, cols=rows)
+    w = e_m if rows is None else e_m[rows]
+    assembler = ResolventKernel(t, w, w, rows=rows, cols=rows)
     lams = 0.12 * np.exp(2j * np.pi * np.arange(7) / 7 + 0.3j)
     points = [from_lambda(k, lam) for lam in lams]
     values = np.array([assembler.evaluate(p) for p in points])

@@ -18,7 +18,7 @@ from spectree.errors import (
     InvalidParameter,
     RootHasNoParent,
 )
-from spectree.tree import sphere_of
+from spectree.tree import VERTEX_CAP, sphere_of
 
 
 def bfs_oracle(k, depth):
@@ -125,9 +125,43 @@ def test_errors():
         parent(t, -1)
 
 
+def _timed(f, *args):
+    start = time.perf_counter()
+    f(*args)
+    return time.perf_counter() - start
+
+
 @pytest.mark.parametrize("k, depth", [(1, 10**12), (2, 10**9)])
 def test_cap_is_checked_before_the_sphere_sizes(k, depth):
     start = time.perf_counter()
     with pytest.raises(CapacityExceeded):
         build_tree(k, depth)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_sphere_offsets_are_the_cumulative_sphere_sizes(k):
+    # every depth up to the cap (the path: a sample of them), then the cap itself
+    if k == 1:
+        depths = [*range(64), 3000, 10**6]
+    else:
+        top = next(d for d in range(VERTEX_CAP) if (k ** (d + 2) - 1) // (k - 1) > VERTEX_CAP)
+        depths = range(top + 1)
+    for depth in depths:
+        t = build_tree(k, depth)
+        expected = np.concatenate([[0], np.cumsum([k**r for r in range(depth + 1)])])
+        assert t.sphere_offsets.dtype == np.int64
+        assert np.array_equal(t.sphere_offsets, expected)
+        assert type(t.vertex_count) is int and t.vertex_count == expected[-1]
+    last = VERTEX_CAP - 1 if k == 1 else depths[-1]
+    assert build_tree(k, last).vertex_count <= VERTEX_CAP
+    with pytest.raises(CapacityExceeded):
+        build_tree(k, last + 1)
+
+
+def test_path_of_a_million_spheres_builds_in_closed_form():
+    # a Python list of k**r takes about 0.3 s at this depth (2-core machine);
+    # the closed form is one arange
+    build_tree(1, 10**6)
+    best = min(_timed(build_tree, 1, 10**6) for _ in range(3))
+    assert best < 0.05
